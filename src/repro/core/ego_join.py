@@ -312,14 +312,14 @@ def ego_join_files(file_r: PointFile, file_s: PointFile, epsilon: float,
                           batch_points=batch_points,
                           batch_leaves=batch_leaves,
                           trace=tracer, metrics=registry)
-        join_before = (sorted_r_disk.simulated_time_s
-                       + sorted_s_disk.simulated_time_s)
+        join_before = (sorted_r_disk.scope_time_s
+                       + sorted_s_disk.scope_time_s)
         scheduler = TwoFileScheduler(sorted_r, sorted_s, ctx, unit_bytes,
                                      buffer_units)
         with prof.phase("schedule"), tracer.span("schedule", cat="pipeline"):
             schedule_stats = scheduler.run()
-        join_io_time = (sorted_r_disk.simulated_time_s
-                        + sorted_s_disk.simulated_time_s) - join_before
+        join_io_time = (sorted_r_disk.scope_time_s
+                        + sorted_s_disk.scope_time_s) - join_before
 
         io_total = scope.io_delta()
         _record_io_metrics(registry, io_total, sort_io_time + join_io_time)
@@ -605,9 +605,9 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
                 worker_faults=(worker_fault_plan.injected
                                if worker_fault_plan else None))
 
-        # Run-local I/O scope: snapshots counters and resets arm
-        # positions so back-to-back runs reusing the same input disk
-        # account identically (see IOScope).
+        # Run-local I/O scope: snapshots counters, resets arm positions
+        # and restarts the scope clocks, so back-to-back runs reusing the
+        # same input disk account identically (see IOScope).
         if assume_sorted:
             sorted_file = input_file
             sorted_disk_obj = input_disk
@@ -648,7 +648,7 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
                 collector.flush()
                 journal.record_unit_pair(a, b, pair_file.count)
 
-        join_time_before = sorted_disk_obj.simulated_time_s
+        join_time_before = sorted_disk_obj.scope_time_s
         supervisor_stats = None
         shard_stats = None
         if shards is not None:
@@ -693,7 +693,7 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
                 with prof.phase("schedule"), \
                         tracer.span("schedule", cat="pipeline"):
                     schedule_stats = scheduler.run()
-        join_io_time = sorted_disk_obj.simulated_time_s - join_time_before
+        join_io_time = sorted_disk_obj.scope_time_s - join_time_before
 
         total_pairs = result.count
         if collector is not None:

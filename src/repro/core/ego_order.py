@@ -111,13 +111,11 @@ def lex_less(a: np.ndarray, b: np.ndarray) -> bool:
 
     This is the epsilon grid order expressed on precomputed cells:
     ``p <ego q  ⇔  lex_less(grid_cells(p, ε), grid_cells(q, ε))``.
+    Both vectors have one entry per dimension; equal vectors are not
+    less.  The comparison runs on Python int lists — one C-level list
+    comparison instead of a loop over numpy scalars.
     """
-    for x, y in zip(a, b):
-        if x < y:
-            return True
-        if x > y:
-            return False
-    return False
+    return a.tolist() < b.tolist()
 
 
 def ego_compare(p: np.ndarray, q: np.ndarray, epsilon: float) -> int:

@@ -148,7 +148,9 @@ class ScratchBuffers:
 
 
 def candidate_windows(a: np.ndarray, b: np.ndarray, dim: int,
-                      cell_width: float
+                      cell_width: float,
+                      cells_a: Optional[np.ndarray] = None,
+                      cells_b: Optional[np.ndarray] = None
                       ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-row candidate ranges ``[lo, hi)`` of ``a`` into ``b``.
 
@@ -165,10 +167,15 @@ def candidate_windows(a: np.ndarray, b: np.ndarray, dim: int,
     :func:`~repro.core.ego_order.floor_cells` as the grid order itself
     (a raw ``np.floor(x / w)`` can place a boundary coordinate one cell
     high for negative or large-magnitude data, silently disagreeing with
-    the cells the sort used).
+    the cells the sort used).  Callers that already hold those cells
+    (a :class:`~repro.core.sequence.Sequence` carries them) pass the
+    ``dim`` columns as ``cells_a`` / ``cells_b``; only a missing side is
+    computed here.
     """
-    cells_b = floor_cells(b[:, dim], cell_width)
-    cells_a = floor_cells(a[:, dim], cell_width)
+    if cells_b is None:
+        cells_b = floor_cells(b[:, dim], cell_width)
+    if cells_a is None:
+        cells_a = floor_cells(a[:, dim], cell_width)
     lo = np.searchsorted(cells_b, cells_a - 1, side="left")
     hi = np.searchsorted(cells_b, cells_a + 1, side="right")
     return lo.astype(np.intp), hi.astype(np.intp)

@@ -145,7 +145,7 @@ class EGOIndex:
         if len(self.points) == 0:
             return result
         ctx = self._context(result, minlen, cpu, epsilon)
-        seq = Sequence(self.ids, self.points, self.epsilon)
+        seq = Sequence(self.ids, self.points, self.epsilon, self._cells)
         join_sequences(seq, seq, ctx)
         return result
 
@@ -167,7 +167,8 @@ class EGOIndex:
         if len(self.points) == 0 or len(other.points) == 0:
             return result
         ctx = self._context(result, minlen, cpu, epsilon)
-        join_sequences(Sequence(self.ids, self.points, self.epsilon),
+        join_sequences(Sequence(self.ids, self.points, self.epsilon,
+                                self._cells),
                        Sequence(other.ids, other.points, self.epsilon),
                        ctx)
         return result

@@ -14,33 +14,46 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .ego_order import floor_cells, grid_cells, validate_epsilon
+from .ego_order import floor_cells, validate_epsilon
+# Imported for its name only: the layer-attribution benchmark
+# (``e2ebench/layers.py``) wraps the cell functions where each module
+# looks them up.
+from .ego_order import grid_cells  # noqa: F401
 
 
 class Sequence:
-    """A contiguous run of EGO-sorted points with cached cell metadata.
+    """A contiguous run of EGO-sorted points with the grid cells of each.
 
-    Slicing via :meth:`first_half` / :meth:`second_half` creates views, not
-    copies, so the recursion of ``join_sequences`` allocates only small
-    metadata objects (the paper's point that EGO needs no directory — the
-    only overhead is the O(log n) recursion stack).
+    ``cells`` holds ``floor_cells(points, epsilon)`` row for row.  A
+    root sequence computes it once for its whole block (or takes it from
+    a caller that already has it); slicing via :meth:`first_half` /
+    :meth:`second_half` slices ``ids``, ``points`` and ``cells``
+    together into views, so the recursion of ``join_sequences``
+    allocates only small metadata objects and never recomputes a cell.
+    The cell array is shaped like the block, not a directory of the
+    grid: EGO still needs no search structure, and besides it the only
+    overhead is the O(log n) recursion stack (Section 4.1).
     """
 
-    __slots__ = ("ids", "points", "epsilon", "_first_cells", "_last_cells",
-                 "_active_dim")
+    __slots__ = ("ids", "points", "cells", "epsilon", "_active_dim")
 
     def __init__(self, ids: np.ndarray, points: np.ndarray,
-                 epsilon: float) -> None:
-        self.ids = ids
-        self.points = points
+                 epsilon: float, cells: Optional[np.ndarray] = None) -> None:
         self.epsilon = validate_epsilon(epsilon)
         if len(ids) != len(points):
             raise ValueError(
                 f"ids ({len(ids)}) and points ({len(points)}) differ in length")
         if len(points) == 0:
             raise ValueError("a Sequence must contain at least one point")
-        self._first_cells: Optional[np.ndarray] = None
-        self._last_cells: Optional[np.ndarray] = None
+        if cells is None:
+            cells = floor_cells(points, self.epsilon)
+        elif cells.shape != points.shape:
+            raise ValueError(
+                f"cells {cells.shape} and points {points.shape} differ in "
+                f"shape")
+        self.ids = ids
+        self.points = points
+        self.cells = cells
         self._active_dim: int = -2        # -2 = not computed, -1 = none
 
     def __len__(self) -> int:
@@ -64,16 +77,12 @@ class Sequence:
     @property
     def first_cells(self) -> np.ndarray:
         """Grid cell coordinates of the first point."""
-        if self._first_cells is None:
-            self._first_cells = grid_cells(self.points[0], self.epsilon)
-        return self._first_cells
+        return self.cells[0]
 
     @property
     def last_cells(self) -> np.ndarray:
         """Grid cell coordinates of the last point."""
-        if self._last_cells is None:
-            self._last_cells = grid_cells(self.points[-1], self.epsilon)
-        return self._last_cells
+        return self.cells[-1]
 
     def active_dimension(self) -> Optional[int]:
         """The active dimension per Definition 2, or ``None`` if all inactive.
@@ -84,7 +93,7 @@ class Sequence:
         necessarily larger, satisfying condition (1) of the definition.
         """
         if self._active_dim == -2:
-            diff = self.first_cells != self.last_cells
+            diff = self.cells[0] != self.cells[-1]
             idx = int(np.argmax(diff)) if diff.any() else -1
             self._active_dim = idx
         return None if self._active_dim == -1 else self._active_dim
@@ -95,9 +104,20 @@ class Sequence:
         return self.dimensions if active is None else active
 
     def slice(self, start: int, stop: int) -> "Sequence":
-        """Sub-sequence view over ``[start, stop)``."""
-        return Sequence(self.ids[start:stop], self.points[start:stop],
-                        self.epsilon)
+        """Sub-sequence view over ``[start, stop)``.
+
+        The parent's invariants carry over to any non-empty slice, so
+        the view is built without re-validating them.
+        """
+        sub = Sequence.__new__(Sequence)
+        sub.ids = self.ids[start:stop]
+        if len(sub.ids) == 0:
+            raise ValueError("a Sequence must contain at least one point")
+        sub.points = self.points[start:stop]
+        sub.cells = self.cells[start:stop]
+        sub.epsilon = self.epsilon
+        sub._active_dim = -2
+        return sub
 
     def first_half(self) -> "Sequence":
         """First half of the sequence (the larger half for odd lengths)."""
@@ -124,7 +144,7 @@ class Sequence:
         active = self.active_dimension()
         if active is None or len(self) < 2:
             return mid
-        cells = floor_cells(self.points[:, active], self.epsilon)
+        cells = self.cells[:, active]
         c_mid = cells[min(mid, len(self) - 1)]
         left = int(np.searchsorted(cells, c_mid, side="left"))
         right = int(np.searchsorted(cells, c_mid, side="right"))

@@ -8,9 +8,10 @@ early-abort distance test of Figure 7, using the dimension ordering of
 Section 4.2.
 
 Because the sequences are materialised as sorted arrays and halving
-produces views, the join needs no search structure at all; the only
-memory overhead is the recursion stack, as the paper emphasises in
-Section 4.1.
+produces views (of the points and of their grid cells, computed once
+per block), the join needs no search structure at all.  Besides one
+cell row per point, the only memory overhead is the recursion stack,
+as the paper emphasises in Section 4.1.
 """
 
 from __future__ import annotations
@@ -246,7 +247,9 @@ def _leaf_windows(s: Sequence, t: Sequence, ctx: JoinContext):
     wdim = t.active_dimension()
     if wdim is None:
         return None
-    windows = candidate_windows(s.points, t.points, wdim, t.epsilon)
+    windows = candidate_windows(s.points, t.points, wdim, t.epsilon,
+                                cells_a=s.cells[:, wdim],
+                                cells_b=t.cells[:, wdim])
     if ctx.obs.enabled:
         lo, hi = windows
         ctx.obs.window_rows.observe_many((hi - lo).astype(int).tolist())
@@ -433,7 +436,9 @@ def join_point_blocks(ids_a: np.ndarray, points_a: np.ndarray,
     """Join two EGO-sorted point blocks (e.g. two loaded I/O units).
 
     ``same_block=True`` marks the self-join of one block with itself; the
-    arrays for ``a`` and ``b`` must then be the same objects.
+    arrays for ``a`` and ``b`` must then be the same objects.  Each
+    block's grid cells are computed once here, by its root
+    :class:`Sequence`; the recursion only slices them.
     """
     if len(ids_a) == 0 or len(ids_b) == 0:
         return

@@ -40,12 +40,19 @@ class JoinReport:
 
 
 class DiskTracker:
-    """Captures the I/O a join performs on one or more simulated disks."""
+    """Captures the I/O a join performs on one or more simulated disks.
+
+    Construction snapshots each disk's counters and restarts its scope
+    clock (:class:`~repro.storage.stats.SimulatedClock`), so the join's
+    simulated seconds are summed from zero: a reused disk reports them
+    bit for bit as a fresh one does.
+    """
 
     def __init__(self, *disks: SimulatedDisk) -> None:
         self.disks = disks
         self._io_before = [d.counters.snapshot() for d in disks]
-        self._time_before = [d.simulated_time_s for d in disks]
+        for d in disks:
+            d.begin_time_scope()
 
     def io_delta(self) -> IOCounters:
         """I/O performed since construction, summed over the disks."""
@@ -56,8 +63,7 @@ class DiskTracker:
 
     def time_delta(self) -> float:
         """Simulated I/O seconds since construction."""
-        return sum(d.simulated_time_s - t
-                   for d, t in zip(self.disks, self._time_before))
+        return sum(d.scope_time_s for d in self.disks)
 
 
 @contextmanager

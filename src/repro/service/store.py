@@ -898,7 +898,8 @@ class EGOStore:
         width = ctx.grid_epsilon
         view = self._main_view(width)
         if len(view.rowids):
-            seq_main = Sequence(view.rowids, view.points, width)
+            seq_main = Sequence(view.rowids, view.points, width,
+                                view.cells)
             join_sequences(seq_main, seq_main, ctx)
         seq_delta = self._delta_sequence(width)
         if seq_delta is not None:
@@ -910,7 +911,8 @@ class EGOStore:
                                              d_pts.max(axis=0) + eps)
                 if hi > lo:
                     seq_slice = Sequence(view.rowids[lo:hi],
-                                         view.points[lo:hi], width)
+                                         view.points[lo:hi], width,
+                                         view.cells[lo:hi])
                     join_sequences(seq_slice, seq_delta, ctx)
         return result
 
@@ -933,7 +935,8 @@ class EGOStore:
                                          qs.max(axis=0) + eps)
             if hi > lo:
                 seq_slice = Sequence(view.rowids[lo:hi],
-                                     view.points[lo:hi], width)
+                                     view.points[lo:hi], width,
+                                     view.cells[lo:hi])
                 join_sequences(seq_slice, seq_q, ctx)
         seq_delta = self._delta_sequence(width)
         if seq_delta is not None:

@@ -10,8 +10,9 @@ plain OS file, or entirely in memory.  This module names that seam.
 A :class:`Backend` is a small factory for disk objects implementing the
 ``SimulatedDisk`` duck-type protocol (``read`` / ``write`` / ``append``
 / ``truncate`` / ``size`` / ``close`` / ``reset_position`` /
-``reset_accounting`` plus ``counters``, ``simulated_time_s`` and
-``path``).  Three backends are provided:
+``reset_accounting`` plus ``counters``, ``path`` and the clocks of
+:class:`~repro.storage.stats.SimulatedClock`).  Three backends are
+provided:
 
 * :class:`SimulatedBackend` — a :class:`~repro.storage.disk.SimulatedDisk`
   per shard: shard-local I/O is charged to the paper's cost model, so
@@ -35,10 +36,10 @@ import tempfile
 from typing import Dict, Optional
 
 from .disk import SimulatedDisk
-from .stats import IOCounters
+from .stats import IOCounters, SimulatedClock
 
 
-class MemoryDisk:
+class MemoryDisk(SimulatedClock):
     """A byte-addressed in-memory device with the disk protocol.
 
     Backed by a ``bytearray``; operations are counted in
@@ -49,7 +50,7 @@ class MemoryDisk:
 
     def __init__(self) -> None:
         self.counters = IOCounters()
-        self.simulated_time_s = 0.0
+        self.reset_clock()
         self._data = bytearray()
         self._last_end: Optional[int] = None
 
@@ -126,11 +127,11 @@ class MemoryDisk:
 
     def reset_accounting(self) -> None:
         self.counters.reset()
-        self.simulated_time_s = 0.0
+        self.reset_clock()
         self._last_end = None
 
 
-class FileDisk:
+class FileDisk(SimulatedClock):
     """A real temporary file with the disk protocol and op counting.
 
     Unlike :class:`SimulatedDisk`, no simulated time is charged: the
@@ -140,7 +141,7 @@ class FileDisk:
 
     def __init__(self, path: Optional[str] = None) -> None:
         self.counters = IOCounters()
-        self.simulated_time_s = 0.0
+        self.reset_clock()
         self._owns_file = False
         self._closed = True
         if path is None:
@@ -243,7 +244,7 @@ class FileDisk:
 
     def reset_accounting(self) -> None:
         self.counters.reset()
-        self.simulated_time_s = 0.0
+        self.reset_clock()
         self._last_end = None
 
 

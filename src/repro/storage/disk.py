@@ -21,7 +21,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
-from .stats import IOCounters
+from .stats import IOCounters, SimulatedClock
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class DiskModel:
         return self.avg_access_time_s + transfer
 
 
-class SimulatedDisk:
+class SimulatedDisk(SimulatedClock):
     """A byte-addressed storage device with access accounting.
 
     Data lives in a real file (so external sorting genuinely spills to
@@ -69,7 +69,7 @@ class SimulatedDisk:
                  model: Optional[DiskModel] = None) -> None:
         self.model = model if model is not None else DiskModel()
         self.counters = IOCounters()
-        self.simulated_time_s = 0.0
+        self.reset_clock()
         # Set lifecycle flags before any file is opened so close() (and
         # __del__ on a half-constructed instance) always sees them.
         self._owns_file = False
@@ -134,7 +134,7 @@ class SimulatedDisk:
 
     def _account(self, offset: int, nbytes: int, is_write: bool) -> None:
         sequential = self._last_end == offset
-        self.simulated_time_s += self.model.access_time(nbytes, sequential)
+        self.charge_time(self.model.access_time(nbytes, sequential))
         c = self.counters
         if is_write:
             if sequential:
@@ -199,7 +199,7 @@ class SimulatedDisk:
         self._last_end = None
 
     def reset_accounting(self) -> None:
-        """Zero the counters and the simulated clock (data is untouched)."""
+        """Zero the counters and the simulated clocks (data is untouched)."""
         self.counters.reset()
-        self.simulated_time_s = 0.0
+        self.reset_clock()
         self._last_end = None

@@ -279,9 +279,15 @@ class FaultyDisk:
     def simulated_time_s(self) -> float:
         return self.inner.simulated_time_s
 
-    @simulated_time_s.setter
-    def simulated_time_s(self, value: float) -> None:
-        self.inner.simulated_time_s = value
+    @property
+    def scope_time_s(self) -> float:
+        return self.inner.scope_time_s
+
+    def charge_time(self, seconds: float) -> None:
+        self.inner.charge_time(seconds)
+
+    def begin_time_scope(self) -> None:
+        self.inner.begin_time_scope()
 
     @property
     def model(self):

@@ -109,10 +109,6 @@ class ChecksummedDisk:
     def simulated_time_s(self) -> float:
         return self.inner.simulated_time_s
 
-    @simulated_time_s.setter
-    def simulated_time_s(self, value: float) -> None:
-        self.inner.simulated_time_s = value
-
     def __enter__(self) -> "ChecksummedDisk":
         return self
 
@@ -286,10 +282,6 @@ class RetryingDisk:
     def simulated_time_s(self) -> float:
         return self.inner.simulated_time_s
 
-    @simulated_time_s.setter
-    def simulated_time_s(self, value: float) -> None:
-        self.inner.simulated_time_s = value
-
     def __enter__(self) -> "RetryingDisk":
         return self
 
@@ -310,7 +302,7 @@ class RetryingDisk:
                 c.read_retries += 1
                 backoff = self.policy.backoff_s(attempt - 1)
                 c.retry_backoff_s += backoff
-                self.simulated_time_s += backoff
+                self.charge_time(backoff)
 
     def write(self, offset: int, data: bytes) -> int:
         return self.inner.write(offset, data)

@@ -115,6 +115,37 @@ class CPUCounters:
         })
 
 
+class SimulatedClock:
+    """Simulated seconds a device has charged: in total and per scope.
+
+    ``simulated_time_s`` grows over the device's whole life;
+    ``scope_time_s`` restarts from zero at every
+    :meth:`begin_time_scope`.  A run's seconds are therefore summed from
+    zero, in the order they were charged, whatever the device did
+    before — subtracting two readings of the ever-growing total instead
+    would leave the result off in its last bits once the total is large.
+    Every disk of the storage layer mixes this in; wrappers delegate to
+    the disk they wrap.
+    """
+
+    simulated_time_s: float
+    scope_time_s: float
+
+    def reset_clock(self) -> None:
+        """Zero both clocks."""
+        self.simulated_time_s = 0.0
+        self.scope_time_s = 0.0
+
+    def charge_time(self, seconds: float) -> None:
+        """Add ``seconds`` to both clocks."""
+        self.simulated_time_s += seconds
+        self.scope_time_s += seconds
+
+    def begin_time_scope(self) -> None:
+        """Restart the scope clock at zero (the total is untouched)."""
+        self.scope_time_s = 0.0
+
+
 class IOScope:
     """Run-local I/O accounting over disks shared between runs.
 
@@ -129,12 +160,14 @@ class IOScope:
     random/sequential splits and simulated times.
 
     Entering the scope (``begin()``, or use it as a context manager)
-    resets each disk's arm to the unknown position and snapshots its
-    counters and clock; ``io_delta()`` / ``time_delta()`` then return
-    exactly this run's I/O, independent of any earlier run.  ``None``
-    entries and duplicate disk objects are tolerated (duplicates are
-    counted once); wrappers without ``reset_position`` (plain duck-typed
-    disks) skip the arm reset but still get delta accounting.
+    resets each disk's arm to the unknown position, snapshots its
+    counters and restarts its scope clock (:class:`SimulatedClock`);
+    ``io_delta()`` / ``time_delta()`` then return exactly this run's
+    I/O, bit for bit what a fresh disk would report.  A disk takes part
+    in one open scope at a time: entering a scope restarts the clock of
+    any earlier one, as it already resets the arm.  ``None`` entries
+    and duplicate disk objects are tolerated (duplicates are counted
+    once).
     """
 
     def __init__(self, *disks) -> None:
@@ -147,10 +180,9 @@ class IOScope:
             unique.append(disk)
         self.disks = unique
         self._io0 = None
-        self._time0 = None
 
     def begin(self) -> "IOScope":
-        """Reset arm positions and snapshot counters/clocks."""
+        """Reset arm positions, snapshot counters, restart scope clocks."""
         for disk in self.disks:
             reset = getattr(disk, "reset_position", None)
             if reset is not None:
@@ -161,8 +193,10 @@ class IOScope:
             pressure = getattr(disk, "begin_pressure_scope", None)
             if pressure is not None:
                 pressure()
+            clock = getattr(disk, "begin_time_scope", None)
+            if clock is not None:
+                clock()
         self._io0 = [disk.counters.snapshot() for disk in self.disks]
-        self._time0 = [disk.simulated_time_s for disk in self.disks]
         return self
 
     def __enter__(self) -> "IOScope":
@@ -182,10 +216,9 @@ class IOScope:
 
     def time_delta(self) -> float:
         """This scope's simulated seconds, summed over its disks."""
-        if self._time0 is None:
+        if self._io0 is None:
             raise RuntimeError("IOScope.begin() was never called")
-        return sum(disk.simulated_time_s - t0
-                   for disk, t0 in zip(self.disks, self._time0))
+        return sum(disk.scope_time_s for disk in self.disks)
 
 
 @dataclass

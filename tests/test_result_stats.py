@@ -5,8 +5,12 @@ import pytest
 
 from conftest import make_file
 from repro.core.ego_join import ego_self_join_file
+from repro.core.ego_order import ego_sorted
 from repro.core.result import JoinResult
+from repro.data.synthetic import cad_like
+from repro.obs.metrics import MetricsRegistry
 from repro.storage.disk import SimulatedDisk
+from repro.storage.pagefile import PointFile
 from repro.storage.stats import (CPUCounters, IOCounters, IOScope,
                                  OperationStats)
 
@@ -191,3 +195,74 @@ class TestBackToBackRuns:
         assert first[0] == second[0]
         assert first[1] == second[1]
         assert first[2:] == second[2:]
+
+    @pytest.mark.parametrize("assume_sorted", [False, True])
+    def test_reused_disk_reports_fresh_disk_seconds_bit_for_bit(
+            self, assume_sorted):
+        """Regression: simulated seconds must not drift on a reused disk.
+
+        The run's seconds used to be the difference of two readings of
+        the disk's ever-growing clock, which rounds differently once the
+        clock is large: back-to-back runs on one input disk reported
+        ``simulated_io_time_s`` values (and the matching
+        ``ego_simulated_io_seconds`` gauge) differing in the last bits.
+        Each run's seconds are now summed from zero.
+        """
+        pts = cad_like(400, 4, seed=3)
+        if assume_sorted:
+            _ids, pts = ego_sorted(pts, 0.1)
+
+        def run(pf):
+            registry = MetricsRegistry()
+            r = ego_self_join_file(pf, 0.1, unit_bytes=2048,
+                                   buffer_units=4, materialize=False,
+                                   assume_sorted=assume_sorted,
+                                   metrics=registry)
+            gauge = registry.gauge("ego_simulated_io_seconds", "").value
+            return (r.result.count, r.simulated_io_time_s,
+                    r.sort_io_time_s, r.join_io_time_s, gauge)
+
+        with SimulatedDisk() as disk:
+            make_file(disk, pts)
+            pf = PointFile.open(disk)
+            reused = [run(pf) for _ in range(3)]
+        with SimulatedDisk() as fresh_disk:
+            make_file(fresh_disk, pts)
+            fresh = run(PointFile.open(fresh_disk))
+        assert reused == [fresh] * 3
+        assert fresh[1] == fresh[4] > 0.0
+
+    @pytest.mark.parametrize("join", ["lsh", "nested_loop"])
+    def test_disk_tracker_joins_report_fresh_disk_seconds_bit_for_bit(
+            self, join):
+        """Regression: the same drift, for joins timed by DiskTracker.
+
+        DiskTracker leaves the arm where it is, so the first run on a
+        disk whose header was just read starts with a sequential access
+        and later runs with a random one; runs that start from the same
+        arm state must report the same seconds bit for bit.
+        """
+        from repro.joins.lsh_join import lsh_self_join_file
+        from repro.joins.nested_loop import nested_loop_self_join_file
+
+        pts = cad_like(400, 4, seed=3)
+
+        def run(pf):
+            if join == "lsh":
+                r = lsh_self_join_file(pf, 0.1, tables=3, seed=1,
+                                       materialize=False)
+            else:
+                r = nested_loop_self_join_file(pf, 0.1, buffer_records=64,
+                                               materialize=False)
+            return r.result.count, r.simulated_io_time_s
+
+        with SimulatedDisk() as disk:
+            make_file(disk, pts)
+            pf = PointFile.open(disk)
+            reused = [run(pf) for _ in range(3)]
+        with SimulatedDisk() as fresh_disk:
+            make_file(fresh_disk, pts)
+            fresh = run(PointFile.open(fresh_disk))
+        assert reused[0] == fresh
+        assert reused[1] == reused[2]
+        assert reused[1][0] == fresh[0] and fresh[1] > 0.0

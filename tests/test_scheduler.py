@@ -43,6 +43,29 @@ class TestLexLess:
         assert not lex_less(np.array([1, 1]), np.array([1, 1]))
         assert not lex_less(np.array([2, 0]), np.array([1, 9]))
 
+    def test_equal_vectors_are_not_less(self):
+        for v in ([0], [3, -2, 7], [-5, -5, -5, -5]):
+            assert not lex_less(np.array(v), np.array(v))
+
+    def test_negative_cells(self):
+        assert lex_less(np.array([-3, 9]), np.array([-2, -9]))
+        assert not lex_less(np.array([-2, -9]), np.array([-3, 9]))
+        assert lex_less(np.array([-1, -7]), np.array([-1, -6]))
+        assert not lex_less(np.array([0, 0]), np.array([-1, 99]))
+
+    def test_prefix_equal_vectors_decided_by_first_difference(self):
+        a = np.array([4, -1, 2, 0, 5])
+        b = np.array([4, -1, 2, 1, -100])
+        assert lex_less(a, b)
+        assert not lex_less(b, a)
+        c = np.array([4, -1, 2, 0, 6])
+        assert lex_less(a, c) and not lex_less(c, a)
+
+    def test_matches_tuple_order_on_int64_cells(self, rng):
+        cells = rng.integers(-3, 3, size=(200, 4)).astype(np.int64)
+        for a, b in zip(cells[:-1], cells[1:]):
+            assert lex_less(a, b) == (tuple(a.tolist()) < tuple(b.tolist()))
+
 
 class TestCorrectness:
     def test_gallop_only_sufficient_buffer(self, rng):

@@ -1,17 +1,23 @@
 """Tests for the recursive sequence join (Figure 6)."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.ego_join import ego_self_join_file
 from repro.core.ego_order import ego_sorted
 from repro.core.result import JoinResult
 from repro.core.sequence import Sequence
 from repro.core.sequence_join import (JoinContext, join_point_blocks,
                                       join_sequences, simple_join)
+from repro.data.synthetic import cad_like
+from repro.storage.disk import SimulatedDisk
+from repro.storage.pagefile import PointFile
 from repro.storage.stats import CPUCounters
 
-from conftest import brute_truth
+from conftest import brute_truth, make_file
 
 
 def run_self_join(points, epsilon, **kwargs):
@@ -180,3 +186,52 @@ class TestSimpleJoinAndBlocks:
         join_point_blocks(ids, pts, ids, pts, ctx, same_block=True)
         truth = brute_truth(pts[np.argsort(ids)], eps)
         assert ctx.result.canonical_pair_set() == truth
+
+
+class TestCellComputationCalls:
+    """Regression guard: grid cells are computed once per joined block.
+
+    A block's cells are sliced along with its sequence, so the number of
+    cell computations of a whole external join no longer grows with the
+    recursion depth (``minlen``): it is bounded by one per side of each
+    joined unit pair plus one per unit load (the scheduler's first/last
+    cell metadata).
+    """
+
+    #: Every name the join phase looks a cell function up by.
+    PATCHED = (("repro.core.sequence", "floor_cells"),
+               ("repro.core.sequence", "grid_cells"),
+               ("repro.core.kernels", "floor_cells"),
+               ("repro.core.scheduler", "grid_cells"))
+
+    def _join(self, monkeypatch, minlen):
+        calls = [0]
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls[0] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module_name, name in self.PATCHED:
+            module = importlib.import_module(module_name)
+            monkeypatch.setattr(module, name, counting(getattr(module, name)))
+        pts = cad_like(800, 8, seed=4)
+        with SimulatedDisk() as disk:
+            make_file(disk, pts)
+            report = ego_self_join_file(PointFile.open(disk), 0.15,
+                                        unit_bytes=4096, buffer_units=4,
+                                        minlen=minlen, engine="auto",
+                                        materialize=False)
+        monkeypatch.undo()
+        return calls[0], report
+
+    def test_calls_do_not_grow_with_recursion_depth(self, monkeypatch):
+        deep, deep_report = self._join(monkeypatch, minlen=4)
+        shallow, shallow_report = self._join(monkeypatch, minlen=64)
+        assert deep_report.result.count == shallow_report.result.count > 0
+        assert deep_report.cpu.sequence_pairs > \
+            shallow_report.cpu.sequence_pairs
+        assert deep == shallow > 0
+        sched = deep_report.schedule_stats
+        assert deep <= 2 * sched.unit_pairs_joined + sched.total_unit_loads
