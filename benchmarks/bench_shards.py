@@ -1,48 +1,50 @@
-"""Experiment SHARD-1 — sharded external join vs the single-disk runs.
+"""Experiment SHARD-1 — the parallel external join against the serial one.
 
-Figure 9/10 regime on clustered data: the sorted file is partitioned
-into shards joined in separate processes (``repro.core.shard``), and the
-adaptive planner is compared against the uniform one and the PR 2
-single-disk baselines (serial, and ``workers=k`` supervised pool).
+``ego_self_join_file(..., workers=k)`` runs the serial I/O schedule in
+the parent, cuts its unit pairs into ``k`` cost-balanced unit-range
+shards (``repro.core.shard``) and joins each shard in a worker process
+(``repro.core.supervisor``).  This benchmark times serial against
+``workers=2`` end to end — external sort, schedule, join and merge — on
+clustered, skewed and uniform data at n = 6000 (d = 8), plus skewed data
+at n = 20000, the regime where one heavy cluster dominates the join.
 
-Two kinds of numbers per workload:
-
-* **deterministic** — the planner's predicted per-shard candidate
-  volume.  ``max_cost`` of the adaptive plan must not exceed the
-  uniform plan's on skewed/clustered data (that imbalance is exactly
-  what a straggler shard costs); equality is expected on uniform data.
-  These are pure functions of the data and assert cleanly on any host.
-* **measured** — wall-clock seconds per mode, recorded for charting
-  but not asserted (single-core CI hosts make shard processes pure
-  overhead, exactly like ``workers=k`` in ``bench_kernels``).
-
-Every sharded run is digest-checked against the serial pair stream —
-the byte-identity contract is re-verified on benchmark data sizes, not
-just unit-test sizes.
+Every parallel run is digest-checked against the serial pair stream —
+the byte-identity contract is re-verified at benchmark sizes, not just
+unit-test sizes.  Wall-clock depends on the cores actually present, so
+each record carries the core count; on a single core the worker pool is
+pure overhead.
 
 Usage: ``python benchmarks/bench_shards.py [--tiny]`` appends one
 record to ``results/BENCH_shards.json`` (record_kernels.py style).
 """
 
-import argparse
-import json
 import os
-import time
-import zlib
 
-import numpy as np
+# One BLAS/OpenMP thread per process, fixed before numpy is imported:
+# with two workers on two cores that means two busy threads, not two
+# pools of threads competing for them.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from repro.core.ego_join import ego_self_join_file
-from repro.data.loader import make_point_file
-from repro.data.synthetic import cad_like
-from repro.verify.workloads import generate_workload
+import argparse  # noqa: E402
+import json  # noqa: E402
+import time  # noqa: E402
+import zlib  # noqa: E402
 
-from _harness import RESULTS_DIR, BudgetedSetup, emit
+import numpy as np  # noqa: E402
+
+from repro.core.ego_join import ego_self_join_file  # noqa: E402
+from repro.data.loader import make_point_file  # noqa: E402
+from repro.data.synthetic import cad_like  # noqa: E402
+from repro.verify.workloads import generate_workload  # noqa: E402
+
+from _harness import RESULTS_DIR, BudgetedSetup, emit  # noqa: E402
 
 JSON_PATH = os.path.join(RESULTS_DIR, "BENCH_shards.json")
 
 EPSILON = 0.15
-SHARDS = 4
+DIMENSIONS = 8
+WORKERS = 2
 
 
 def pair_digest(result) -> int:
@@ -52,59 +54,47 @@ def pair_digest(result) -> int:
 
 
 def datasets(tiny: bool):
-    n = 1200 if tiny else 6000
-    clustered = cad_like(n, seed=300 + n)[:, :8]
-    skewed = generate_workload("skewed", n, 8, EPSILON, seed=41).points
+    """``(workload, points)`` rows: three kinds at one size, plus big skew."""
+    n, big = (1200, 3000) if tiny else (6000, 20000)
     rng = np.random.default_rng(17)
-    uniform = rng.random((n, 8))
-    return [("clustered", clustered), ("skewed", skewed),
-            ("uniform", uniform)]
+    return [
+        ("clustered", cad_like(n, seed=300 + n)[:, :DIMENSIONS]),
+        ("skewed", generate_workload("skewed", n, DIMENSIONS, EPSILON,
+                                     seed=41).points),
+        ("uniform", rng.random((n, DIMENSIONS))),
+        ("skewed", generate_workload("skewed", big, DIMENSIONS, EPSILON,
+                                     seed=41).points),
+    ]
 
 
 def run_modes(points: np.ndarray, epsilon: float) -> dict:
-    """One workload through every mode; returns the comparison row."""
+    """One workload serial and with ``WORKERS``; returns the row."""
     setup = BudgetedSetup.for_dataset(len(points), points.shape[1])
 
-    def run(**kw):
+    def run(workers):
         disk, pf = make_point_file(points)
         try:
             t0 = time.perf_counter()
             report = ego_self_join_file(pf, epsilon,
                                         unit_bytes=setup.unit_bytes,
                                         buffer_units=setup.buffer_units,
-                                        **kw)
+                                        workers=workers)
             return report, time.perf_counter() - t0
         finally:
             disk.close()
 
-    serial, t_serial = run()
-    workers, t_workers = run(workers=SHARDS)
-    uniform, t_uniform = run(shards=SHARDS, shard_policy="uniform")
-    adaptive, t_adaptive = run(shards=SHARDS, shard_policy="adaptive")
-
-    ref = pair_digest(serial.result)
-    for name, rep in (("workers", workers), ("shards-uniform", uniform),
-                      ("shards-adaptive", adaptive)):
-        if pair_digest(rep.result) != ref:
-            raise AssertionError(f"{name} diverged from the serial join")
-
-    def imbalance(rep):
-        costs = [s.cost for s in rep.shards]
-        total = sum(costs)
-        return (max(costs) * len(costs) / total) if total else 1.0
-
+    serial, t_serial = run(1)
+    parallel, t_parallel = run(WORKERS)
+    if pair_digest(parallel.result) != pair_digest(serial.result):
+        raise AssertionError(
+            f"workers={WORKERS} diverged from the serial join")
     return {
         "n": len(points),
         "pairs": serial.result.count,
+        "unit_pairs": serial.schedule_stats.unit_pairs_joined,
         "serial_s": round(t_serial, 3),
-        "workers_s": round(t_workers, 3),
-        "uniform_s": round(t_uniform, 3),
-        "adaptive_s": round(t_adaptive, 3),
-        "uniform_max_cost": max(s.cost for s in uniform.shards),
-        "adaptive_max_cost": max(s.cost for s in adaptive.shards),
-        "uniform_imbalance": round(imbalance(uniform), 3),
-        "adaptive_imbalance": round(imbalance(adaptive), 3),
-        "adaptive_shards": len(adaptive.shards),
+        "workers_s": round(t_parallel, 3),
+        "speedup": round(t_serial / t_parallel, 3),
     }
 
 
@@ -126,8 +116,10 @@ def append_record(rows, mode, path=JSON_PATH):
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "mode": mode,
         "cores": os.cpu_count(),
-        "shards": SHARDS,
+        "numpy": np.__version__,
+        "workers": WORKERS,
         "epsilon": EPSILON,
+        "dimensions": DIMENSIONS,
         "rows": rows,
     })
     os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -137,27 +129,14 @@ def append_record(rows, mode, path=JSON_PATH):
     return path
 
 
-def check_rows(rows):
-    """The deterministic planner claims this benchmark exists to test."""
-    by_kind = {r["workload"]: r for r in rows}
-    for kind in ("clustered", "skewed"):
-        r = by_kind[kind]
-        assert r["adaptive_max_cost"] <= r["uniform_max_cost"], (
-            f"adaptive plan lost to uniform on {kind}: "
-            f"{r['adaptive_max_cost']} > {r['uniform_max_cost']}")
-    # On skewed data the rebalance must be material, not a tie.
-    skew = by_kind["skewed"]
-    assert skew["adaptive_max_cost"] < skew["uniform_max_cost"], (
-        "adaptive plan did not improve the skewed workload")
+TITLE = (f"Parallel external join: serial vs workers={WORKERS}, "
+         f"wall seconds (d={DIMENSIONS}, eps={EPSILON}, "
+         f"{os.cpu_count()} cores)")
 
 
 def test_shards(benchmark):
     rows = run_suite(tiny=True)
-    emit("bench_shards",
-         "Sharded join: predicted shard cost and wall time by policy "
-         f"(shards={SHARDS}, eps={EPSILON})",
-         rows)
-    check_rows(rows)
+    emit("bench_shards", TITLE, rows)
     pts = datasets(tiny=True)[1][1]
     benchmark(lambda: run_modes(pts, EPSILON))
 
@@ -168,20 +147,8 @@ def main():
                         help="CI smoke configuration (small datasets)")
     args = parser.parse_args()
     rows = run_suite(tiny=args.tiny)
-    emit("bench_shards",
-         "Sharded join: predicted shard cost and wall time by policy "
-         f"(shards={SHARDS}, eps={EPSILON})",
-         rows)
-    check_rows(rows)
+    emit("bench_shards", TITLE, rows)
     path = append_record(rows, "tiny" if args.tiny else "full")
-    for row in rows:
-        verdict = ("rebalanced" if row["adaptive_max_cost"]
-                   < row["uniform_max_cost"] else "tied with")
-        print(f"adaptive {verdict} uniform on {row['workload']}: "
-              f"max cost {row['adaptive_max_cost']} vs "
-              f"{row['uniform_max_cost']} "
-              f"(imbalance {row['adaptive_imbalance']} vs "
-              f"{row['uniform_imbalance']})")
     print(f"appended to {path}")
 
 

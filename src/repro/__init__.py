@@ -26,8 +26,7 @@ from .apps import (DBSCANResult, KNNGraph, NeighborhoodGraph,
                    optics)
 from .core import (EGOIndex, JoinResult, Metric, ego_join,
                    ego_join_files, ego_self_join, ego_self_join_file,
-                   ego_self_join_parallel, ego_sorted, get_metric,
-                   grid_cells)
+                   ego_sorted, get_metric, grid_cells)
 from .data import (cad_like, dft_features, epsilon_for_average_neighbors,
                    gaussian_clusters, load_points, make_point_file,
                    random_walks, save_points, seasonal_series, uniform)
@@ -61,7 +60,6 @@ __all__ = [
     "ego_join_files",
     "ego_self_join",
     "ego_self_join_file",
-    "ego_self_join_parallel",
     "ego_sorted",
     "epsilon_for_average_neighbors",
     "epsilon_graph",

@@ -166,13 +166,6 @@ def robustness_summary(report) -> Sequence[Mapping[str, Cell]]:
                      "value": sup.degraded})
         rows.append({"metric": "task backoff (simulated s)",
                      "value": round(sup.backoff_simulated_s, 6)})
-    shards = getattr(report, "shards", None)
-    if shards is not None:
-        rows.append({"metric": "shards", "value": len(shards)})
-        rows.append({"metric": "shard retries",
-                     "value": sum(s.retries for s in shards)})
-        rows.append({"metric": "shards degraded inline",
-                     "value": sum(1 for s in shards if s.degraded)})
     total_pairs = getattr(report, "total_pairs", None)
     if total_pairs is None:
         result = getattr(report, "result", None)
@@ -181,36 +174,6 @@ def robustness_summary(report) -> Sequence[Mapping[str, Cell]]:
     if total_pairs is not None:
         rows.append({"metric": "total result pairs",
                      "value": total_pairs})
-    return rows
-
-
-def shard_summary(report) -> Sequence[Mapping[str, Cell]]:
-    """One row per shard of a sharded external join, for :func:`format_table`.
-
-    ``report`` is an :class:`~repro.core.ego_join.ExternalJoinReport`
-    from a run with ``shards`` set; returns ``[]`` for serial runs.
-    Columns: the shard id, owned/fringe unit counts, fringe unit loads
-    actually performed, result pairs, predicted candidate volume
-    (the planner's balancing cost), retries and the backend's private
-    I/O accesses.
-    """
-    shards = getattr(report, "shards", None)
-    if not shards:
-        return []
-    rows = []
-    for s in shards:
-        rows.append({
-            "shard": s.shard,
-            "units": s.units,
-            "fringe units": s.fringe_units,
-            "fringe pages": s.fringe_pages,
-            "pairs": s.pairs,
-            "cost": s.cost,
-            "retries": s.retries,
-            "io accesses": s.io.total_accesses,
-            "buffer miss": s.buffer.misses,
-            "degraded": s.degraded,
-        })
     return rows
 
 

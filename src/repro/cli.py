@@ -32,8 +32,7 @@ from typing import List, Optional
 import numpy as np
 
 from .analysis.optimizer import choose_unit_size, estimate_ego_join
-from .analysis.reporting import (format_table, robustness_summary,
-                                 shard_summary)
+from .analysis.reporting import format_table, robustness_summary
 from .apps.dbscan import dbscan
 from .apps.outliers import distance_based_outliers
 from .core.ego_join import ego_join_files, ego_self_join_file
@@ -225,8 +224,6 @@ def cmd_join(args) -> int:
             raise ValueError("--resume requires --checkpoint DIR")
         if args.workers < 1:
             raise ValueError("--workers must be at least 1")
-        if args.shards is not None and args.shards < 1:
-            raise ValueError("--shards must be at least 1")
         if args.task_retries < 0:
             raise ValueError("--task-retries must be >= 0")
         if args.impl in ("lsh", "auto") and args.metric != "euclidean":
@@ -271,9 +268,6 @@ def cmd_join(args) -> int:
                                         batch_points=args.batch_points,
                                         batch_leaves=args.batch_leaves,
                                         workers=args.workers,
-                                        shards=args.shards,
-                                        shard_policy=args.shard_policy,
-                                        backend=args.backend,
                                         metric=args.metric,
                                         fault_plan=fault_plan,
                                         retry=retry,
@@ -319,9 +313,6 @@ def cmd_join(args) -> int:
             or report.supervisor is not None:
         print(format_table(robustness_summary(report),
                            title="robustness"), file=sys.stderr)
-    if report.shards is not None:
-        print(format_table(shard_summary(report), title="shards"),
-              file=sys.stderr)
     if args.checkpoint:
         print(f"durable result: {report.result_path}", file=sys.stderr)
     if not args.count_only and report.result.materialize:
@@ -701,27 +692,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="batched engine: flush after N leaf pairs "
                         "(default 256)")
     j.add_argument("--workers", type=int, default=1, metavar="N",
-                   help="join scheduled unit pairs on N processes "
+                   help="join scheduled unit pairs on N processes, in N "
+                        "cost-balanced shards of contiguous units "
                         "(results are identical to the serial run)")
-    j.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="partition the sorted file into N unit-range "
-                        "shards, each joined in its own process against "
-                        "a private disk (supersedes --workers; results "
-                        "are identical to the serial run)")
-    j.add_argument("--shard-policy", default="adaptive",
-                   choices=["uniform", "adaptive"],
-                   help="shard partitioner: equal unit counts, or "
-                        "cost-balanced with re-splitting of heavy "
-                        "ε-cells (default)")
     j.add_argument("--backend", default="simulated",
                    choices=["simulated", "file", "memory"],
-                   help="storage backend for the per-shard private "
-                        "disks (default simulated)")
+                   help="LSH: storage backend for the bucket files "
+                        "(default simulated)")
     j.add_argument("--task-timeout", type=float, default=30.0,
                    metavar="SECONDS",
-                   help="deadline on the oldest outstanding worker task; "
-                        "on expiry the hung pool is recycled and the "
-                        "task retried (0 disables; default 30)")
+                   help="declare a worker hung when it finishes no unit "
+                        "pair for SECONDS; its pool is recycled and the "
+                        "pair retried (0 disables; default 30)")
     j.add_argument("--task-retries", type=int, default=2, metavar="N",
                    help="retry a failed/hung/corrupted worker task up to "
                         "N times before quarantining it (default 2)")

@@ -14,8 +14,7 @@ from .kernels import (ENGINES, ScratchBuffers, candidate_windows,
                       pairs_within_matmul, select_engine)
 from .metrics import (CHEBYSHEV, EUCLIDEAN, MANHATTAN, Metric,
                       get_metric)
-from .parallel import (ParallelUnitJoiner, SerialUnitJoiner,
-                       ego_self_join_parallel)
+from .parallel import SerialUnitJoiner
 from .query import EGOIndex
 from .result import JoinResult
 from .rs_scheduler import RSScheduleStats, TwoFileScheduler
@@ -31,7 +30,6 @@ __all__ = [
     "ENGINES",
     "EXCLUSION_CELL_DISTANCE",
     "EGOIndex",
-    "ParallelUnitJoiner",
     "ScratchBuffers",
     "SerialUnitJoiner",
     "EGOScheduler",
@@ -58,7 +56,6 @@ __all__ = [
     "ego_key_function",
     "ego_less",
     "ego_self_join",
-    "ego_self_join_parallel",
     "ego_self_join_file",
     "ego_sort_order",
     "ego_sorted",

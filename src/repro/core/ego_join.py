@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from ..storage.integrity import RetryPolicy, make_robust_disk
 from ..storage.journal import Journal
 from ..storage.pagefile import PointFile
 from ..storage.pairfile import PairFile, SpillingCollector
-from ..storage.backend import get_backend
 from ..storage.stats import CPUCounters, IOCounters, IOScope
 from .ego_order import (ego_sorted, ensure_finite, grid_cells,
                         validate_epsilon)
@@ -45,9 +44,8 @@ from .result import JoinResult
 from .scheduler import EGOScheduler, ScheduleStats
 from .sequence import Sequence
 from .sequence_join import DEFAULT_MINLEN, JoinContext, join_sequences
-from .shard import SHARD_POLICIES, ShardStats, run_sharded_join
 from .supervisor import (SupervisedUnitJoiner, SupervisorPolicy,
-                         SupervisorStats, replay_stats)
+                         SupervisorStats, replay_stats, require_file_backed)
 
 
 def _make_context(epsilon: float, result: JoinResult, minlen: int,
@@ -166,9 +164,7 @@ class ExternalJoinReport:
     ``supervisor`` is the fault-handling ledger of a parallel run
     (:class:`~repro.core.supervisor.SupervisorStats`; cumulative across
     crash/resume), and ``worker_faults`` the injection log of a
-    :class:`~repro.storage.faults.WorkerFaultPlan`.  ``shards`` carries
-    the per-shard execution accounting of a sharded run
-    (:class:`~repro.core.shard.ShardStats`; ``None`` otherwise).
+    :class:`~repro.storage.faults.WorkerFaultPlan`.
     """
 
     result: JoinResult
@@ -185,7 +181,6 @@ class ExternalJoinReport:
     total_pairs: Optional[int] = None
     supervisor: Optional["SupervisorStats"] = None
     worker_faults: Optional["WorkerFaultLog"] = None
-    shards: Optional[List["ShardStats"]] = None
 
 
 def _record_io_metrics(registry, io: IOCounters,
@@ -352,9 +347,6 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
                        checkpoint_dir: Optional[str] = None,
                        resume: bool = False,
                        workers: int = 1,
-                       shards: Optional[int] = None,
-                       shard_policy: str = "adaptive",
-                       backend: str = "simulated",
                        worker_fault_plan: Optional[WorkerFaultPlan] = None,
                        task_timeout: Optional[float] = None,
                        task_retries: int = 2,
@@ -414,40 +406,37 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
         (same directory, same parameters) skips completed work and
         produces a result file byte-identical to an uninterrupted run.
     workers:
-        Unit-pair join parallelism.  With ``workers > 1`` the scheduled
-        unit pairs are joined on a process pool
-        (:class:`~repro.core.supervisor.SupervisedUnitJoiner`) while
-        the scheduler keeps streaming I/O; worker results are merged in
+        Unit-pair join parallelism.  With ``workers > 1`` the parent
+        runs the ordinary I/O schedule — so its I/O counters, simulated
+        clock and schedule stats are the serial run's — while
+        :class:`~repro.core.supervisor.SupervisedUnitJoiner` records
+        the scheduled unit pairs.  They are then cut into ``workers``
+        cost-balanced shards of contiguous units
+        (:mod:`repro.core.shard`), joined on a process pool whose
+        workers read their units straight from the sorted file (page
+        CRCs verified when ``checksums`` is set), and merged in
         schedule order, so the result stream — including a
         checkpointed run's durable pair file and journal — is
-        byte-identical to the serial run.
-    shards, shard_policy, backend:
-        Sharded execution (:mod:`repro.core.shard`).  With ``shards``
-        set, the sorted file is partitioned into contiguous ranges of
-        I/O units plus their ε-overlap fringe; each shard joins its
-        unit pairs in its own worker process against a private disk of
-        the chosen storage ``backend`` (``simulated`` / ``file`` /
-        ``memory``) and buffer pool, and the pair streams are merged
-        in global schedule order — output, journal and counters stay
-        byte-identical to the serial join.  ``shard_policy`` selects
-        the partitioner: ``uniform`` (equal unit counts) or
-        ``adaptive`` (cost-balanced with recursive re-splitting of
-        heavy ε-cells; the default, and the one that wins on skewed
-        data).  Sharding supersedes ``workers``: the shard processes
-        are the join parallelism.  Fault tolerance (retry, pool
-        recycling, degrade-to-inline) follows the same policy knobs as
-        the parallel join, applied per shard.
+        byte-identical to the serial run.  The sorted file must
+        therefore be an OS file: a caller-supplied ``sorted_disk``, or
+        the input with ``assume_sorted``, on a
+        :class:`~repro.storage.backend.MemoryDisk` is refused with
+        :class:`ValueError` before anything runs.  Each shard's whole
+        result set is held in memory — in its worker, then in the
+        parent — until it merges, so peak memory grows with the result
+        size; the serial join streams every unit pair's results
+        straight to a checkpoint's pair file.
     worker_fault_plan, task_timeout, task_retries, degrade,
     supervisor_policy:
         Fault tolerance of the parallel join (workers > 1; see
-        :mod:`repro.core.supervisor`).  Failed tasks — injected by a
-        seeded :class:`~repro.storage.faults.WorkerFaultPlan` or real —
-        are retried up to ``task_retries`` times with deterministic
-        backoff; ``task_timeout`` (real seconds, ``None`` = no deadline)
-        bounds the wait on the oldest outstanding task, after which the
-        hung pool is recycled; repeated pool failure degrades the run to
-        serial in-process execution (``degrade=True``) so it completes,
-        or aborts with
+        :mod:`repro.core.supervisor`).  Failed unit pairs — injected by
+        a seeded :class:`~repro.storage.faults.WorkerFaultPlan` or real
+        — are retried up to ``task_retries`` times with deterministic
+        backoff; ``task_timeout`` (real seconds, ``None`` = no
+        deadline) is how long a worker may go without finishing a unit
+        pair before its pool is declared hung and recycled; repeated
+        pool failure degrades the run to serial in-process execution
+        (``degrade=True``) so it completes, or aborts with
         :class:`~repro.core.supervisor.PoolFailureError`
         (``degrade=False``).  ``supervisor_policy`` supplies a full
         :class:`~repro.core.supervisor.SupervisorPolicy` and overrides
@@ -479,13 +468,6 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
     validate_epsilon(epsilon)
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if shards is not None:
-        if shards < 1:
-            raise ValueError(f"shards must be at least 1, got {shards}")
-        if shard_policy not in SHARD_POLICIES:
-            raise ValueError(f"unknown shard policy {shard_policy!r}; "
-                             f"choose from {SHARD_POLICIES}")
-        get_backend(backend)  # fail fast on unknown backend names
     if supervisor_policy is None:
         supervisor_policy = SupervisorPolicy(task_timeout=task_timeout,
                                              max_task_retries=task_retries,
@@ -517,6 +499,13 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
             # pairs (an earlier revision shipped the k·εs shortcut and
             # did exactly that).  Fall back to re-sorting at ε.
             assume_sorted = False
+
+    if workers > 1:
+        # Workers read the sorted file's OS file; refuse before sorting.
+        if assume_sorted:
+            require_file_backed(input_file.disk)
+        elif sorted_disk is not None:
+            require_file_backed(sorted_disk)
 
     journal: Optional[Journal] = None
     if checkpoint_dir is not None:
@@ -650,18 +639,7 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
 
         join_time_before = sorted_disk_obj.scope_time_s
         supervisor_stats = None
-        shard_stats = None
-        if shards is not None:
-            with prof.phase("schedule"), \
-                    tracer.span("schedule", cat="pipeline"):
-                schedule_stats, shard_stats = run_sharded_join(
-                    sorted_file, ctx, unit_bytes, buffer_units,
-                    shards=shards, shard_policy=shard_policy,
-                    backend=backend, allow_crabstep=allow_crabstep,
-                    pair_done=pair_done, pair_complete=pair_complete,
-                    supervisor_policy=supervisor_policy,
-                    worker_fault_plan=worker_fault_plan)
-        elif workers > 1:
+        if workers > 1:
             decision_hook = None
             replay_events = ()
             if journal is not None:
@@ -671,7 +649,8 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
                 if resume:
                     replay_events = journal.replay_supervisor_events()
             unit_joiner = SupervisedUnitJoiner(
-                ctx, workers, policy=supervisor_policy,
+                ctx, workers, sorted_file, unit_bytes, buffer_units,
+                policy=supervisor_policy,
                 worker_plan=worker_fault_plan,
                 decision_hook=decision_hook,
                 replay_events=replay_events)
@@ -679,20 +658,18 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
         else:
             from .parallel import SerialUnitJoiner
             unit_joiner = SerialUnitJoiner(ctx)
-        if shards is None:
-            # The context manager shuts the pool down on *every* exit
-            # path — a fault escaping the schedule must not leak worker
-            # processes.
-            with unit_joiner:
-                scheduler = EGOScheduler(sorted_file, ctx, unit_bytes,
-                                         buffer_units,
-                                         allow_crabstep=allow_crabstep,
-                                         pair_done=pair_done,
-                                         pair_complete=pair_complete,
-                                         unit_joiner=unit_joiner)
-                with prof.phase("schedule"), \
-                        tracer.span("schedule", cat="pipeline"):
-                    schedule_stats = scheduler.run()
+        # The context manager shuts the pool down on *every* exit path —
+        # a fault escaping the schedule must not leak worker processes.
+        with unit_joiner:
+            scheduler = EGOScheduler(sorted_file, ctx, unit_bytes,
+                                     buffer_units,
+                                     allow_crabstep=allow_crabstep,
+                                     pair_done=pair_done,
+                                     pair_complete=pair_complete,
+                                     unit_joiner=unit_joiner)
+            with prof.phase("schedule"), \
+                    tracer.span("schedule", cat="pipeline"):
+                schedule_stats = scheduler.run()
         join_io_time = sorted_disk_obj.scope_time_s - join_time_before
 
         total_pairs = result.count
@@ -721,7 +698,6 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
             supervisor=supervisor_stats,
             worker_faults=(worker_fault_plan.injected
                            if worker_fault_plan else None),
-            shards=shard_stats,
         )
     finally:
         root_span.__exit__(None, None, None)

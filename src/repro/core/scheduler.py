@@ -79,6 +79,21 @@ class ScheduleStats:
         return self.gallop_loads + self.crabstep_pins + self.crabstep_reloads
 
 
+def schedule_units(point_file: PointFile, unit_bytes: int) -> np.ndarray:
+    """Ids of the I/O units the schedule runs over, indexed by ordinal.
+
+    Only units in which at least one record starts take part in the
+    schedule: fragmentation can leave units holding nothing but
+    fragments (always the trailing unit; with units smaller than a
+    record also interior ones).
+    """
+    if point_file.count == 0:
+        return np.empty(0, dtype=np.int64)
+    starts = (np.arange(point_file.count, dtype=np.int64)
+              * point_file.record_bytes)
+    return np.unique(starts // unit_bytes)
+
+
 class _BufferObs:
     """Counter-handle bundle mirroring buffer-pool events into metrics.
 
@@ -129,10 +144,11 @@ class EGOScheduler:
     unit_joiner:
         Execution backend for the unit-pair joins.  ``None`` joins each
         pair inline; a
-        :class:`~repro.core.parallel.ParallelUnitJoiner` computes pairs
-        on a process pool while the scheduler keeps streaming loads,
-        merging results (and firing ``pair_complete``) in submission
-        order so the output stream is identical to the inline run.
+        :class:`~repro.core.supervisor.SupervisedUnitJoiner` records the
+        submitted pairs and joins them on a process pool when the
+        schedule drains, merging results (and firing ``pair_complete``)
+        in submission order so the output stream is identical to the
+        inline run.
 
     The scheduler also degrades gracefully under storage pressure: when
     the file's disk exposes a true ``under_pressure`` attribute (see
@@ -165,10 +181,6 @@ class EGOScheduler:
         self.unit_joiner = unit_joiner
         self.stats = ScheduleStats()
         self.meta: Dict[int, UnitMeta] = {}
-        # Records per unit ordinal, filled on first load.  The shard
-        # planner (repro.core.shard) reads this after a planning run to
-        # estimate per-unit candidate volume without re-reading the file.
-        self.unit_records: Dict[int, int] = {}
         # The invariant monitor (ctx.invariants) watches gallop loads,
         # joined unit pairs and buffer pins.  The thrashing variant
         # (allow_crabstep=False) deliberately violates read-once, so the
@@ -214,17 +226,7 @@ class EGOScheduler:
             observer=(self.monitor.buffer_observer()
                       if self.monitor is not None else None),
             metrics=_BufferObs(metrics) if metrics.enabled else None)
-        # Only units in which at least one record starts take part in
-        # the schedule: fragmentation can leave units holding nothing
-        # but fragments (always the trailing unit; with units smaller
-        # than a record also interior ones).  The schedule runs over
-        # ordinals into this list.
-        if point_file.count == 0:
-            self.unit_ids = np.empty(0, dtype=np.int64)
-        else:
-            starts = (np.arange(point_file.count, dtype=np.int64)
-                      * point_file.record_bytes)
-            self.unit_ids = np.unique(starts // unit_bytes)
+        self.unit_ids = schedule_units(point_file, unit_bytes)
         self.num_units = len(self.unit_ids)
 
     # -- unit loading and metadata ------------------------------------------
@@ -241,7 +243,6 @@ class EGOScheduler:
             cells = grid_cells(points[[0, -1]], self.ctx.grid_epsilon)
             self.meta[ordinal] = UnitMeta(first_cells=cells[0],
                                           last_cells=cells[1])
-        self.unit_records.setdefault(ordinal, len(ids))
         return ids, points
 
     def _needed(self, unit: int, frontier: int) -> bool:
@@ -298,9 +299,9 @@ class EGOScheduler:
         ids_a, pts_a = self.pool.peek(a).value
         span_args = ({"a": min(a, b), "b": max(a, b)}
                      if self._tracer.enabled else None)
-        # With a parallel joiner the span covers submission and any
-        # in-order result merging submit() performs; the compute itself
-        # happens in worker processes, which do not trace.
+        # With a parallel joiner the span covers only the submission;
+        # the compute happens in worker processes when the schedule
+        # drains, and workers do not trace.
         with self._tracer.span("unit_pair", args=span_args):
             if a == b:
                 self.unit_joiner.submit(ids_a, pts_a, None, None,
@@ -336,8 +337,8 @@ class EGOScheduler:
                 i = self._gallop_step(i)
             else:
                 i = self._crabstep(i)
-        # All loads issued; wait for any unit pairs still in flight on a
-        # parallel joiner (inline joiners have nothing queued).
+        # All loads issued; a parallel joiner now joins the unit pairs
+        # it recorded (inline joiners have nothing queued).
         self.unit_joiner.drain()
         if self.monitor is not None:
             self.monitor.check_interval_coverage(self.meta, self.num_units)

@@ -1,75 +1,94 @@
-"""Resilient supervisor for the parallel unit-pair join.
+"""The parallel executor of the external join, with its fault ladder.
 
-:class:`~repro.core.parallel.ParallelUnitJoiner` assumes every worker
-succeeds: one crashed process breaks the whole pool, one hung worker
-deadlocks the merge loop, and a corrupted result would be folded into
-the output silently.  For a join that is supposed to run for hours over
-massive data — and for the sharded/distributed direction of the roadmap,
-where an executor living on another machine *will* die eventually —
-per-task fault tolerance is the missing substrate.  This module provides
-it:
+:class:`SupervisedUnitJoiner` is the one way the external EGO join runs
+in parallel.  The scheduler submits unit pairs exactly as it would to
+the inline :class:`~repro.core.parallel.SerialUnitJoiner`; the joiner
+only *records* each one as an ordered event ``(seq, a, b)``.  When the
+schedule drains, the events are cut into contiguous unit-range shards
+(:func:`~repro.core.shard.plan_shards`, one cost-balanced target per
+worker), each shard runs as one task on a process pool, and the workers
+read their units straight from the sorted file — no arrays are shipped.
+Results are merged strictly in schedule order, so the pair stream,
+durable pair file, journal and metrics are byte-identical to the serial
+join.
 
-* **bounded retries with deterministic backoff** — a failed task is
-  resubmitted up to ``max_task_retries`` times; the backoff before each
-  retry is a pure function of ``(seed, task key, attempt)``, so the
-  recorded backoff totals (and every other supervisor metric) are
-  byte-identical across runs and contain no wall-clock;
-* **per-task deadlines with hung-worker detection** — the merge loop
-  waits on the head-of-line result with a deadline; on expiry the pool
-  (which still holds the hung worker) is killed and recycled, pending
-  tasks are resubmitted, and the stalled task is retried;
-* **result digests** — every worker returns a CRC digest of its pair
-  batch, recomputed by the parent; a mismatch (bit-flip in transit, a
-  mis-merged buffer) is treated as a task fault and retried, never
-  merged;
-* **poisoned-task quarantine** — a task that keeps failing is retried
-  once *inline* in the parent under the runtime invariant monitor
-  (:mod:`repro.verify.invariants`).  Success means the failures were
-  environment faults and the join continues; failure means the task
-  itself is bad (a data bug) and :class:`TaskPoisonedError` aborts the
-  run — retrying a data bug forever would only hide it;
+A shard is only the transport.  Every fault decision is keyed by the
+**unit pair**, so a shard task is a batch of independent unit-pair
+tasks, each with its own attempt counter:
+
+* **bounded retries with deterministic backoff** — a failed unit pair
+  is re-run (in its shard's next task) up to ``max_task_retries``
+  times; the backoff before each retry is a pure function of
+  ``(seed, unit pair, attempt)``, so recorded backoff totals contain no
+  wall-clock;
+* **a progress deadline** — each shard task advances a shared counter
+  per finished unit pair; when no unit pair of a running task finishes
+  for ``task_timeout`` seconds, the pair it is stuck on is blamed, the
+  pool (which still holds the hung worker) is killed and recycled, and
+  unfinished pairs are resubmitted;
+* **result digests** — every unit pair's batch carries a CRC digest
+  recomputed by the parent; a mismatch (bit-flip in transit, a
+  mis-merged buffer) is a fault of that pair, never merged;
+* **poisoned-task quarantine** — a unit pair that keeps failing is
+  retried once *inline* in the parent under the runtime invariant
+  monitor (:mod:`repro.verify.invariants`).  Success means the failures
+  were environment faults and the join continues; failure means the
+  pair itself is bad (a data bug) and :class:`TaskPoisonedError` aborts
+  the run;
 * **graceful degradation** — when pool recycles exceed
-  ``max_pool_recycles`` the supervisor stops trusting process pools
-  altogether and drains every remaining task inline, serially.  The
-  join *completes*, exactly, with ``stats.degraded`` set — the caller
-  (and the CLI via exit code 3) reports the degradation instead of the
-  user losing hours of work to an executor bug.
+  ``max_pool_recycles`` the supervisor stops trusting process pools and
+  runs every remaining unit pair inline, serially.  The join
+  *completes*, exactly, with ``stats.degraded`` set.
 
-Results are still merged strictly in submission order, so the emitted
-pair stream — durable pair file bytes, journal watermarks, metrics merge
-order — remains byte-identical to the serial join no matter which
-faults fired.
+Workers verify every page they read against the CRCs the parent's
+checksum layer recorded, so ``checksums=True`` protects them as it
+protects the serial join; a mismatch raises
+:class:`~repro.storage.integrity.CorruptPageError` from the join, as
+the serial run would.
 
-Every supervisor decision is deterministic given a
-:class:`~repro.storage.faults.WorkerFaultPlan` (wall-clock is used only
-to *detect* hangs, never recorded), and each decision is reported
-through a ``decision_hook`` so the crash/resume journal can replay the
-decisions of completed unit pairs: a resumed run seeds its counters
-from the journal, re-executes only unfinished pairs (whose faults
-re-fire identically), and ends with the same totals as an uninterrupted
-run.
+Decisions are applied to the stats, metrics and ``decision_hook`` when
+their unit pair is merged — in schedule order, not in the order the
+pool happened to report failures — so the ledger of a given
+:class:`~repro.storage.faults.WorkerFaultPlan` replays identically
+(wall-clock is used only to *detect* hangs, never recorded).  The one
+timing-dependent input is which pair a worker was on when the pool
+broke, read for crashes beyond a pair's first attempt or with no fault
+plan.  The crash/resume journal replays the decisions of completed
+unit pairs: a resumed run seeds its counters from the journal,
+re-executes only unfinished pairs (whose faults re-fire identically),
+and ends with the same totals as an uninterrupted run.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 import zlib
-from concurrent.futures import (BrokenExecutor, CancelledError,
-                                ProcessPoolExecutor)
-from concurrent.futures import TimeoutError as FuturesTimeout
-from dataclasses import dataclass, fields as dataclass_fields
+from collections import deque
+from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
+                                CancelledError, ProcessPoolExecutor, wait)
+from dataclasses import astuple, dataclass, fields as dataclass_fields
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..obs.metrics import ensure_metrics
+from ..storage.buffer import BufferPool
 from ..storage.faults import (InjectedTaskError, WorkerFaultPlan,
                               stable_fraction)
+from ..storage.integrity import (ChecksummedDisk, CorruptPageError,
+                                 page_checksums)
+from ..storage.pagefile import PointFile
+from ..storage.records import RecordCodec
+from ..storage.disk import SimulatedDisk
 from ..storage.stats import CPUCounters
+from .ego_order import grid_cells
 from .parallel import _UNIT_STATE, _init_unit_worker, _run_unit_pair
 from .result import JoinResult
+from .scheduler import UnitMeta, schedule_units
 from .sequence_join import JoinContext, join_point_blocks
+from .shard import ShardSpec, UnitPairEvent, plan_shards
 
 
 class SupervisorError(RuntimeError):
@@ -104,12 +123,12 @@ class PoolFailureError(SupervisorError):
 class SupervisorPolicy:
     """Tunable fault-tolerance policy of a :class:`SupervisedUnitJoiner`.
 
-    ``task_timeout`` is the merge-wait deadline in *real* seconds: how
-    long the parent will wait on the oldest outstanding task before
-    declaring its worker hung.  It is the only wall-clock quantity in
-    the supervisor, used for detection only — nothing derived from it is
-    recorded.  ``None`` disables hang detection (a genuinely hung worker
-    then blocks forever, as the unsupervised joiner would).
+    ``task_timeout`` is the progress deadline in *real* seconds: a
+    worker that finishes no unit pair for this long is declared hung.
+    A shard of many fast unit pairs may run far longer in total.  It is
+    the only wall-clock quantity in the supervisor, used for detection
+    only — nothing derived from it is recorded.  ``None`` disables hang
+    detection (a genuinely hung worker then blocks forever).
 
     ``backoff`` before retry ``k`` of a task is
     ``backoff_base_s · backoff_factor^(k-1) · (0.5 + u)`` with ``u``
@@ -223,112 +242,214 @@ def replay_stats(events: Iterable[Tuple[str, int, int, int]],
     return stats
 
 
+def require_file_backed(disk) -> str:
+    """Path of the OS file behind ``disk``, which parallel workers read.
+
+    Raises :class:`ValueError` for a disk with no backing file (a
+    :class:`~repro.storage.backend.MemoryDisk`), so a run can refuse
+    ``workers > 1`` before it sorts or schedules anything.
+    """
+    path = disk.path
+    if not os.path.isfile(path):
+        raise ValueError(f"workers > 1 needs the sorted file on an OS "
+                         f"file; {path!r} is not a file")
+    return path
+
+
 # -- worker side ------------------------------------------------------------
 
 
-def _result_digest(out_a: np.ndarray, out_b: np.ndarray,
-                   dists: Optional[np.ndarray]) -> int:
-    """CRC32 digest of one task's result batch (order-sensitive)."""
-    h = zlib.crc32(np.ascontiguousarray(out_a).tobytes())
-    h = zlib.crc32(np.ascontiguousarray(out_b).tobytes(), h)
-    if dists is not None:
-        h = zlib.crc32(np.ascontiguousarray(dists).tobytes(), h)
+def _result_digest(batch: Optional[tuple]) -> int:
+    """CRC32 digest of one unit pair's ``(ids_a, ids_b, dists)`` batch.
+
+    Order-sensitive; an empty batch travels as ``None`` and digests to 0.
+    """
+    h = 0
+    for array in batch or ():
+        if array is not None:
+            h = zlib.crc32(np.ascontiguousarray(array).tobytes(), h)
     return h
 
 
-#: Public alias: the sharded join (repro.core.shard) digests per-event
-#: results with the same CRC so its corruption detection matches the
-#: supervised pool's.
-result_digest = _result_digest
+class _UnitReader:
+    """Schedule units read straight from the sorted file.
+
+    Reads go to the backing file directly, bypassing the parent's disk
+    stack (and its simulated accounting, which stays the serial run's)
+    but not its integrity: when the parent keeps page CRCs, every page
+    is verified against them.  A small LRU of ``buffer_units`` frames —
+    the schedule's own budget — serves the ε-interval partners a
+    shard's consecutive unit pairs share.
+    """
+
+    def __init__(self, source: dict) -> None:
+        disk = SimulatedDisk(path=source["path"])
+        if source["pages"] is not None:
+            page_bytes, table = source["pages"]
+            disk = ChecksummedDisk(disk, page_bytes, sidecar=False,
+                                   pages=table)
+        self._file = PointFile(disk, RecordCodec(source["dimensions"]),
+                               source["count"], source["data_start"])
+        self._unit_ids = source["unit_ids"]
+        self._unit_bytes = source["unit_bytes"]
+        self._pool: BufferPool[int, tuple] = BufferPool(
+            source["buffer_units"], self._load)
+
+    def _load(self, ordinal: int):
+        return self._file.read_unit(int(self._unit_ids[ordinal]),
+                                    self._unit_bytes)
+
+    def pair(self, a: int, b: int):
+        """``(ids_a, pts_a, ids_b, pts_b)``; ``b``'s arrays are None for
+        a self pair, as :func:`~repro.core.parallel._run_unit_pair`
+        expects."""
+        ids_a, pts_a = self._pool.get(a)
+        if a == b:
+            return ids_a, pts_a, None, None
+        ids_b, pts_b = self._pool.get(b)
+        return ids_a, pts_a, ids_b, pts_b
+
+    def close(self) -> None:
+        self._file.disk.close()
 
 
 def _init_supervised_worker(init_args: tuple,
-                            worker_plan: Optional[WorkerFaultPlan]) -> None:
+                            worker_plan: Optional[WorkerFaultPlan],
+                            progress, source: dict) -> None:
     _init_unit_worker(*init_args)
-    _UNIT_STATE["worker_plan"] = worker_plan
+    _UNIT_STATE.update(worker_plan=worker_plan, progress=progress,
+                       reader=_UnitReader(source))
 
 
-def _run_supervised_task(key: Tuple[int, int], attempt: int,
-                         ids_a, pts_a, ids_b, pts_b):
-    """Worker entry point: fault adjudication, the join, and a digest.
+def _run_shard(slot: int, events: List[Tuple[int, int, int, int]]):
+    """Worker entry point: one shard task, fault-adjudicated per unit pair.
 
-    Returns ``(out_a, out_b, dists, cpu, metrics_data, digest)``.  The
-    digest is computed *before* any injected corruption, so a corrupted
-    batch always mismatches in the parent.
+    ``events`` are ``(seq, a, b, attempt)``.  Returns ``(seq, result)``
+    per event, where ``result`` is ``(batch, cpu, metrics_data, digest)``
+    — the pair batch ``(ids_a, ids_b, dists)`` or ``None`` when empty,
+    the CPU-counter deltas as a tuple — or ``None`` when the unit pair
+    failed.  Most unit pairs of a join yield no pairs, so the compact
+    form keeps shard results small.  The digest is computed *before*
+    any injected corruption, so a corrupted batch always mismatches in
+    the parent.  ``progress[slot]`` counts finished unit pairs — the
+    heartbeat the parent's deadline and crash blame read.
     """
-    plan: Optional[WorkerFaultPlan] = _UNIT_STATE.get("worker_plan")
-    fault = plan.decide(key, attempt) if plan is not None else None
-    if fault == "crash":
-        # A hard exit, not an exception: the parent must see a broken
-        # pool, exactly as a real segfault/OOM kill would present.
-        os._exit(17)
-    if fault == "stall":
-        time.sleep(plan.stall_seconds)
-    elif fault == "error":
-        raise InjectedTaskError(
-            f"injected task error for unit pair {key} attempt {attempt}")
-    out_a, out_b, dists, cpu, metrics_data = _run_unit_pair(
-        ids_a, pts_a, ids_b, pts_b)
-    digest = _result_digest(out_a, out_b, dists)
-    if fault == "corrupt":
-        if out_a.size:
-            out_a = out_a.copy()
-            view = out_a.view(np.uint8)
-            pos = int(stable_fraction(plan.seed, "pos", *key)
-                      * len(view)) % len(view)
-            view[pos] ^= 1 << int(
-                stable_fraction(plan.seed, "bit", *key) * 8) % 8
+    plan: Optional[WorkerFaultPlan] = _UNIT_STATE["worker_plan"]
+    reader: _UnitReader = _UNIT_STATE["reader"]
+    progress = _UNIT_STATE["progress"]
+    outcomes = []
+    for seq, a, b, attempt in events:
+        key = (a, b)
+        fault = plan.decide(key, attempt) if plan is not None else None
+        if fault == "crash":
+            # A hard exit, not an exception: the parent must see a broken
+            # pool, exactly as a real segfault/OOM kill would present.
+            os._exit(17)
+        if fault == "stall":
+            time.sleep(plan.stall_seconds)
+        # Storage errors (CorruptPageError) escape the task: they are
+        # data faults, raised by the join exactly as in the serial run.
+        arrays = reader.pair(a, b)
+        try:
+            if fault == "error":
+                raise InjectedTaskError(
+                    f"injected task error for unit pair {key} "
+                    f"attempt {attempt}")
+            out_a, out_b, dists, cpu, metrics_data = _run_unit_pair(*arrays)
+        except Exception:
+            outcomes.append((seq, None))
         else:
-            digest ^= 1  # empty batch: corrupt the digest itself
-    return out_a, out_b, dists, cpu, metrics_data, digest
+            batch = (out_a, out_b, dists) if out_a.size else None
+            digest = _result_digest(batch)
+            if fault == "corrupt":
+                if batch is not None:
+                    out_a = out_a.copy()
+                    view = out_a.view(np.uint8)
+                    pos = int(stable_fraction(plan.seed, "pos", *key)
+                              * len(view)) % len(view)
+                    view[pos] ^= 1 << int(
+                        stable_fraction(plan.seed, "bit", *key) * 8) % 8
+                    batch = (out_a, out_b, dists)
+                else:
+                    digest ^= 1  # empty batch: corrupt the digest itself
+            outcomes.append(
+                (seq, (batch, astuple(cpu), metrics_data, digest)))
+        progress[slot] += 1
+    return outcomes
 
 
 # -- parent side ------------------------------------------------------------
 
 
 class _Task:
-    """One submitted unit pair, retained until merged (for resubmission)."""
+    """Ledger entry of one unit pair: the unit of retry, blame and quarantine.
 
-    __slots__ = ("index", "key", "payload", "on_complete", "future",
-                 "attempt", "quarantined")
+    ``decisions`` collects the supervisor decisions charged to this pair
+    as they happen; they are applied to the stats, metrics and journal
+    when the pair merges, so the ledger's order is the schedule's.
+    """
 
-    def __init__(self, index: int, key: Tuple[int, int], payload: tuple,
+    __slots__ = ("seq", "key", "on_complete", "attempt", "quarantined",
+                 "decisions", "out")
+
+    def __init__(self, seq: int, key: Tuple[int, int],
                  on_complete: Optional[Callable[[], None]]) -> None:
-        self.index = index
+        self.seq = seq
         self.key = key
-        self.payload = payload
         self.on_complete = on_complete
-        self.future = None
         self.attempt = 0
         self.quarantined = False
+        self.decisions: Tuple[Tuple[str, int], ...] = ()
+        self.out = None
+
+
+class _Flight:
+    """One shard task on the pool, with its deadline bookkeeping."""
+
+    __slots__ = ("spec", "batch", "future", "base", "seen", "since")
+
+    def __init__(self, spec: ShardSpec, batch: List[_Task], future,
+                 base: int) -> None:
+        self.spec = spec
+        self.batch = batch
+        self.future = future
+        self.base = base  # progress counter at submission
+        self.seen = base
+        self.since = time.monotonic()
+
+    def current(self, progress) -> _Task:
+        """The unit pair the worker is on (or was on when it died)."""
+        done = progress[self.spec.index] - self.base
+        return self.batch[min(done, len(self.batch) - 1)]
 
 
 class SupervisedUnitJoiner:
-    """A :class:`~repro.core.parallel.ParallelUnitJoiner` that survives
-    its pool.
+    """The parallel unit-pair executor of the external join.
 
     Drop-in execution backend for
     :class:`~repro.core.scheduler.EGOScheduler`: same ``submit`` /
-    ``drain`` / ``close`` protocol, same submission-order merging, same
-    byte-identical output — plus the retry/deadline/degradation ladder
-    described in the module docstring.  With no faults and the default
-    policy it behaves exactly like the unsupervised joiner (one extra
-    CRC per task).
+    ``drain`` / ``close`` protocol and byte-identical output as the
+    inline joiner, plus the per-unit-pair fault ladder described in the
+    module docstring.
 
     Parameters
     ----------
     ctx:
         The parent join context results are merged into.
     workers:
-        Pool size.
+        Pool size, and the number of shards the plan targets.
+    point_file, unit_bytes, buffer_units:
+        The EGO-sorted file the scheduler runs over and its geometry;
+        workers read their units from ``point_file``'s backing file,
+        which must be an OS file (:func:`require_file_backed`).
     policy:
         :class:`SupervisorPolicy` (defaults are production-safe).
     worker_plan:
         Optional :class:`~repro.storage.faults.WorkerFaultPlan` shipped
         to every worker; also consulted in the parent to attribute pool
-        breakage to the task that crashed it.
+        breakage to the unit pairs that crashed it.
     decision_hook:
-        ``hook(kind, key, attempt)`` called on every live supervisor
+        ``hook(kind, key, attempt)`` called for every live supervisor
         decision — the journal wiring that makes resume replay exact.
     replay_events:
         Journaled ``(kind, a, b, attempt)`` events of *completed* unit
@@ -339,9 +460,9 @@ class SupervisedUnitJoiner:
     """
 
     def __init__(self, ctx: JoinContext, workers: int,
+                 point_file: PointFile, unit_bytes: int, buffer_units: int,
                  policy: Optional[SupervisorPolicy] = None,
                  worker_plan: Optional[WorkerFaultPlan] = None,
-                 max_pending: Optional[int] = None,
                  decision_hook: Optional[
                      Callable[[str, Tuple[int, int], int], None]] = None,
                  replay_events: Iterable[
@@ -350,11 +471,12 @@ class SupervisedUnitJoiner:
             raise ValueError("workers must be at least 1")
         self.ctx = ctx
         self.workers = workers
+        self._path = require_file_backed(point_file.disk)
+        self.point_file = point_file
+        self.unit_bytes = unit_bytes
+        self.buffer_units = buffer_units
         self.policy = policy if policy is not None else SupervisorPolicy()
         self.worker_plan = worker_plan
-        self.max_pending = max_pending if max_pending else workers * 4
-        if self.max_pending < 1:
-            raise ValueError("max_pending must be at least 1")
         self.stats = SupervisorStats()
         self._decision_hook = decision_hook
         self._metrics = ensure_metrics(getattr(ctx, "metrics", None))
@@ -366,13 +488,21 @@ class SupervisedUnitJoiner:
                            ctx.result.collect_distances, ctx.split_strategy,
                            bool(self._metrics.enabled),
                            ctx.batch_points, ctx.batch_leaves)
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._degraded = False
-        self._next_submit = 0
+        self._tasks: List[_Task] = []
+        # Record count and first/last point of every submitted unit:
+        # the shard planner's cost model and ε-cell boundaries.
+        self._units: Dict[int, Tuple[int, np.ndarray]] = {}
         self._next_emit = 0
-        self._pending: Dict[int, _Task] = {}
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._source: Optional[dict] = None
+        self._reader: Optional[_UnitReader] = None
+        self._progress = None
+        self._queue: deque = deque()
+        self._inflight: Dict[int, _Flight] = {}
+        self._degraded = False
         for kind, a, b, attempt in replay_events:
             self._record(kind, (a, b), attempt, replay=True)
+        self._recycles = self.stats.pool_recycles
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -382,15 +512,13 @@ class SupervisedUnitJoiner:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _make_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_init_supervised_worker,
-            initargs=(self._init_args, self.worker_plan))
-
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = self._make_pool()
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers,
+                initializer=_init_supervised_worker,
+                initargs=(self._init_args, self.worker_plan,
+                          self._progress, self._source))
         return self._pool
 
     def _kill_pool(self) -> None:
@@ -419,15 +547,13 @@ class SupervisedUnitJoiner:
                 "ego_supervisor_backoff_simulated_seconds",
                 "Deterministic (scheduled) retry backoff total",
                 unit="s").set(round(self.stats.backoff_simulated_s, 9))
-        if self._pool is None:
-            return
-        if not self._pending:
-            pool, self._pool = self._pool, None
-            pool.shutdown(wait=True, cancel_futures=True)
-        else:
-            # Exception path: tasks still in flight.  Kill, don't wait —
-            # a hung worker must not turn an error into a deadlock.
-            self._kill_pool()
+        # Only an exception leaves a pool behind (drain shuts it down),
+        # and then tasks may still be in flight: kill, don't wait — a
+        # hung worker must not turn an error into a deadlock.
+        self._kill_pool()
+        if self._reader is not None:
+            self._reader.close()
+            self._reader = None
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -441,7 +567,7 @@ class SupervisedUnitJoiner:
 
     def _record(self, kind: str, key: Tuple[int, int], attempt: int,
                 replay: bool = False) -> None:
-        """One supervisor decision: stats, metrics, journal, mode flips."""
+        """Apply one decision: stats, metrics, journal, mode flips."""
         self.stats.apply_event(kind, key, attempt, self.policy)
         self._metric_events().labels(kind).inc()
         if kind == "degrade":
@@ -461,162 +587,226 @@ class SupervisedUnitJoiner:
             self.worker_plan.record(
                 {"error": "error", "corrupt": "corrupt",
                  "timeout": "stall", "crash": "crash"}[kind])
-        self._record(kind, task.key, task.attempt)
+        task.decisions += ((kind, task.attempt),)
         if task.attempt > self.policy.max_task_retries:
             task.quarantined = True
-            self._record("quarantine", task.key, task.attempt)
+            task.decisions += (("quarantine", task.attempt),)
             return
         if self.policy.real_sleep and self.policy.backoff_base_s > 0.0:
             time.sleep(min(backoff_for(self.policy, task.key, task.attempt),
                            self.policy.max_sleep_s))
 
-    # -- submission and merging ---------------------------------------------
+    def _pending(self, task: _Task) -> bool:
+        """Still to be run on the pool (not merged, done or quarantined)."""
+        return (task.seq >= self._next_emit and task.out is None
+                and not task.quarantined)
+
+    # -- submission ---------------------------------------------------------
 
     def submit(self, ids_a: np.ndarray, pts_a: np.ndarray,
                ids_b: Optional[np.ndarray], pts_b: Optional[np.ndarray],
                on_complete: Optional[Callable[[], None]] = None,
                key: Optional[Tuple[int, int]] = None) -> None:
-        """Queue one unit pair; merges any in-order results that are ready.
+        """Record one unit pair; it is joined when the schedule drains.
 
-        ``key`` identifies the unit pair across runs (the scheduler
-        passes its unit ordinals); it keys fault decisions, backoff
-        jitter, and the journal's decision log.
+        ``key`` is the pair's unit ordinals ``(a, b)`` with ``a ≤ b``
+        (the scheduler passes the lower ordinal's arrays first); it keys
+        the worker's reads, fault decisions, backoff jitter and the
+        journal's decision log.  The arrays are not kept: only each
+        unit's record count and end points, for the shard planner.
         """
-        if key is None:
-            key = (-1 - self._next_submit, -1 - self._next_submit)
-        task = _Task(self._next_submit, (int(key[0]), int(key[1])),
-                     (ids_a, pts_a, ids_b, pts_b), on_complete)
-        self._pending[task.index] = task
-        self._next_submit += 1
-        if self._degraded:
-            self._advance(block=True)
+        a, b = int(key[0]), int(key[1])
+        for unit, pts in ((a, pts_a), (b, pts_b)):
+            if pts is not None and unit not in self._units:
+                self._units[unit] = (len(pts), pts[[0, -1]])
+        self._tasks.append(_Task(len(self._tasks), (a, b), on_complete))
+
+    @property
+    def events(self) -> List[UnitPairEvent]:
+        """Every recorded unit pair, in submission (= merge) order."""
+        return [UnitPairEvent(t.seq, *t.key) for t in self._tasks]
+
+    # -- draining -----------------------------------------------------------
+
+    def drain(self) -> None:
+        """Join every recorded unit pair and merge them in schedule order."""
+        if self._next_emit == len(self._tasks):
             return
-        self._submit_task(task)
-        self._advance(block=len(self._pending) >= self.max_pending)
+        specs = self._plan()
+        # One heartbeat slot per shard, indexed by the shard's plan index.
+        self._progress = multiprocessing.RawArray("q", specs[-1].index + 1)
+        self._queue = deque(specs)
+        while self._next_emit < len(self._tasks):
+            if not self._degraded:
+                self._dispatch()
+                if self._inflight:
+                    self._collect()
+            self._advance()
+        if self._pool is not None:
+            pool, self._pool = self._pool, None
+            pool.shutdown(wait=True)
 
-    def _submit_task(self, task: _Task) -> bool:
-        """Ship ``task`` to the pool; ``False`` leaves it unsubmitted.
+    def _plan(self) -> List[ShardSpec]:
+        """Shard the unmerged unit pairs, one balanced target per worker."""
+        pf = self.point_file
+        unit_ids = schedule_units(pf, self.unit_bytes)
+        self._source = {"path": self._path, "data_start": pf.data_start,
+                        "dimensions": pf.dimensions, "count": pf.count,
+                        "unit_ids": unit_ids, "unit_bytes": self.unit_bytes,
+                        "buffer_units": self.buffer_units,
+                        "pages": page_checksums(pf.disk)}
+        units = sorted(self._units)
+        ends = grid_cells(np.concatenate([self._units[u][1] for u in units]),
+                          self.ctx.grid_epsilon)
+        meta = {u: UnitMeta(first_cells=ends[2 * i],
+                            last_cells=ends[2 * i + 1])
+                for i, u in enumerate(units)}
+        records = {u: self._units[u][0] for u in units}
+        specs = plan_shards(len(unit_ids), self.events[self._next_emit:],
+                            records, self.workers, meta)
+        return [s for s in specs if s.events]
 
-        The pool can be broken *at submission time* — a previously
-        submitted task's injected (or real) crash lands asynchronously.
-        The task is then left with no future and the breakage is handled
-        when it reaches the head of the merge order, where the blame /
-        recycle ladder runs.
-        """
-        task.future = None
-        try:
-            task.future = self._ensure_pool().submit(
-                _run_supervised_task, task.key, task.attempt, *task.payload)
-            return True
-        except BrokenExecutor:
-            return False
-
-    def _resubmit_pending(self) -> None:
-        """Re-queue every pending task on a fresh pool, oldest first."""
-        for index in sorted(self._pending):
-            task = self._pending[index]
-            if not task.quarantined and not self._submit_task(task):
-                # Broken again already; later tasks stay unsubmitted and
-                # the head-of-line handler recycles once more.
-                break
-
-    def _advance(self, block: bool) -> None:
-        """Fold completed results into the context, oldest first.
-
-        As in the unsupervised joiner, results are only consumed at the
-        head of the submission order — that is what keeps the merged
-        stream deterministic.  All failure handling therefore happens at
-        the head too, which serialises supervisor decisions into one
-        deterministic order.
-        """
-        while self._next_emit in self._pending:
-            task = self._pending[self._next_emit]
-            out = self._obtain(task, block)
-            if out is None:
-                break
-            del self._pending[self._next_emit]
-            self._next_emit += 1
-            self._merge(task, out)
-            block = len(self._pending) >= self.max_pending
-
-    def _obtain(self, task: _Task, block: bool):
-        """One merged-result attempt for the head task; None = not ready.
-
-        Loops over the failure ladder: a handled fault leaves ``task``
-        resubmitted (or quarantined / the joiner degraded) and the loop
-        tries again.  Raises :class:`TaskPoisonedError` or
-        :class:`PoolFailureError` when the ladder is exhausted.
-        """
-        while True:
-            if self._degraded or task.quarantined:
-                return self._finish_inline(task)
-            if task.future is None and not self._submit_task(task):
-                self._on_broken_pool(task)
+    def _dispatch(self) -> None:
+        """Start queued shard tasks while a worker is free."""
+        while self._queue and len(self._inflight) < self.workers:
+            spec = self._queue.popleft()
+            batch = [self._tasks[ev.seq] for ev in spec.events
+                     if self._pending(self._tasks[ev.seq])]
+            if not batch:
                 continue
-            fut = task.future
-            if not block and not fut.done():
-                return None
+            # Read the heartbeat before the worker can advance it.
+            base = self._progress[spec.index]
             try:
-                out = fut.result(timeout=self.policy.task_timeout)
-            except FuturesTimeout:
-                self._on_timeout(task)
+                future = self._ensure_pool().submit(
+                    _run_shard, spec.index,
+                    [(t.seq, t.key[0], t.key[1], t.attempt) for t in batch])
+            except BrokenExecutor:
+                # A crash landed between tasks; the ladder runs on it.
+                self._queue.appendleft(spec)
+                self._on_broken_pool()
+                return
+            self._inflight[spec.index] = _Flight(spec, batch, future, base)
+
+    def _collect(self) -> None:
+        """Wait for shard results (or a poll tick) and run the ladder."""
+        timeout = self.policy.task_timeout
+        wait([f.future for f in self._inflight.values()],
+             timeout=None if timeout is None else timeout / 4,
+             return_when=FIRST_COMPLETED)
+        broken = False
+        for index in sorted(self._inflight):
+            flight = self._inflight[index]
+            if not flight.future.done():
                 continue
+            try:
+                outcomes = flight.future.result()
             except (BrokenExecutor, CancelledError):
-                self._on_broken_pool(task)
+                broken = True
                 continue
-            except Exception:  # task-level failure in the worker
-                self._bump(task, "error")
-                task.future = None
-                continue
-            out, digest = out[:-1], out[-1]
-            if _result_digest(out[0], out[1], out[2]) != digest:
-                self._bump(task, "corrupt")
-                task.future = None
-                continue
-            return out
+            except CorruptPageError:
+                raise
+            except Exception:  # the task itself failed, outside a pair
+                outcomes = []
+                self._bump(flight.current(self._progress), "error")
+            del self._inflight[index]
+            for seq, out in outcomes:
+                task = self._tasks[seq]
+                if out is None:
+                    self._bump(task, "error")
+                elif _result_digest(out[0]) != out[-1]:
+                    self._bump(task, "corrupt")
+                else:
+                    task.out = out[:-1]
+            if any(self._pending(t) for t in flight.batch):
+                self._queue.appendleft(flight.spec)
+        if broken:
+            self._on_broken_pool()
+        elif timeout is not None:
+            self._check_deadlines(timeout)
 
-    def _on_timeout(self, task: _Task) -> None:
-        """Head task missed its merge deadline: the worker is hung."""
-        self._bump(task, "timeout")
-        self._recycle(task)
+    def _check_deadlines(self, timeout: float) -> None:
+        """Blame the unit pair of a task that made no progress in time."""
+        now = time.monotonic()
+        for index in sorted(self._inflight):
+            flight = self._inflight[index]
+            count = self._progress[index]
+            if count != flight.seen:
+                flight.seen, flight.since = count, now
+            elif now - flight.since > timeout:
+                stalled = flight.current(self._progress)
+                self._bump(stalled, "timeout")
+                self._recycle(stalled)
+                return
 
-    def _on_broken_pool(self, task: _Task) -> None:
-        """The pool died under us; blame the crashing task(s) and recycle.
+    def _on_broken_pool(self) -> None:
+        """The pool died under us; blame the crashing pair(s) and recycle.
 
-        With a fault plan the blame is exact (the plan is a pure
-        function both sides agree on); without one the head task is
-        blamed — it is the one whose retry budget should pay.
+        Each running task's heartbeat names the unit pair its worker was
+        on.  With a fault plan the blame is exact (the plan is a pure
+        function both sides agree on), and covers every pending pair —
+        running or still queued — whose plan decides ``crash`` on its
+        first attempt, so one pool failure absorbs all first-attempt
+        crashes.  A pair that crashes again on a retry pays only when a
+        worker is seen on it, so repeated crashes spend the pool budget
+        and degrade the run.  Without a plan, the pair the oldest
+        running task was on pays — or, with nothing running, the oldest
+        pending pair.
         """
-        blamed: List[_Task] = []
-        if self.worker_plan is not None:
-            blamed = [t for t in self._pending.values()
-                      if not t.quarantined
-                      and self.worker_plan.decide(t.key, t.attempt)
-                      == "crash"]
+        current = [flight.current(self._progress)
+                   for _i, flight in sorted(self._inflight.items())]
+        pending = [t for t in self._tasks[self._next_emit:]
+                   if self._pending(t)]
+        blamed = [t for t in pending if self.worker_plan is not None
+                  and (t.attempt == 0 or t in current)
+                  and self.worker_plan.decide(t.key, t.attempt) == "crash"]
         if not blamed:
-            blamed = [task]
-        for t in sorted(blamed, key=lambda t: t.index):
-            self._bump(t, "crash")
+            blamed = current[:1] or pending[:1]
+        for task in blamed:
+            self._bump(task, "crash")
         self._recycle(blamed[0])
 
     def _recycle(self, blamed: _Task) -> None:
         """Replace the pool, or give up on pools entirely (degrade)."""
         self._kill_pool()
-        self._record("pool_recycle", blamed.key, blamed.attempt)
-        if self.stats.pool_recycles > self.policy.max_pool_recycles:
+        for index in sorted(self._inflight, reverse=True):
+            self._queue.appendleft(self._inflight[index].spec)
+        self._inflight.clear()
+        self._recycles += 1
+        blamed.decisions += (("pool_recycle", blamed.attempt),)
+        if self._recycles > self.policy.max_pool_recycles:
             if self.policy.degrade:
-                self._record("degrade", blamed.key, blamed.attempt)
+                blamed.decisions += (("degrade", blamed.attempt),)
+                self._degraded = True
                 return
             raise PoolFailureError(
-                f"worker pool failed {self.stats.pool_recycles} times "
+                f"worker pool failed {self._recycles} times "
                 f"(limit {self.policy.max_pool_recycles}) and degradation "
                 f"is disabled")
-        self._resubmit_pending()
 
-    # -- inline execution (quarantine and degraded mode) --------------------
+    # -- merging and inline execution ---------------------------------------
 
-    def _run_task_inline(self, task: _Task, invariants: bool):
-        """Execute one task in the parent, shaped like a worker result."""
+    def _advance(self) -> None:
+        """Merge finished unit pairs, oldest first.
+
+        Only the head of the schedule order is ever merged — that is
+        what keeps the stream deterministic.  Quarantined pairs, and
+        every pair once the joiner is degraded, run inline when they
+        reach the head.
+        """
+        while self._next_emit < len(self._tasks):
+            task = self._tasks[self._next_emit]
+            if self._degraded or task.quarantined:
+                out = self._finish_inline(task)
+            elif task.out is not None:
+                out = task.out
+            else:
+                return
+            task.out = None
+            self._next_emit += 1
+            self._merge(task, out)
+
+    def _run_task_inline(self, task: _Task, arrays, invariants: bool):
+        """Join one unit pair in the parent, shaped like a worker result."""
         if self.worker_plan is not None \
                 and self.worker_plan.decide(task.key, task.attempt) \
                 == "error":
@@ -637,7 +827,7 @@ class SupervisedUnitJoiner:
             split_strategy=ctx.split_strategy, invariants=invariants,
             batch_points=ctx.batch_points, batch_leaves=ctx.batch_leaves,
             metrics=ctx.metrics)
-        ids_a, pts_a, ids_b, pts_b = task.payload
+        ids_a, pts_a, ids_b, pts_b = arrays
         if ids_b is None:
             join_point_blocks(ids_a, pts_a, ids_a, pts_a, inline_ctx,
                               same_block=True)
@@ -648,43 +838,49 @@ class SupervisedUnitJoiner:
         # Metrics were recorded straight into the parent registry (we
         # are at the head of the merge order, so the ordering matches
         # the serial joiner); no snapshot to merge.
-        return out_a, out_b, dists, cpu, None
+        return (out_a, out_b, dists), astuple(cpu), None
 
     def _finish_inline(self, task: _Task):
-        """Drain one task in the parent: the bottom of the ladder.
+        """Join one unit pair in the parent: the bottom of the ladder.
 
-        Quarantined tasks run under the invariant monitor and are the
+        Quarantined pairs run under the invariant monitor and are the
         last word: success clears them (environment fault), any failure
-        is a :class:`TaskPoisonedError`.  Degraded-mode tasks retry
+        is a :class:`TaskPoisonedError`.  Degraded-mode pairs retry
         through the same blame ladder until they succeed or quarantine.
         """
+        if self._reader is None:
+            self._reader = _UnitReader(self._source)
+        arrays = self._reader.pair(*task.key)
         while True:
             if task.quarantined:
                 try:
-                    return self._run_task_inline(task, invariants=True)
+                    return self._run_task_inline(task, arrays,
+                                                 invariants=True)
                 except Exception as exc:
                     raise TaskPoisonedError(task.key, exc) from exc
             try:
-                out = self._run_task_inline(task, invariants=False)
+                out = self._run_task_inline(task, arrays, invariants=False)
             except Exception:
                 self._bump(task, "error")
                 continue
-            self._record("inline", task.key, task.attempt)
+            task.decisions += (("inline", task.attempt),)
             return out
 
     def _merge(self, task: _Task, out) -> None:
-        out_a, out_b, dists, cpu, metrics_data = out
+        for kind, attempt in task.decisions:
+            self._record(kind, task.key, attempt)
+        batch, cpu, metrics_data = out
         if self.ctx.cpu is not None:
-            for f in dataclass_fields(cpu):
+            for f, delta in zip(dataclass_fields(CPUCounters), cpu):
                 setattr(self.ctx.cpu, f.name,
-                        getattr(self.ctx.cpu, f.name) + getattr(cpu, f.name))
+                        getattr(self.ctx.cpu, f.name) + delta)
+        # Worker metric deltas fold in schedule order, the same order the
+        # serial joiner records them inline — counters and histograms are
+        # additive, so the merged registry is identical whichever worker
+        # computed the deltas.
         if metrics_data:
             self.ctx.metrics.merge(metrics_data)
-        self.ctx.result.add_batch(out_a, out_b, distances=dists)
+        if batch is not None:
+            self.ctx.result.add_batch(*batch)
         if task.on_complete is not None:
             task.on_complete()
-
-    def drain(self) -> None:
-        """Block until every queued unit pair has been merged."""
-        while self._pending:
-            self._advance(block=True)

@@ -7,7 +7,7 @@ quantity — counts of loads, prunes, pins, candidate rows — never a wall
 time.  That is what makes a metrics dump exactly reproducible: the same
 seeded workload produces byte-identical exports across runs and across
 ``workers=1`` vs ``workers=N`` (worker deltas are merged in schedule
-order, see :class:`~repro.core.parallel.ParallelUnitJoiner`).
+order, see :class:`~repro.core.supervisor.SupervisedUnitJoiner`).
 
 Three instrument kinds:
 

@@ -1,11 +1,12 @@
-"""Pluggable storage backends for shard-local disks.
+"""Pluggable storage backends for the LSH join's bucket files.
 
-The external pipeline's parent process always runs over
+The external EGO pipeline always runs over
 :class:`~repro.storage.disk.SimulatedDisk` — the simulated device is
 what makes the paper's I/O accounting (and the byte-identity guarantees
-of crash/resume and the sharded join) deterministic.  A *shard* of the
-join, however, may live anywhere: on another simulated spindle, on a
-plain OS file, or entirely in memory.  This module names that seam.
+of crash/resume and the parallel join) deterministic.  The bucket files
+of the LSH join (:mod:`repro.joins.lsh_join`), however, may live
+anywhere: on another simulated spindle, on a plain OS file, or entirely
+in memory.  This module names that seam.
 
 A :class:`Backend` is a small factory for disk objects implementing the
 ``SimulatedDisk`` duck-type protocol (``read`` / ``write`` / ``append``
@@ -14,19 +15,19 @@ A :class:`Backend` is a small factory for disk objects implementing the
 :class:`~repro.storage.stats.SimulatedClock`).  Three backends are
 provided:
 
-* :class:`SimulatedBackend` — a :class:`~repro.storage.disk.SimulatedDisk`
-  per shard: shard-local I/O is charged to the paper's cost model, so
-  per-shard simulated I/O times are comparable with the parent's.
+* :class:`SimulatedBackend` — a :class:`~repro.storage.disk.SimulatedDisk`:
+  I/O is charged to the paper's cost model, so simulated I/O times are
+  comparable with the EGO pipeline's.
 * :class:`FileBackend` — a :class:`FileDisk`: a real temporary file with
-  operation counting but **no** simulated time (the shard pays only real
-  wall-clock I/O), modelling a shard on commodity local storage.
+  operation counting but **no** simulated time (only real wall-clock
+  I/O), modelling commodity local storage.
 * :class:`InMemoryBackend` — a :class:`MemoryDisk`: a ``bytearray``
-  with the same protocol and zero simulated time, modelling a RAM-disk
-  shard (and the fastest option for tests).
+  with the same protocol and zero simulated time, modelling a RAM disk
+  (and the fastest option for tests).
 
-The choice of backend never changes *what* a shard computes — only
-where its private copy of the data lives and what its local I/O costs —
-so the merged join output is byte-identical across backends.
+The choice of backend never changes *what* is computed — only where the
+data lives and what its I/O costs — so results are byte-identical
+across backends.
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ class FileDisk(SimulatedClock):
     """A real temporary file with the disk protocol and op counting.
 
     Unlike :class:`SimulatedDisk`, no simulated time is charged: the
-    shard pays actual OS I/O cost instead of the paper's cost model.
+    caller pays actual OS I/O cost instead of the paper's cost model.
     The backing file is removed on :meth:`close` when anonymous.
     """
 
@@ -249,7 +250,7 @@ class FileDisk(SimulatedClock):
 
 
 class Backend:
-    """Factory for shard-local disks; subclasses pick the device kind."""
+    """Factory for disks; subclasses pick the device kind."""
 
     name = "backend"
 
@@ -262,7 +263,7 @@ class Backend:
 
 
 class SimulatedBackend(Backend):
-    """One simulated spindle per shard (the paper's cost model)."""
+    """A simulated spindle per disk (the paper's cost model)."""
 
     name = "simulated"
 
@@ -271,7 +272,7 @@ class SimulatedBackend(Backend):
 
 
 class FileBackend(Backend):
-    """One real temporary file per shard (no simulated time)."""
+    """A real temporary file per disk (no simulated time)."""
 
     name = "file"
 
@@ -280,7 +281,7 @@ class FileBackend(Backend):
 
 
 class InMemoryBackend(Backend):
-    """One in-memory buffer per shard (no simulated time)."""
+    """An in-memory buffer per disk (no simulated time)."""
 
     name = "memory"
 

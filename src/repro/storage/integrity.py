@@ -49,6 +49,12 @@ class CorruptPageError(IOError):
         super().__init__(message)
         self.page = page
         self.offset = offset
+        self.detail = detail
+
+    def __reduce__(self):
+        # Picklable with its real constructor arguments, so a worker
+        # process can hand the error back to the parent unchanged.
+        return type(self), (self.page, self.offset, self.detail)
 
 
 @dataclass(frozen=True)
@@ -91,14 +97,17 @@ class ChecksummedDisk:
     """
 
     def __init__(self, inner, page_bytes: int = DEFAULT_PAGE_BYTES,
-                 sidecar: bool = True) -> None:
+                 sidecar: bool = True,
+                 pages: Optional[Dict[int, Tuple[int, Optional[int]]]]
+                 = None) -> None:
         if page_bytes <= 0:
             raise ValueError(f"page_bytes must be positive, got {page_bytes}")
         self.inner = inner
         self.page_bytes = page_bytes
         self.sidecar = sidecar
-        # page index -> (covered_bytes, crc32 | None)
-        self._pages: Dict[int, Tuple[int, Optional[int]]] = {}
+        # page index -> (covered_bytes, crc32 | None); ``pages`` seeds
+        # the table of a read-only view of another writer's file.
+        self._pages: Dict[int, Tuple[int, Optional[int]]] = dict(pages or {})
         if sidecar:
             self._load_sidecar()
 
@@ -311,6 +320,22 @@ class RetryingDisk:
         offset = self.size()
         self.write(offset, data)
         return offset
+
+
+def page_checksums(disk) -> Optional[
+        Tuple[int, Dict[int, Tuple[int, Optional[int]]]]]:
+    """``(page_bytes, table)`` of the checksum layer under ``disk``, or None.
+
+    Walks the wrapper stack (``inner`` links) down to the
+    :class:`ChecksummedDisk`, so a reader that bypasses the stack — a
+    worker process reading the backing file directly — can still verify
+    every page against the CRCs the writer recorded.
+    """
+    while disk is not None:
+        if isinstance(disk, ChecksummedDisk):
+            return disk.page_bytes, dict(disk._pages)
+        disk = vars(disk).get("inner")
+    return None
 
 
 def make_robust_disk(disk, plan: Optional[FaultPlan] = None,

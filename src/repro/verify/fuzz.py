@@ -42,8 +42,8 @@ DEFAULT_CONFIGS: Tuple[Tuple[str, Dict[str, object]], ...] = (
     ("ego", {"engine": "matmul"}),
     ("ego", {"engine": "batched"}),
     ("ego", {"engine": "vector", "split_strategy": "boundary"}),
-    ("ego_parallel", {"workers": 1}),
     ("ego_external", {"storage": "plain", "invariants": True}),
+    ("ego_external", {"storage": "plain", "workers": 2}),
     ("ego_external", {"storage": "checksummed"}),
     ("ego_external", {"storage": "crash_resume"}),
     ("ego_external", {"storage": "worker_faults", "workers": 2}),

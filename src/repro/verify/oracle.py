@@ -37,7 +37,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..core.ego_join import ego_join_files, ego_self_join, ego_self_join_file
-from ..core.parallel import ego_self_join_parallel
 from ..joins.brute import brute_force_self_join
 from ..joins.epskdb_join import epskdb_self_join
 from ..joins.grid_hash import grid_hash_self_join
@@ -57,8 +56,7 @@ from .canonical import PairSetDiff, canonical_pairs, diff_pairs
 OracleFn = Callable[..., np.ndarray]
 
 #: Storage wrappers the external pipeline can run under.
-STORAGE_MODES = ("plain", "checksummed", "crash_resume", "worker_faults",
-                 "sharded")
+STORAGE_MODES = ("plain", "checksummed", "crash_resume", "worker_faults")
 
 
 @dataclass
@@ -134,14 +132,6 @@ def _ego(points, epsilon, ids=None, *, engine="vector", minlen=None,
     return canonical_pairs(res)
 
 
-@register("ego_parallel", options=("engine", "workers", "chunks"))
-def _ego_parallel(points, epsilon, ids=None, *, engine="vector",
-                  workers=2, chunks=None) -> np.ndarray:
-    res = ego_self_join_parallel(points, epsilon, ids=ids, engine=engine,
-                                 workers=workers, chunks=chunks)
-    return canonical_pairs(res)
-
-
 # -- external EGO pipeline --------------------------------------------------
 
 
@@ -165,15 +155,12 @@ def _write_point_file(disk: SimulatedDisk, points: np.ndarray,
 @register("ego_external",
           options=("engine", "workers", "storage", "unit_records",
                    "buffer_units", "crash_op", "invariants",
-                   "fault_kind", "fault_seed", "shards", "shard_policy",
-                   "backend"),
+                   "fault_kind", "fault_seed"),
           external=True)
 def _ego_external(points, epsilon, ids=None, *, engine="vector",
                   workers=1, storage="plain", unit_records=24,
                   buffer_units=4, crash_op=64, invariants=False,
-                  fault_kind="mixed", fault_seed=13, shards=2,
-                  shard_policy="adaptive",
-                  backend="simulated") -> np.ndarray:
+                  fault_kind="mixed", fault_seed=13) -> np.ndarray:
     """The full external pipeline under a chosen storage wrapper.
 
     ``storage`` picks the wrapper: ``plain`` (bare simulated disk),
@@ -184,10 +171,7 @@ def _ego_external(points, epsilon, ids=None, *, engine="vector",
     (parallel join under a seeded
     :class:`~repro.storage.faults.WorkerFaultPlan` injecting worker
     crashes, corrupted task results and task errors that the supervisor
-    must absorb without changing the result) or ``sharded`` (the join
-    partitioned into ``shards`` unit-range shards joined in separate
-    processes under ``shard_policy`` against private ``backend`` disks
-    — see :mod:`repro.core.shard`).
+    must absorb without changing the result).
     """
     if storage not in STORAGE_MODES:
         raise ValueError(
@@ -206,11 +190,6 @@ def _ego_external(points, epsilon, ids=None, *, engine="vector",
             report = ego_self_join_file(
                 pf, epsilon, checksums=True,
                 retry=RetryPolicy(max_attempts=3), **common)
-            return canonical_pairs(report.result)
-        if storage == "sharded":
-            report = ego_self_join_file(
-                pf, epsilon, shards=shards, shard_policy=shard_policy,
-                backend=backend, **common)
             return canonical_pairs(report.result)
         if storage == "worker_faults":
             from ..core.supervisor import SupervisorPolicy

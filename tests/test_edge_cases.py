@@ -189,12 +189,6 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError):
             ego_join(good, bad, 0.5)
 
-    def test_parallel_join_rejects_nan(self):
-        from repro.core.parallel import ego_self_join_parallel
-        pts = np.array([[np.nan, 0.0]])
-        with pytest.raises(ValueError):
-            ego_self_join_parallel(pts, 0.5, workers=1)
-
     def test_finite_inputs_unaffected(self, rng):
         pts = rng.random((50, 2))
         result = ego_self_join(pts, 0.3)

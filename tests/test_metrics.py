@@ -8,7 +8,6 @@ from repro.apps.dbscan import dbscan
 from repro.core.ego_join import ego_join, ego_self_join
 from repro.core.metrics import (CHEBYSHEV, EUCLIDEAN, MANHATTAN, Metric,
                                 get_metric)
-from repro.core.parallel import ego_self_join_parallel
 from repro.core.result import JoinResult
 
 
@@ -104,10 +103,16 @@ class TestJoinWithMetrics:
         assert result.pair_set() == expected
 
     def test_parallel_join_with_metric(self, rng):
+        # The metric travels to the worker processes.
+        from repro.core.ego_join import ego_self_join_file
+        from repro.storage.disk import SimulatedDisk
+        from conftest import make_file
         pts = rng.random((150, 3))
-        result = ego_self_join_parallel(pts, 0.35, workers=1,
-                                        metric="manhattan")
-        assert result.canonical_pair_set() == metric_truth(
+        with SimulatedDisk() as disk:
+            report = ego_self_join_file(make_file(disk, pts), 0.35,
+                                        unit_bytes=512, buffer_units=4,
+                                        workers=2, metric="manhattan")
+        assert report.result.canonical_pair_set() == metric_truth(
             pts, 0.35, MANHATTAN)
 
     def test_collected_distances_are_metric_distances(self, rng):

@@ -13,8 +13,11 @@ import numpy as np
 import pytest
 
 from repro.core.ego_join import ego_self_join_file
+from repro.core.supervisor import SupervisedUnitJoiner
+from repro.storage.backend import MemoryDisk
 from repro.storage.disk import SimulatedDisk
 from repro.storage.faults import FaultPlan, SimulatedCrash
+from repro.storage.integrity import CorruptPageError
 
 from conftest import make_file
 
@@ -120,3 +123,54 @@ class TestParallelCrashResume:
         assert report.resumed
         got_bytes, _ = checkpoint_artifacts(ck)
         assert got_bytes == base_bytes
+
+
+class TestWorkerReadIntegrity:
+    def test_corruption_after_planning_is_caught(self, dataset, tmp_path,
+                                                 monkeypatch):
+        # Workers read the sorted file directly, not through the
+        # parent's checksum layer; they must still verify its page CRCs.
+        # Flip a byte of the sorted file after the schedule has read it
+        # (when the joiner drains) but before any worker reads it.
+        ck = str(tmp_path / "ck")
+        drain = SupervisedUnitJoiner.drain
+
+        def corrupt_then_drain(joiner):
+            path = os.path.join(ck, "sorted.pts")
+            with open(path, "r+b") as fh:
+                fh.seek(os.path.getsize(path) // 2)
+                byte = fh.read(1)
+                fh.seek(-1, os.SEEK_CUR)
+                fh.write(bytes([byte[0] ^ 0xFF]))
+            drain(joiner)
+
+        monkeypatch.setattr(SupervisedUnitJoiner, "drain",
+                            corrupt_then_drain)
+        with pytest.raises(CorruptPageError):
+            run_join(dataset, workers=2, checksums=True, checkpoint_dir=ck)
+
+
+class TestSortedFileOnMemory:
+    """Workers read the sorted file's OS file; without one, workers > 1
+    is refused before the sort or the schedule reads anything."""
+
+    def test_assume_sorted_memory_input_refused(self, dataset):
+        with MemoryDisk() as disk:
+            pf = make_file(disk, dataset)
+            before = disk.counters.bytes_read
+            with pytest.raises(ValueError, match="OS file"):
+                ego_self_join_file(pf, EPSILON, unit_bytes=UNIT_BYTES,
+                                   buffer_units=BUFFER_UNITS, workers=2,
+                                   assume_sorted=True)
+            assert disk.counters.bytes_read == before
+
+    def test_memory_sorted_disk_refused(self, dataset):
+        with SimulatedDisk() as disk, MemoryDisk() as sorted_disk:
+            pf = make_file(disk, dataset)
+            before = disk.counters.bytes_read
+            with pytest.raises(ValueError, match="OS file"):
+                ego_self_join_file(pf, EPSILON, unit_bytes=UNIT_BYTES,
+                                   buffer_units=BUFFER_UNITS, workers=2,
+                                   sorted_disk=sorted_disk)
+            assert disk.counters.bytes_read == before
+            assert sorted_disk.counters.bytes_written == 0

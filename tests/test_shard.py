@@ -1,9 +1,10 @@
-"""Tests for the sharded external join (repro.core.shard).
+"""Tests for shard planning (repro.core.shard) and the sharded executor.
 
 Covers the shard planner on adversarial skew, byte-identity of the
-sharded pipeline against the serial run across shard counts, policies
-and storage backends, crash/resume across execution modes, worker-fault
-injection inside shards, and the run-scoped pressure-gauge regression.
+parallel pipeline (whose tasks are shards) against the serial run across
+worker counts and input storage backends, crash/resume across execution
+modes, worker-fault injection inside shards, and the run-scoped
+pressure-gauge regression.
 """
 
 import hashlib
@@ -13,10 +14,12 @@ import numpy as np
 import pytest
 
 from repro.core.ego_join import ego_self_join_file
-from repro.core.shard import (OVERSIZE_FACTOR, PlanningJoiner,
-                              ShardRunner, UnitPairEvent, event_cost,
+from repro.core.result import JoinResult
+from repro.core.sequence_join import JoinContext
+from repro.core.shard import (OVERSIZE_FACTOR, UnitPairEvent, event_cost,
                               plan_shards)
-from repro.core.supervisor import PoolFailureError, SupervisorPolicy
+from repro.core.supervisor import (PoolFailureError, SupervisedUnitJoiner,
+                                   SupervisorPolicy)
 from repro.storage.backend import (BACKENDS, FileDisk, MemoryDisk,
                                    get_backend)
 from repro.storage.disk import SimulatedDisk
@@ -75,63 +78,65 @@ class TestPlanner:
     def test_validation(self):
         with pytest.raises(ValueError):
             plan_shards(4, [], {}, 0)
-        with pytest.raises(ValueError):
-            plan_shards(4, [], {}, 2, policy="zigzag")
         assert plan_shards(0, [], {}, 2) == []
 
     def test_uniform_equal_unit_counts(self):
-        events = chain_events(8)
+        # Uniform data (equal unit costs) degenerates to equal-width
+        # shards.
+        events = [UnitPairEvent(u, u, u) for u in range(8)]
         records = {u: 10 for u in range(8)}
-        specs = plan_shards(8, events, records, 4, policy="uniform")
+        specs = plan_shards(8, events, records, 4)
         assert [(s.own_lo, s.own_hi) for s in specs] == \
             [(0, 2), (2, 4), (4, 6), (6, 8)]
 
     def test_shards_clamped_to_units(self):
         specs = plan_shards(3, chain_events(3), {u: 5 for u in range(3)},
-                            16, policy="uniform")
+                            16)
         assert len(specs) == 3
 
     def test_every_event_owned_exactly_once(self):
         events = chain_events(10, span=3)
         records = {u: 10 + u for u in range(10)}
-        for policy in ("uniform", "adaptive"):
-            specs = plan_shards(10, events, records, 3, policy=policy)
-            seen = [ev.seq for s in specs for ev in s.events]
-            assert sorted(seen) == [ev.seq for ev in events]
-            for s in specs:
-                for ev in s.events:
-                    assert s.own_lo <= ev.b < s.own_hi
-                    assert ev.a >= s.fringe_lo
+        specs = plan_shards(10, events, records, 3)
+        seen = [ev.seq for s in specs for ev in s.events]
+        assert sorted(seen) == [ev.seq for ev in events]
+        for s in specs:
+            for ev in s.events:
+                assert s.own_lo <= ev.b < s.own_hi
+                assert ev.a >= s.fringe_lo
 
     def test_fringe_covers_lowest_partner(self):
         events = chain_events(8, span=3)
         records = {u: 10 for u in range(8)}
-        specs = plan_shards(8, events, records, 2, policy="uniform")
-        # Second shard owns [4, 8); its events reach back to unit 1.
+        specs = plan_shards(8, events, records, 2)
+        # The second shard's events reach back across its lower bound.
         assert specs[1].fringe_lo == min(
             ev.a for ev in specs[1].events)
         assert specs[1].fringe_units == specs[1].own_lo - specs[1].fringe_lo
+        assert specs[1].fringe_units > 0
 
     def test_adaptive_beats_uniform_on_heavy_cluster(self):
-        # One unit holds 100x the records of the rest: uniform puts the
-        # whole heavy cell in one shard, adaptive isolates it.
+        # One unit holds 100x the records of the rest: an equal-width
+        # split puts the whole heavy cell in one shard, the planner
+        # isolates it.
         num_units = 8
         records = {u: 10 for u in range(num_units)}
         records[5] = 1000
         events = chain_events(num_units)
-        uniform = plan_shards(num_units, events, records, 2,
-                              policy="uniform")
-        adaptive = plan_shards(num_units, events, records, 2,
-                               policy="adaptive")
-        assert max(s.cost for s in adaptive) < max(s.cost for s in uniform)
+
+        def cost(lo, hi):
+            return sum(event_cost(ev, records) for ev in events
+                       if lo <= ev.b < hi)
+
+        adaptive = plan_shards(num_units, events, records, 2)
+        assert max(s.cost for s in adaptive) < max(cost(0, 4), cost(4, 8))
 
     def test_adaptive_resplit_bounded(self):
         # Re-splitting must never exceed 2x the requested shard count.
         num_units = 32
         records = {u: (1000 if u % 5 == 0 else 1) for u in range(num_units)}
         events = chain_events(num_units, span=2)
-        specs = plan_shards(num_units, events, records, 4,
-                            policy="adaptive")
+        specs = plan_shards(num_units, events, records, 4)
         assert len(specs) <= 8
         # Contiguous, gap-free coverage of the ordinal range.
         assert specs[0].own_lo == 0 and specs[-1].own_hi == num_units
@@ -142,8 +147,7 @@ class TestPlanner:
         # All-equal counts (duplicates everywhere) degenerate to a
         # near-uniform plan without loops or zero-width shards.
         records = {u: 50 for u in range(12)}
-        specs = plan_shards(12, chain_events(12), records, 4,
-                            policy="adaptive")
+        specs = plan_shards(12, chain_events(12), records, 4)
         assert all(s.units >= 1 for s in specs)
         total = sum(s.cost for s in specs)
         assert max(s.cost for s in specs) <= OVERSIZE_FACTOR * total / 4 \
@@ -156,13 +160,17 @@ class TestPlanner:
         assert event_cost(UnitPairEvent(0, 2, 2), records) == 0
 
     def test_planning_joiner_records_submission_order(self):
-        pj = PlanningJoiner()
-        with pj:
-            pj.submit(None, None, None, None, key=(3, 3))
-            pj.submit(None, None, None, None, key=(2, 5))
-            pj.drain()
-        assert [(ev.seq, ev.a, ev.b) for ev in pj.events] == \
-            [(0, 3, 3), (1, 2, 5)]
+        # The executor records the schedule's submissions as events; it
+        # joins nothing until the schedule drains.
+        ctx = JoinContext(epsilon=EPS, result=JoinResult())
+        ids, pts = np.arange(2), np.zeros((2, 4))
+        with SimulatedDisk() as disk, SupervisedUnitJoiner(
+                ctx, 2, make_file(disk, pts), 4096, 2) as joiner:
+            joiner.submit(ids, pts, None, None, key=(3, 3))
+            joiner.submit(ids, pts, ids, pts, key=(2, 5))
+            assert [(ev.seq, ev.a, ev.b) for ev in joiner.events] == \
+                [(0, 3, 3), (1, 2, 5)]
+        assert ctx.result.count == 0
 
 
 # -- backends ---------------------------------------------------------------
@@ -204,38 +212,39 @@ class TestShardedIdentity:
     def serial(self, dataset):
         return run_join(dataset)
 
-    @pytest.mark.parametrize("policy", ["uniform", "adaptive"])
     @pytest.mark.parametrize("backend", ["simulated", "file", "memory"])
-    def test_matrix_two_shards(self, dataset, serial, policy, backend):
-        rep = run_join(dataset, shards=2, shard_policy=policy,
-                       backend=backend)
+    def test_input_backends(self, dataset, serial, backend):
+        # The input may live on any backend; the sorted file workers
+        # read is the pipeline's own.
+        disk = get_backend(backend).create_disk()
+        try:
+            pf = make_file(disk, dataset)
+            rep = ego_self_join_file(pf, EPS, workers=2, **GEOMETRY)
+        finally:
+            disk.close()
         sa, sb = serial.result.pairs()
         pa, pb = rep.result.pairs()
         assert np.array_equal(pa, sa) and np.array_equal(pb, sb)
-        assert rep.io == serial.io
         assert rep.schedule_stats == serial.schedule_stats
         assert rep.cpu == serial.cpu
-        assert len(rep.shards) == 2
-        assert sum(s.pairs for s in rep.shards) == len(pa)
-        assert all(s.backend == backend for s in rep.shards)
 
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_shard_counts(self, dataset, serial, shards):
-        rep = run_join(dataset, shards=shards)
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_shard_counts(self, dataset, serial, workers):
+        rep = run_join(dataset, workers=workers)
         sa, sb = serial.result.pairs()
         pa, pb = rep.result.pairs()
         assert np.array_equal(pa, sa) and np.array_equal(pb, sb)
         assert rep.io == serial.io
 
     def test_matches_brute_force(self, skewed_dataset):
-        rep = run_join(skewed_dataset, shards=3)
+        rep = run_join(skewed_dataset, workers=3)
         assert rep.result.canonical_pair_set() == \
             brute_truth(skewed_dataset, EPS)
 
     def test_checkpointed_bytes_identical(self, dataset, tmp_path):
         d1, d2 = str(tmp_path / "serial"), str(tmp_path / "sharded")
         run_join(dataset, ckdir=d1)
-        rep = run_join(dataset, ckdir=d2, shards=3)
+        rep = run_join(dataset, ckdir=d2, workers=3)
         assert file_digest(os.path.join(d1, "result.prs")) == \
             file_digest(os.path.join(d2, "result.prs"))
         assert file_digest(os.path.join(d1, "journal.json")) == \
@@ -243,28 +252,32 @@ class TestShardedIdentity:
         assert rep.total_pairs is not None
 
     def test_shard_stats_surface(self, skewed_dataset):
-        from repro.analysis.reporting import shard_summary
-        rep = run_join(skewed_dataset, shards=2)
-        rows = shard_summary(rep)
-        assert len(rows) == 2
-        assert {r["shard"] for r in rows} == {0, 1}
-        assert sum(r["pairs"] for r in rows) == rep.result.count
-        assert all(r["io accesses"] > 0 for r in rows)
+        # Shards leave no accounting of their own: the report carries
+        # the per-unit-pair supervisor ledger, clean on a fault-free run.
+        from repro.analysis.reporting import robustness_summary
+        rep = run_join(skewed_dataset, workers=2)
+        rows = {r["metric"]: r["value"] for r in robustness_summary(rep)}
+        assert rows["tasks retried"] == 0
+        assert rows["degraded to serial"] is False
+        assert rows["total result pairs"] == rep.result.count
 
-    def test_shard_metrics_registered(self, dataset):
+    def test_shard_metrics_registered(self, skewed_dataset):
+        # Shards are transport only: no per-shard metric is registered,
+        # and the parallel dump is the serial one.
         from repro.obs.metrics import MetricsRegistry
-        registry = MetricsRegistry()
-        run_join(dataset, shards=2, metrics=registry)
-        assert "ego_shard_units" in registry.names()
-        assert "ego_shard_pairs" in registry.names()
+        dumps = []
+        for workers in (1, 2):
+            registry = MetricsRegistry()
+            run_join(skewed_dataset, workers=workers, metrics=registry)
+            dumps.append(registry.to_prometheus_text())
+        assert "shard" not in dumps[1]
+        assert dumps[0] == dumps[1]
 
     def test_validation(self, dataset):
         with pytest.raises(ValueError):
-            run_join(dataset, shards=0)
+            run_join(dataset, workers=0)
         with pytest.raises(ValueError):
-            run_join(dataset, shards=2, shard_policy="zigzag")
-        with pytest.raises(ValueError):
-            run_join(dataset, shards=2, backend="ramdisk")
+            run_join(dataset, workers=2, task_retries=-1)
 
 
 # -- crash / resume ---------------------------------------------------------
@@ -292,20 +305,20 @@ class TestShardCrashResume:
 
     def test_sharded_crash_sharded_resume(self, dataset, tmp_path):
         rep = self.crash_then_resume(dataset, tmp_path,
-                                     dict(shards=2), dict(shards=2))
+                                     dict(workers=2), dict(workers=3))
         assert rep.resumed
 
     def test_serial_crash_sharded_resume(self, dataset, tmp_path):
         # A journal written by the serial join must be consumable by a
-        # sharded resume: completed pairs are excluded from the plan.
+        # parallel resume: completed pairs are excluded from the plan.
         rep = self.crash_then_resume(dataset, tmp_path,
-                                     {}, dict(shards=2))
+                                     {}, dict(workers=2))
         assert rep.resumed
         assert rep.schedule_stats.pairs_resumed > 0
 
     def test_sharded_crash_serial_resume(self, dataset, tmp_path):
         rep = self.crash_then_resume(dataset, tmp_path,
-                                     dict(shards=2), {})
+                                     dict(workers=3), {})
         assert rep.resumed
 
 
@@ -325,14 +338,28 @@ class TestShardFaults:
     def test_first_attempt_faults_retried(self, dataset, kw, logged):
         serial = run_join(dataset)
         plan = WorkerFaultPlan(seed=5, **kw)
-        rep = run_join(dataset, shards=2, worker_fault_plan=plan,
+        rep = run_join(dataset, workers=2, worker_fault_plan=plan,
                        supervisor_policy=FAST)
         sa, sb = serial.result.pairs()
         pa, pb = rep.result.pairs()
         assert np.array_equal(pa, sa) and np.array_equal(pb, sb)
-        assert sum(s.retries for s in rep.shards) > 0
+        assert rep.supervisor.retries > 0
         assert getattr(rep.worker_faults, logged) > 0
-        assert not any(s.degraded for s in rep.shards)
+        assert not rep.supervisor.degraded
+
+    def test_one_recycle_absorbs_first_attempt_crashes(self, dataset):
+        # Crash blame covers every pending pair, queued or running, that
+        # the plan crashes on its first attempt, so the ledger is the
+        # same for any worker count and one pool failure pays for all.
+        stats = []
+        for workers in (2, 3):
+            plan = WorkerFaultPlan(seed=5, crash_rate=0.3, max_attempt=0)
+            stats.append(run_join(dataset, workers=workers,
+                                  worker_fault_plan=plan,
+                                  supervisor_policy=FAST).supervisor)
+        assert stats[0] == stats[1]
+        assert stats[0].pool_recycles == 1
+        assert stats[0].crashes_detected > 1
 
     def test_stall_triggers_timeout_recycle(self, dataset):
         serial = run_join(dataset)
@@ -340,29 +367,37 @@ class TestShardFaults:
                                max_attempt=0)
         policy = SupervisorPolicy(task_timeout=1.0, max_task_retries=2,
                                   degrade=True, real_sleep=False)
-        rep = run_join(dataset, shards=2, worker_fault_plan=plan,
+        rep = run_join(dataset, workers=2, worker_fault_plan=plan,
                        supervisor_policy=policy)
         sa, _ = serial.result.pairs()
         pa, _ = rep.result.pairs()
         assert np.array_equal(pa, sa)
         assert rep.worker_faults.stalls > 0
+        assert rep.supervisor.timeouts == rep.worker_faults.stalls
 
     def test_permanent_fault_degrades_inline(self, dataset):
+        # Permanent crashes are environment faults: once the pool has
+        # failed too often, every remaining pair runs inline.
         serial = run_join(dataset)
-        plan = WorkerFaultPlan(seed=5, error_rate=1.0, max_attempt=None)
-        rep = run_join(dataset, shards=2, worker_fault_plan=plan,
-                       supervisor_policy=FAST)
+        plan = WorkerFaultPlan(seed=5, crash_rate=1.0, max_attempt=None)
+        policy = SupervisorPolicy(task_timeout=None, max_task_retries=2,
+                                  max_pool_recycles=1, degrade=True,
+                                  real_sleep=False)
+        rep = run_join(dataset, workers=2, worker_fault_plan=plan,
+                       supervisor_policy=policy)
         sa, _ = serial.result.pairs()
         pa, _ = rep.result.pairs()
         assert np.array_equal(pa, sa)
-        assert all(s.degraded for s in rep.shards if s.events)
+        assert rep.supervisor.degraded
+        assert rep.supervisor.inline_tasks == \
+            rep.schedule_stats.unit_pairs_joined
 
     def test_no_degrade_raises(self, dataset):
-        plan = WorkerFaultPlan(seed=5, error_rate=1.0, max_attempt=None)
-        policy = SupervisorPolicy(max_task_retries=1, degrade=False,
-                                  real_sleep=False)
+        plan = WorkerFaultPlan(seed=5, crash_rate=1.0, max_attempt=None)
+        policy = SupervisorPolicy(max_task_retries=3, max_pool_recycles=1,
+                                  degrade=False, real_sleep=False)
         with pytest.raises(PoolFailureError):
-            run_join(dataset, shards=2, worker_fault_plan=plan,
+            run_join(dataset, workers=2, worker_fault_plan=plan,
                      supervisor_policy=policy)
 
 
@@ -390,7 +425,7 @@ class TestPressureScope:
         assert first.schedule_stats.pressure_shrinks > 0
         assert second.schedule_stats.pressure_shrinks == \
             first.schedule_stats.pressure_shrinks
-        s1, s2 = run_twice(shards=2)
+        s1, s2 = run_twice(workers=2)
         assert s2.schedule_stats.pressure_shrinks == \
             s1.schedule_stats.pressure_shrinks
         assert s1.schedule_stats.pressure_shrinks == \
@@ -410,12 +445,11 @@ class TestPressureScope:
 
 class TestVerifyIntegration:
     def test_oracle_sharded_mode(self, skewed_dataset):
-        from repro.verify.oracle import STORAGE_MODES, run_impl
-        assert "sharded" in STORAGE_MODES
+        # The oracle's parallel external mode runs shard tasks.
+        from repro.verify.oracle import run_impl
         pts = skewed_dataset[:150]
         expected = run_impl("brute", pts, EPS)
-        observed = run_impl("ego_external", pts, EPS, storage="sharded",
-                            shards=2, shard_policy="adaptive")
+        observed = run_impl("ego_external", pts, EPS, workers=2)
         assert np.array_equal(observed, expected)
 
     def test_skewed_workload_registered(self):

@@ -51,6 +51,15 @@ def run_join(pts, **kwargs):
 
 
 @pytest.fixture(scope="module")
+def skewed_dataset():
+    # One heavy cluster over a sparse background: the skew the shard
+    # planner balances.
+    rng = np.random.default_rng(11)
+    heavy = 0.5 + rng.normal(0.0, 0.1, size=(240, 4))
+    return np.clip(np.concatenate([heavy, rng.random((60, 4))]), 0.0, 1.0)
+
+
+@pytest.fixture(scope="module")
 def baseline(dataset, tmp_path_factory):
     ck = tmp_path_factory.mktemp("supervisor-baseline")
     report = run_join(dataset, checkpoint_dir=str(ck))
@@ -174,6 +183,24 @@ class TestFaultRecovery:
         assert report.supervisor.timeouts == 1
         assert report.supervisor.pool_recycles >= 1
         assert report.worker_faults.stalls == 1
+
+    def test_progressing_shard_outlives_deadline(self, dataset, baseline):
+        # Every unit pair sleeps 30 ms: each finishes well inside the
+        # deadline, but a shard of dozens of them runs far longer than
+        # it.  The deadline means "no unit pair finished for this long",
+        # so a slow but progressing worker is never declared hung.
+        timeout, pause = 0.5, 0.03
+        plan = WorkerFaultPlan(seed=3, stall_rate=1.0, stall_seconds=pause)
+        report = run_join(dataset, workers=2, worker_fault_plan=plan,
+                          supervisor_policy=SupervisorPolicy(
+                              **dict(FAST, task_timeout=timeout)))
+        assert report.result.canonical_pair_set() == baseline["pairs"]
+        # Two shards, so each ran for about half the pauses.
+        assert report.schedule_stats.unit_pairs_joined * pause / 2 \
+            > 2 * timeout
+        assert report.supervisor.timeouts == 0
+        assert report.supervisor.pool_recycles == 0
+        assert report.worker_faults.total == 0
 
     def test_all_kinds_mixed(self, dataset, baseline):
         plan = WorkerFaultPlan(seed=3, error_pairs=[(2, 2)],
@@ -315,13 +342,15 @@ class TestObservability:
         run_join(dataset, metrics=registry, **kwargs)
         return registry.to_prometheus_text()
 
-    def test_no_supervisor_metrics_without_faults(self, dataset):
-        serial = self.run_with_metrics(dataset)
-        supervised = self.run_with_metrics(
-            dataset, workers=2,
-            supervisor_policy=SupervisorPolicy(**FAST))
-        assert "supervisor" not in supervised
-        assert serial == supervised  # byte-identical dumps
+    def test_no_supervisor_metrics_without_faults(self, dataset,
+                                                  skewed_dataset):
+        for points in (dataset, skewed_dataset):
+            serial = self.run_with_metrics(points)
+            supervised = self.run_with_metrics(
+                points, workers=2,
+                supervisor_policy=SupervisorPolicy(**FAST))
+            assert "supervisor" not in supervised
+            assert serial == supervised  # byte-identical dumps
 
     def test_supervisor_metrics_present_under_faults(self, dataset):
         dump = self.run_with_metrics(
@@ -345,18 +374,17 @@ class TestObservability:
 
 class TestJoinerLifecycle:
     def test_joiners_are_context_managers(self, dataset):
-        from repro.core.parallel import (ParallelUnitJoiner,
-                                         SerialUnitJoiner)
+        from repro.core.parallel import SerialUnitJoiner
         from repro.core.result import JoinResult
         from repro.core.sequence_join import JoinContext
         from repro.core.supervisor import SupervisedUnitJoiner
         ctx = JoinContext(epsilon=EPSILON, result=JoinResult())
         with SerialUnitJoiner(ctx) as joiner:
             joiner.drain()
-        with ParallelUnitJoiner(ctx, workers=2) as joiner:
-            joiner.drain()
-        with SupervisedUnitJoiner(ctx, workers=2) as joiner:
-            joiner.drain()
+        with SimulatedDisk() as disk:
+            pf = make_file(disk, dataset)
+            with SupervisedUnitJoiner(ctx, 2, pf, 4096, 2) as joiner:
+                joiner.drain()
 
     def test_pool_released_when_schedule_crashes(self, dataset, tmp_path):
         # A storage crash mid-schedule must tear the pool down (the

@@ -162,7 +162,7 @@ class TestWorkloads:
 
 class TestOracle:
     def test_expected_implementations_registered(self):
-        expected = {"ego", "ego_parallel", "ego_external", "ego_rs_files",
+        expected = {"ego", "ego_external", "ego_rs_files",
                     "brute", "grid_hash", "spatial_hash", "msj", "epskdb",
                     "rsj", "mux", "zorder_rsj"}
         assert expected <= set(REGISTRY)
