@@ -1,32 +1,30 @@
 #!/usr/bin/env python3
-"""DBSCAN parameter sweeps on one sort: sorted-file reuse.
+"""Parameter sweeps on one sort: sorted-file reuse.
 
 A practical property of the epsilon grid order this library exploits:
 a file sorted at ε is usable for *any* join distance ε′ ≤ ε (the ε-grid
-pruning stays sound on the coarser grid) and for integer multiples k·ε
-(the coarser grid is a function of the finer one).  Parameter tuning —
-the k-distance plot, a DBSCAN ε sweep — therefore pays for one external
-sort, not one per candidate value.
+pruning stays sound on the coarser grid).  Parameter tuning — the
+k-distance plot, a DBSCAN ε sweep — therefore pays for one external
+sort, not one per candidate value.  (A larger ε′ needs a new sort: no
+coarser grid, integer multiples included, preserves the order.)
 
-This example sweeps DBSCAN's ε over a clustered data set twice:
-re-sorting every time vs one sorted file, comparing the simulated I/O,
-and shows the same sweep in memory via ``EGOIndex``.
+This example sweeps ε over a clustered data set twice — re-sorting
+every time vs one sorted file — and compares the simulated I/O.  The
+in-memory counterpart is :class:`repro.service.EGOStore`, whose
+``join(epsilon=…)`` serves any ε′ up to its grid ε from the resident
+order.
 
 Run:  python examples/parameter_sweep.py
 """
 
-import numpy as np
-
-from repro import EGOIndex, gaussian_clusters
+from repro import gaussian_clusters
 from repro.analysis.reporting import format_table
-from repro.apps.dbscan import dbscan_from_graph
-from repro.apps.neighborhood import NeighborhoodGraph
 from repro.core.ego_join import ego_key_function, ego_self_join_file
 from repro.data.loader import make_point_file
 from repro.sorting.external_sort import external_sort
 from repro.storage.disk import SimulatedDisk
 
-N, DIMS, MIN_PTS = 12_000, 6, 8
+N, DIMS = 12_000, 6
 EPS_MAX = 0.08
 SWEEP = [0.01, 0.02, 0.04, 0.08]
 UNIT_BYTES, BUFFER_UNITS = 8192, 6
@@ -71,16 +69,6 @@ def main() -> None:
     print(f"\nsimulated I/O, re-sorting per epsilon : {naive_io:.2f} s")
     print(f"simulated I/O, one sort + sweep       : {sort_once_io:.2f} s "
           f"({naive_io / sort_once_io:.1f}x less)")
-
-    # --- in memory: the same sweep through EGOIndex --------------------
-    idx = EGOIndex(points, EPS_MAX)
-    print("\nDBSCAN over the sweep (one in-memory index):")
-    for eps in SWEEP:
-        join = idx.self_join(epsilon=eps)
-        graph = NeighborhoodGraph.from_pairs(N, eps, *join.pairs())
-        clustering = dbscan_from_graph(graph, MIN_PTS)
-        print(f"  eps={eps:<5}: {clustering.num_clusters:>3} clusters, "
-              f"{int(clustering.noise_mask.sum()):>6,} noise points")
 
 
 if __name__ == "__main__":

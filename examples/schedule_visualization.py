@@ -21,7 +21,7 @@ import numpy as np
 from repro import uniform
 from repro.core.result import JoinResult
 from repro.core.scheduler import EGOScheduler
-from repro.core.sequence_join import JoinContext
+from repro.core.sequence_join import JoinContext, KernelConfig
 from repro.core.ego_order import ego_sorted
 from repro.data.loader import make_point_file
 
@@ -34,8 +34,9 @@ def traced_run(points, buffer_units):
     disk, pf = make_point_file(spts, ids=ids)
     try:
         trace = []
-        ctx = JoinContext(epsilon=EPSILON, result=JoinResult(
-            materialize=False), minlen=16)
+        ctx = JoinContext(epsilon=EPSILON,
+                          result=JoinResult(materialize=False),
+                          kernel=KernelConfig(minlen=16))
         sched = EGOScheduler(pf, ctx, UNIT_BYTES, buffer_units,
                              trace=trace)
         stats = sched.run()

@@ -24,9 +24,9 @@ from .apps import (DBSCANResult, KNNGraph, NeighborhoodGraph,
                    OPTICSResult, OutlierResult, dbscan,
                    distance_based_outliers, epsilon_graph, knn_graph,
                    optics)
-from .core import (EGOIndex, JoinResult, Metric, ego_join,
-                   ego_join_files, ego_self_join, ego_self_join_file,
-                   ego_sorted, get_metric, grid_cells)
+from .core import (JoinResult, Metric, ego_join, ego_join_files,
+                   ego_self_join, ego_self_join_file, ego_sorted,
+                   get_metric, grid_cells)
 from .data import (cad_like, dft_features, epsilon_for_average_neighbors,
                    gaussian_clusters, load_points, make_point_file,
                    random_walks, save_points, seasonal_series, uniform)
@@ -40,7 +40,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "DBSCANResult",
-    "EGOIndex",
     "DiskModel",
     "JoinResult",
     "KNNGraph",

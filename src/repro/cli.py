@@ -36,7 +36,7 @@ from .analysis.reporting import format_table, robustness_summary
 from .apps.dbscan import dbscan
 from .apps.outliers import distance_based_outliers
 from .core.ego_join import ego_join_files, ego_self_join_file
-from .core.supervisor import SupervisorError
+from .core.supervisor import SupervisorError, SupervisorPolicy
 from .obs import MetricsRegistry, PhaseProfiler, Tracer
 from .data.loader import load_points, save_points
 from .data.synthetic import cad_like, gaussian_clusters, uniform
@@ -224,15 +224,16 @@ def cmd_join(args) -> int:
             raise ValueError("--resume requires --checkpoint DIR")
         if args.workers < 1:
             raise ValueError("--workers must be at least 1")
-        if args.task_retries < 0:
-            raise ValueError("--task-retries must be >= 0")
+        policy = SupervisorPolicy(
+            task_timeout=(args.task_timeout if args.task_timeout
+                          and args.task_timeout > 0 else None),
+            max_task_retries=args.task_retries, degrade=args.degrade)
         if args.impl in ("lsh", "auto") and args.metric != "euclidean":
             raise ValueError(
                 "--impl lsh/auto requires the euclidean metric "
                 "(p-stable projections model L2 distances)")
         if not 0.0 < args.recall_target < 1.0:
             raise ValueError("--recall-target must be in (0, 1)")
-        _check_batch_knobs(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -265,8 +266,6 @@ def cmd_join(args) -> int:
                                         buffer_units=buffer_units,
                                         materialize=not args.count_only,
                                         engine=args.engine,
-                                        batch_points=args.batch_points,
-                                        batch_leaves=args.batch_leaves,
                                         workers=args.workers,
                                         metric=args.metric,
                                         fault_plan=fault_plan,
@@ -275,12 +274,7 @@ def cmd_join(args) -> int:
                                         checkpoint_dir=args.checkpoint,
                                         resume=args.resume,
                                         worker_fault_plan=worker_faults,
-                                        task_timeout=(args.task_timeout
-                                                      if args.task_timeout
-                                                      and args.task_timeout
-                                                      > 0 else None),
-                                        task_retries=args.task_retries,
-                                        degrade=args.degrade,
+                                        supervisor_policy=policy,
                                         trace=tracer, metrics=registry,
                                         profiler=profiler)
         except SimulatedCrash as exc:
@@ -298,6 +292,11 @@ def cmd_join(args) -> int:
         except SupervisorError as exc:
             print(f"unrecoverable worker fault: {exc}", file=sys.stderr)
             return 4
+        except ValueError as exc:
+            # Bad input data (non-finite coordinates) or a --resume at a
+            # configuration other than the checkpoint's.
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     _dump_obs(args, tracer, registry, profiler)
     pairs = report.total_pairs
     if pairs is None:
@@ -365,21 +364,8 @@ def _run_lsh_join(args, pf, tracer, registry, profiler) -> int:
     return 0
 
 
-def _check_batch_knobs(args) -> None:
-    """Reject non-positive batched-engine batch bounds."""
-    for knob, value in (("--batch-points", args.batch_points),
-                        ("--batch-leaves", args.batch_leaves)):
-        if value is not None and value < 1:
-            raise ValueError(f"{knob} must be at least 1")
-
-
 def cmd_join_two(args) -> int:
     """Handle ``repro join-two``."""
-    try:
-        _check_batch_knobs(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     tracer, registry, profiler = _build_obs(args)
     with SimulatedDisk(path=args.file_r) as disk_r, \
             SimulatedDisk(path=args.file_s) as disk_s:
@@ -392,8 +378,6 @@ def cmd_join_two(args) -> int:
                                 buffer_units=buffer_units,
                                 materialize=not args.count_only,
                                 engine=args.engine,
-                                batch_points=args.batch_points,
-                                batch_leaves=args.batch_leaves,
                                 metric=args.metric,
                                 trace=tracer, metrics=registry,
                                 profiler=profiler)
@@ -685,12 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 4.0)")
     j.add_argument("--lsh-seed", type=int, default=0, metavar="N",
                    help="LSH: hash-family seed (same seed, same result)")
-    j.add_argument("--batch-points", type=int, default=None, metavar="N",
-                   help="batched engine: flush a leaf batch once its "
-                        "stacked blocks hold N rows (default 4096)")
-    j.add_argument("--batch-leaves", type=int, default=None, metavar="N",
-                   help="batched engine: flush after N leaf pairs "
-                        "(default 256)")
     j.add_argument("--workers", type=int, default=1, metavar="N",
                    help="join scheduled unit pairs on N processes, in N "
                         "cost-balanced shards of contiguous units "
@@ -756,12 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["auto", "vector", "matmul", "batched",
                              "scalar"],
                     help="leaf distance kernel")
-    j2.add_argument("--batch-points", type=int, default=None, metavar="N",
-                    help="batched engine: flush a leaf batch once its "
-                         "stacked blocks hold N rows (default 4096)")
-    j2.add_argument("--batch-leaves", type=int, default=None, metavar="N",
-                    help="batched engine: flush after N leaf pairs "
-                         "(default 256)")
     j2.add_argument("--trace", default=None, metavar="OUT.json",
                     help="write a Chrome trace_event JSON of the run")
     j2.add_argument("--metrics", default=None, metavar="OUT",

@@ -15,21 +15,19 @@ from .kernels import (ENGINES, ScratchBuffers, candidate_windows,
 from .metrics import (CHEBYSHEV, EUCLIDEAN, MANHATTAN, Metric,
                       get_metric)
 from .parallel import SerialUnitJoiner
-from .query import EGOIndex
 from .result import JoinResult
 from .rs_scheduler import RSScheduleStats, TwoFileScheduler
 from .scheduler import (EGOScheduler, ScheduleStats, UnitMeta, lex_less,
                         schedule_self_join)
 from .sequence import Sequence
 from .sequence_join import (DEFAULT_MINLEN, EXCLUSION_CELL_DISTANCE,
-                            JoinContext, join_point_blocks, join_sequences,
-                            simple_join)
+                            JoinContext, KernelConfig, join_point_blocks,
+                            join_sequences, simple_join)
 
 __all__ = [
     "DEFAULT_MINLEN",
     "ENGINES",
     "EXCLUSION_CELL_DISTANCE",
-    "EGOIndex",
     "ScratchBuffers",
     "SerialUnitJoiner",
     "EGOScheduler",
@@ -43,6 +41,7 @@ __all__ = [
     "Metric",
     "get_metric",
     "JoinContext",
+    "KernelConfig",
     "JoinResult",
     "ScheduleStats",
     "Sequence",

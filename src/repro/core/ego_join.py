@@ -20,7 +20,7 @@ the cost model.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -43,52 +43,33 @@ from .preprocess import resolve_dimension_order
 from .result import JoinResult
 from .scheduler import EGOScheduler, ScheduleStats
 from .sequence import Sequence
-from .sequence_join import DEFAULT_MINLEN, JoinContext, join_sequences
+from .sequence_join import JoinContext, KernelConfig, join_sequences
 from .supervisor import (SupervisedUnitJoiner, SupervisorPolicy,
                          SupervisorStats, replay_stats, require_file_backed)
 
 
-def _make_context(epsilon: float, result: JoinResult, minlen: int,
-                  engine: str, order_dimensions: bool,
-                  cpu: Optional[CPUCounters],
-                  metric=None, split_strategy: str = "half",
-                  invariants: bool = False,
-                  batch_points: Optional[int] = None,
-                  batch_leaves: Optional[int] = None) -> JoinContext:
-    return JoinContext(epsilon=epsilon, result=result, minlen=minlen,
-                       engine=engine, order_dimensions=order_dimensions,
-                       cpu=cpu, metric=metric,
-                       split_strategy=split_strategy,
-                       invariants=invariants,
-                       batch_points=batch_points,
-                       batch_leaves=batch_leaves)
-
-
 def ego_self_join(points: np.ndarray, epsilon: float,
                   ids: Optional[np.ndarray] = None,
-                  minlen: int = DEFAULT_MINLEN, engine: str = "vector",
-                  order_dimensions: bool = True,
                   cpu: Optional[CPUCounters] = None,
                   result: Optional[JoinResult] = None,
-                  metric=None, sort_dims=None,
-                  split_strategy: str = "half",
-                  invariants: bool = False,
-                  batch_points: Optional[int] = None,
-                  batch_leaves: Optional[int] = None) -> JoinResult:
+                  sort_dims=None, invariants: bool = False,
+                  **kernel) -> JoinResult:
     """In-memory EGO similarity self-join.
 
     Returns every unordered pair of distinct points at distance at most
     ``epsilon``, reported once.  Pair ids refer to ``ids`` when given,
-    otherwise to input row positions.  ``metric`` selects the distance
-    (default Euclidean; any Minkowski L_p name/power or L_∞ — the
-    paper's pruning holds for the whole family).  ``sort_dims``
-    re-weighs the grid order's dimensions before sorting ("natural",
-    "spread", "variance" or an explicit permutation — §4's sort-order
-    modification); results are permutation-invariant, only pruning
-    changes.  ``invariants`` turns on the runtime invariant hooks of
-    :mod:`repro.verify.invariants` (used by the verification tests).
+    otherwise to input row positions.  ``**kernel`` are the
+    :class:`~repro.core.sequence_join.KernelConfig` knobs (``engine``,
+    ``minlen``, ``metric``, ``order_dimensions``, ``split_strategy``).
+    ``sort_dims`` re-weighs the grid order's dimensions before sorting
+    ("natural", "spread", "variance" or an explicit permutation — §4's
+    sort-order modification); results are permutation-invariant, only
+    pruning changes.  ``invariants`` turns on the runtime invariant
+    hooks of :mod:`repro.verify.invariants` (used by the verification
+    tests).
     """
     validate_epsilon(epsilon)
+    config = KernelConfig(**kernel)
     pts = ensure_finite(points)
     if result is None:
         result = JoinResult()
@@ -98,10 +79,8 @@ def ego_self_join(points: np.ndarray, epsilon: float,
     if not np.array_equal(perm, np.arange(pts.shape[1])):
         pts = np.ascontiguousarray(pts[:, perm])
     sorted_ids, sorted_pts = ego_sorted(pts, epsilon, ids)
-    ctx = _make_context(epsilon, result, minlen, engine, order_dimensions,
-                        cpu, metric=metric, split_strategy=split_strategy,
-                        invariants=invariants, batch_points=batch_points,
-                        batch_leaves=batch_leaves)
+    ctx = JoinContext(epsilon=epsilon, result=result, kernel=config,
+                      cpu=cpu, invariants=invariants)
     seq = Sequence(sorted_ids, sorted_pts, epsilon)
     join_sequences(seq, seq, ctx)
     return result
@@ -110,15 +89,10 @@ def ego_self_join(points: np.ndarray, epsilon: float,
 def ego_join(points_r: np.ndarray, points_s: np.ndarray, epsilon: float,
              ids_r: Optional[np.ndarray] = None,
              ids_s: Optional[np.ndarray] = None,
-             minlen: int = DEFAULT_MINLEN, engine: str = "vector",
-             order_dimensions: bool = True,
              cpu: Optional[CPUCounters] = None,
              result: Optional[JoinResult] = None,
-             metric=None, sort_dims=None,
-             split_strategy: str = "half",
-             invariants: bool = False,
-             batch_points: Optional[int] = None,
-             batch_leaves: Optional[int] = None) -> JoinResult:
+             sort_dims=None, invariants: bool = False,
+             **kernel) -> JoinResult:
     """In-memory EGO similarity join of two point sets.
 
     Returns all pairs ``(r, s)`` with ``‖r − s‖ ≤ ε``; the first id of
@@ -127,6 +101,7 @@ def ego_join(points_r: np.ndarray, points_s: np.ndarray, epsilon: float,
     of both sets so one permutation applies to both sides.
     """
     validate_epsilon(epsilon)
+    config = KernelConfig(**kernel)
     r = ensure_finite(points_r)
     s = ensure_finite(points_s)
     if result is None:
@@ -142,10 +117,8 @@ def ego_join(points_r: np.ndarray, points_s: np.ndarray, epsilon: float,
         s = np.ascontiguousarray(s[:, perm])
     rid, rpts = ego_sorted(r, epsilon, ids_r)
     sid, spts = ego_sorted(s, epsilon, ids_s)
-    ctx = _make_context(epsilon, result, minlen, engine, order_dimensions,
-                        cpu, metric=metric, split_strategy=split_strategy,
-                        invariants=invariants, batch_points=batch_points,
-                        batch_leaves=batch_leaves)
+    ctx = JoinContext(epsilon=epsilon, result=result, kernel=config,
+                      cpu=cpu, invariants=invariants)
     join_sequences(Sequence(rid, rpts, epsilon),
                    Sequence(sid, spts, epsilon), ctx)
     return result
@@ -215,11 +188,17 @@ def _record_io_metrics(registry, io: IOCounters,
 
 
 def ego_key_function(epsilon: float):
-    """Key function for the external sort: the ε-grid cell coordinates."""
+    """Key function for the external sort: the ε-grid cell coordinates.
+
+    Every unsorted record of the file pipeline passes through this key
+    during run generation, so this is where non-finite coordinates are
+    rejected (:class:`ValueError`): the grid cell of NaN or ±inf is
+    undefined and would otherwise be cast to a garbage integer.
+    """
     eps = validate_epsilon(epsilon)
 
     def key_of_batch(points: np.ndarray) -> np.ndarray:
-        return grid_cells(points, eps)
+        return grid_cells(ensure_finite(points), eps)
 
     return key_of_batch
 
@@ -242,15 +221,10 @@ class ExternalRSJoinReport:
 def ego_join_files(file_r: PointFile, file_s: PointFile, epsilon: float,
                    unit_bytes: int, buffer_units: int,
                    sort_memory_records: Optional[int] = None,
-                   minlen: int = DEFAULT_MINLEN, engine: str = "vector",
-                   order_dimensions: bool = True,
                    materialize: bool = True,
-                   metric=None,
                    invariants: bool = False,
-                   batch_points: Optional[int] = None,
-                   batch_leaves: Optional[int] = None,
                    trace=None, metrics=None,
-                   profiler=None) -> ExternalRSJoinReport:
+                   profiler=None, **kernel) -> ExternalRSJoinReport:
     """External EGO join of two point files (R ⋈ S).
 
     Both files are externally sorted into epsilon grid order, then the
@@ -261,12 +235,15 @@ def ego_join_files(file_r: PointFile, file_s: PointFile, epsilon: float,
     sides, reflexive and mirrored pairs are included (two-set
     semantics, like :func:`ego_join`).
 
-    ``trace`` / ``metrics`` / ``profiler`` attach the observability
-    recorders of :mod:`repro.obs` (see :func:`ego_self_join_file`).
+    ``**kernel`` are the
+    :class:`~repro.core.sequence_join.KernelConfig` knobs.  ``trace`` /
+    ``metrics`` / ``profiler`` attach the observability recorders of
+    :mod:`repro.obs` (see :func:`ego_self_join_file`).
     """
     from .rs_scheduler import RSScheduleStats, TwoFileScheduler
 
     validate_epsilon(epsilon)
+    config = KernelConfig(**kernel)
     tracer = ensure_tracer(trace)
     registry = ensure_metrics(metrics)
     prof = ensure_profiler(profiler)
@@ -301,11 +278,8 @@ def ego_join_files(file_r: PointFile, file_s: PointFile, epsilon: float,
 
         cpu = CPUCounters()
         result = JoinResult(materialize=materialize)
-        ctx = JoinContext(epsilon=epsilon, result=result, minlen=minlen,
-                          engine=engine, order_dimensions=order_dimensions,
-                          cpu=cpu, metric=metric, invariants=invariants,
-                          batch_points=batch_points,
-                          batch_leaves=batch_leaves,
+        ctx = JoinContext(epsilon=epsilon, result=result, kernel=config,
+                          cpu=cpu, invariants=invariants,
                           trace=tracer, metrics=registry)
         join_before = (sorted_r_disk.scope_time_s
                        + sorted_s_disk.scope_time_s)
@@ -334,11 +308,8 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
                        sort_memory_records: Optional[int] = None,
                        sorted_disk: Optional[SimulatedDisk] = None,
                        scratch_disk: Optional[SimulatedDisk] = None,
-                       minlen: int = DEFAULT_MINLEN, engine: str = "vector",
-                       order_dimensions: bool = True,
                        allow_crabstep: bool = True,
                        materialize: bool = True,
-                       metric=None,
                        assume_sorted: bool = False,
                        sorted_epsilon: Optional[float] = None,
                        fault_plan: Optional[FaultPlan] = None,
@@ -348,21 +319,18 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
                        resume: bool = False,
                        workers: int = 1,
                        worker_fault_plan: Optional[WorkerFaultPlan] = None,
-                       task_timeout: Optional[float] = None,
-                       task_retries: int = 2,
-                       degrade: bool = True,
                        supervisor_policy: Optional[SupervisorPolicy] = None,
                        invariants: bool = False,
-                       batch_points: Optional[int] = None,
-                       batch_leaves: Optional[int] = None,
                        trace=None, metrics=None,
-                       profiler=None) -> ExternalJoinReport:
+                       profiler=None, **kernel) -> ExternalJoinReport:
     """External EGO self-join of a point file (the paper's full pipeline).
 
     Parameters
     ----------
     input_file:
-        The unsorted input on its simulated disk.
+        The unsorted input on its simulated disk.  A record with a NaN
+        or infinite coordinate is rejected with :class:`ValueError`
+        while the sort generates its runs.
     unit_bytes, buffer_units:
         I/O unit size and the number of unit frames the join may buffer.
     sort_memory_records:
@@ -405,6 +373,12 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
         on resume).  After a crash, calling again with ``resume=True``
         (same directory, same parameters) skips completed work and
         produces a result file byte-identical to an uninterrupted run.
+        The journal records the run's configuration when it starts (ε,
+        sorted ε, unit and buffer geometry, sort memory, the input's
+        size and dimensionality, and the kernel knobs); resuming with a
+        different configuration raises :class:`ValueError` before any
+        work or result is touched.  ``workers`` is not part of it: the
+        output is byte-identical across worker counts.
     workers:
         Unit-pair join parallelism.  With ``workers > 1`` the parent
         runs the ordinary I/O schedule — so its I/O counters, simulated
@@ -426,23 +400,17 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
         parent — until it merges, so peak memory grows with the result
         size; the serial join streams every unit pair's results
         straight to a checkpoint's pair file.
-    worker_fault_plan, task_timeout, task_retries, degrade,
-    supervisor_policy:
+    worker_fault_plan, supervisor_policy:
         Fault tolerance of the parallel join (workers > 1; see
         :mod:`repro.core.supervisor`).  Failed unit pairs — injected by
         a seeded :class:`~repro.storage.faults.WorkerFaultPlan` or real
-        — are retried up to ``task_retries`` times with deterministic
-        backoff; ``task_timeout`` (real seconds, ``None`` = no
-        deadline) is how long a worker may go without finishing a unit
-        pair before its pool is declared hung and recycled; repeated
-        pool failure degrades the run to serial in-process execution
-        (``degrade=True``) so it completes, or aborts with
-        :class:`~repro.core.supervisor.PoolFailureError`
-        (``degrade=False``).  ``supervisor_policy`` supplies a full
-        :class:`~repro.core.supervisor.SupervisorPolicy` and overrides
-        the three convenience knobs.  Supervisor decisions are journaled
-        under ``checkpoint_dir`` so a resumed run reports cumulative
-        counters identical to an uninterrupted one.
+        — are retried with deterministic backoff, a worker that stops
+        finishing unit pairs is declared hung, and repeated pool failure
+        degrades the run to serial in-process execution or aborts, all
+        as the :class:`~repro.core.supervisor.SupervisorPolicy` says
+        (default: ``SupervisorPolicy()``).  Supervisor decisions are
+        journaled under ``checkpoint_dir`` so a resumed run reports
+        cumulative counters identical to an uninterrupted one.
     invariants:
         Enable the runtime invariant hooks
         (:mod:`repro.verify.invariants`): ε-interval coverage of the
@@ -464,14 +432,17 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
         :class:`~repro.obs.profile.PhaseProfiler` timing the ``sort``
         and ``schedule`` phases.  All default to shared null recorders
         that record nothing and allocate nothing.
+    **kernel:
+        The :class:`~repro.core.sequence_join.KernelConfig` knobs
+        (``engine``, ``minlen``, ``metric``, ``order_dimensions``,
+        ``split_strategy``).
     """
     validate_epsilon(epsilon)
+    config = KernelConfig(**kernel)
     if workers < 1:
         raise ValueError("workers must be at least 1")
     if supervisor_policy is None:
-        supervisor_policy = SupervisorPolicy(task_timeout=task_timeout,
-                                             max_task_retries=task_retries,
-                                             degrade=degrade)
+        supervisor_policy = SupervisorPolicy()
     tracer = ensure_tracer(trace)
     registry = ensure_metrics(metrics)
     prof = ensure_profiler(profiler)
@@ -513,6 +484,12 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
         journal = Journal(os.path.join(checkpoint_dir, "journal.json"))
         if not resume:
             journal.reset()
+        journal.check_config({
+            "epsilon": float(epsilon), "sorted_epsilon": grid_epsilon,
+            "unit_bytes": int(unit_bytes), "buffer_units": int(buffer_units),
+            "sort_memory_records": int(sort_memory_records),
+            "count": input_file.count, "dimensions": input_file.dimensions,
+            "kernel": asdict(config)})
 
     def wrap(disk, sidecar: bool = False):
         return make_robust_disk(disk, plan=fault_plan, checksums=checksums,
@@ -616,13 +593,9 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
 
         cpu = CPUCounters()
         result = JoinResult(materialize=materialize, callback=collector)
-        ctx = JoinContext(epsilon=epsilon, result=result, minlen=minlen,
-                          engine=engine, order_dimensions=order_dimensions,
-                          cpu=cpu, metric=metric,
-                          grid_epsilon=grid_epsilon,
+        ctx = JoinContext(epsilon=epsilon, result=result, kernel=config,
+                          cpu=cpu, grid_epsilon=grid_epsilon,
                           invariants=invariants,
-                          batch_points=batch_points,
-                          batch_leaves=batch_leaves,
                           trace=tracer, metrics=registry)
 
         pair_done = None

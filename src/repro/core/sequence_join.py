@@ -27,8 +27,7 @@ from ..storage.stats import CPUCounters
 from .distance import (dimension_ordering, natural_ordering,
                        pairs_within_scalar, pairs_within_vector)
 from .ego_order import lex_less, validate_epsilon
-from .kernels import (DEFAULT_BATCH_LEAVES, DEFAULT_BATCH_POINTS, ENGINES,
-                      LeafBatch, ScratchBuffers, candidate_windows,
+from .kernels import (ENGINES, LeafBatch, ScratchBuffers, candidate_windows,
                       pairs_within_batched, pairs_within_matmul,
                       select_engine)
 from .metrics import Metric, get_metric
@@ -47,15 +46,14 @@ DEFAULT_MINLEN = 32
 EXCLUSION_CELL_DISTANCE = 2
 
 
-@dataclass
-class JoinContext:
-    """Parameters and accounting shared by one sequence-join run.
+@dataclass(frozen=True)
+class KernelConfig:
+    """The knobs of the Figure-6/7 kernel, validated once.
 
-    ``metric`` selects the distance (Euclidean by default; any
-    Minkowski L_p or L_∞ name/power/:class:`Metric` accepted — the
-    paper's pruning rules hold for the whole family, see
-    :mod:`repro.core.metrics`).  ``threshold`` is the combined-value
-    comparison bound the engines use (ε² for Euclidean).
+    Every join entry point takes these as keyword arguments and builds
+    one ``KernelConfig``; the context, the store and the parallel
+    workers all receive that one object, so a knob cannot be dropped on
+    its way to any of them.  Frozen and picklable.
 
     ``engine`` picks the leaf distance kernel: ``"scalar"`` (the
     literal Figure-7 loop), ``"vector"`` (difference-cube numpy),
@@ -64,8 +62,49 @@ class JoinContext:
     into a :class:`~repro.core.kernels.LeafBatch` and evaluated with one
     fused GEMM per flush — amortises per-leaf dispatch) or ``"auto"``
     (per-leaf heuristic choosing between ``batched`` and ``matmul`` by
-    leaf volume and metric).  ``batch_points`` / ``batch_leaves`` bound
-    a batch's stacked rows and leaf-pair count before it is flushed.
+    leaf volume and metric).  ``minlen`` is the leaf threshold of
+    Section 4.1.  ``metric`` selects the distance (Euclidean by default;
+    any Minkowski L_p or L_∞ name/power/:class:`Metric` is accepted and
+    resolved here — the paper's pruning rules hold for the whole family,
+    see :mod:`repro.core.metrics`).  ``order_dimensions`` enables the
+    dimension ordering of Section 4.2 in the leaf test, and
+    ``split_strategy`` is ``"half"`` (the paper's halving) or
+    ``"boundary"`` (split at the cell boundary nearest the middle).
+    """
+
+    engine: str = "vector"
+    minlen: int = DEFAULT_MINLEN
+    metric: Metric = None
+    order_dimensions: bool = True
+    split_strategy: str = "half"
+
+    def __post_init__(self) -> None:
+        if self.engine not in ENGINES:
+            raise ValueError(
+                f"unknown engine {self.engine!r}; known: {ENGINES}")
+        if self.minlen < 1:
+            raise ValueError(f"minlen must be at least 1, got {self.minlen}")
+        if self.split_strategy not in ("half", "boundary"):
+            raise ValueError(
+                f"unknown split_strategy {self.split_strategy!r}")
+        object.__setattr__(self, "minlen", int(self.minlen))
+        object.__setattr__(self, "metric", get_metric(self.metric))
+
+    @property
+    def engine_metric(self) -> Optional[Metric]:
+        """Metric passed to the distance engines (None = fast Euclidean)."""
+        return None if self.metric.name == "euclidean" else self.metric
+
+
+@dataclass
+class JoinContext:
+    """Parameters and accounting shared by one sequence-join run.
+
+    ``kernel`` holds the kernel knobs (:class:`KernelConfig`).
+    ``threshold`` is the combined-value comparison bound the engines use
+    (ε² for Euclidean).  Batched-engine leaf pairs accumulate in a
+    :class:`~repro.core.kernels.LeafBatch` with the default bounds
+    (``DEFAULT_BATCH_POINTS`` rows, ``DEFAULT_BATCH_LEAVES`` leaf pairs).
 
     ``invariants`` enables the runtime invariant hooks of
     :mod:`repro.verify.invariants`: pruning-soundness and leaf-exactness
@@ -78,28 +117,20 @@ class JoinContext:
 
     epsilon: float
     result: JoinResult
-    minlen: int = DEFAULT_MINLEN
-    engine: str = "vector"
-    order_dimensions: bool = True
-    exclusion_distance: int = EXCLUSION_CELL_DISTANCE
+    kernel: KernelConfig = KernelConfig()
     cpu: Optional[CPUCounters] = None
-    metric: object = None
     grid_epsilon: Optional[float] = None
-    split_strategy: str = "half"
     invariants: bool = False
     monitor: Optional[object] = None
     trace: Optional[object] = None
     metrics: Optional[object] = None
-    batch_points: Optional[int] = None
-    batch_leaves: Optional[int] = None
     eps_sq: float = field(init=False)
     threshold: float = field(init=False)
 
     def __post_init__(self) -> None:
         self.epsilon = validate_epsilon(self.epsilon)
         self.eps_sq = self.epsilon * self.epsilon
-        self.metric = get_metric(self.metric)
-        self.threshold = self.metric.threshold(self.epsilon)
+        self.threshold = self.kernel.metric.threshold(self.epsilon)
         # The pruning grid may be coarser than the join distance: any
         # grid_epsilon >= epsilon keeps every rule sound (a cell gap of
         # >= 2 coarse cells bounds the coordinate gap below by
@@ -113,39 +144,16 @@ class JoinContext:
                 raise ValueError(
                     f"grid_epsilon {self.grid_epsilon} must be at least "
                     f"the join epsilon {self.epsilon}")
-        if self.minlen < 1:
-            raise ValueError(f"minlen must be at least 1, got {self.minlen}")
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; known: {ENGINES}")
-        if self.split_strategy not in ("half", "boundary"):
-            raise ValueError(
-                f"unknown split_strategy {self.split_strategy!r}")
         if self.invariants and self.monitor is None:
             # Imported lazily: repro.verify imports the core packages,
             # so a module-level import here would be circular.
             from ..verify.invariants import make_monitor
             self.monitor = make_monitor(True)
-        self.batch_points = (DEFAULT_BATCH_POINTS if self.batch_points is None
-                             else int(self.batch_points))
-        self.batch_leaves = (DEFAULT_BATCH_LEAVES if self.batch_leaves is None
-                             else int(self.batch_leaves))
-        if self.batch_points < 1:
-            raise ValueError(
-                f"batch_points must be positive, got {self.batch_points}")
-        if self.batch_leaves < 1:
-            raise ValueError(
-                f"batch_leaves must be positive, got {self.batch_leaves}")
         self.trace = ensure_tracer(self.trace)
         self.metrics = ensure_metrics(self.metrics)
         self.obs = _SequenceObs(self.metrics)
         self._scratch = None
         self._batch = None
-
-    @property
-    def engine_metric(self) -> Optional[Metric]:
-        """Metric passed to the distance engines (None = fast Euclidean)."""
-        return None if self.metric.name == "euclidean" else self.metric
 
     @property
     def scratch(self) -> ScratchBuffers:
@@ -158,7 +166,7 @@ class JoinContext:
     def batch(self) -> LeafBatch:
         """Per-run leaf-pair accumulator (created on first use)."""
         if self._batch is None:
-            self._batch = LeafBatch(self.batch_points, self.batch_leaves)
+            self._batch = LeafBatch()
         return self._batch
 
 
@@ -229,7 +237,7 @@ def _excluded(s: Sequence, t: Sequence, ctx: JoinContext) -> bool:
     if common == 0:
         return False
     gap = np.abs(s.first_cells[:common] - t.first_cells[:common])
-    hit = gap >= ctx.exclusion_distance
+    hit = gap >= EXCLUSION_CELL_DISTANCE
     if hit.any():
         ctx.obs.prune_inactive.inc()
         ctx.obs.prune_dim.labels(int(np.argmax(hit))).inc()
@@ -265,7 +273,7 @@ def _emit_leaf(s: Sequence, t: Sequence, ia, ib, combined,
     if len(ia):
         if combined is not None:
             ctx.result.add_batch(s.ids[ia], t.ids[ib],
-                                 distances=ctx.metric.finalize(combined))
+                                 distances=ctx.kernel.metric.finalize(combined))
         else:
             ctx.result.add_batch(s.ids[ia], t.ids[ib])
 
@@ -305,8 +313,10 @@ def simple_join(s: Sequence, t: Sequence, ctx: JoinContext,
     With ``upper_triangle`` the sequences are the identical slice and
     only pairs ``(i, j)`` with ``i < j`` are produced.
     """
-    engine = select_engine(ctx.engine, len(s), len(t), s.dimensions,
-                           ctx.engine_metric, batching=True)
+    kernel = ctx.kernel
+    metric = kernel.engine_metric
+    engine = select_engine(kernel.engine, len(s), len(t), s.dimensions,
+                           metric, batching=True)
     ctx.obs.leaf_joins.labels(engine).inc()
     ctx.obs.leaf_volume.observe(len(s) * len(t))
     if engine == "batched":
@@ -320,7 +330,7 @@ def simple_join(s: Sequence, t: Sequence, ctx: JoinContext,
     # and matmul leaves).
     if ctx._batch is not None and len(ctx._batch):
         flush_leaf_batch(ctx)
-    if ctx.order_dimensions:
+    if kernel.order_dimensions:
         order = dimension_ordering(s, t)
     else:
         order = natural_ordering(s.dimensions)
@@ -345,11 +355,11 @@ def simple_join(s: Sequence, t: Sequence, ctx: JoinContext,
                                       order, counters=ctx.cpu,
                                       upper_triangle=upper_triangle,
                                       return_sq_distances=True,
-                                      metric=ctx.engine_metric, **extra)
+                                      metric=metric, **extra)
         else:
             ia, ib = finder(s.points, t.points, ctx.threshold, order,
                             counters=ctx.cpu, upper_triangle=upper_triangle,
-                            metric=ctx.engine_metric, **extra)
+                            metric=metric, **extra)
             combined = None
     _emit_leaf(s, t, ia, ib, combined, ctx, upper_triangle)
 
@@ -361,7 +371,7 @@ def _split(seq: Sequence, ctx: JoinContext):
     is too lopsided (outside the middle 3/4), which bounds the recursion
     depth at O(log n) like plain halving.
     """
-    if ctx.split_strategy == "boundary":
+    if ctx.kernel.split_strategy == "boundary":
         point = seq.boundary_split_point()
         n = len(seq)
         if n // 8 <= point <= n - n // 8:
@@ -384,8 +394,9 @@ def _join_sequences(s: Sequence, t: Sequence, ctx: JoinContext) -> None:
         return
 
     self_pair = s.same_storage(t)
-    s_splittable = len(s) > ctx.minlen
-    t_splittable = len(t) > ctx.minlen
+    minlen = ctx.kernel.minlen
+    s_splittable = len(s) > minlen
+    t_splittable = len(t) > minlen
 
     if not s_splittable and not t_splittable:
         simple_join(s, t, ctx, upper_triangle=self_pair)

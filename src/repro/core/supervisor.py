@@ -68,12 +68,12 @@ import zlib
 from collections import deque
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
                                 CancelledError, ProcessPoolExecutor, wait)
-from dataclasses import astuple, dataclass, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..obs.metrics import ensure_metrics
+from ..obs.metrics import MetricsRegistry
 from ..storage.buffer import BufferPool
 from ..storage.faults import (InjectedTaskError, WorkerFaultPlan,
                               stable_fraction)
@@ -84,10 +84,9 @@ from ..storage.records import RecordCodec
 from ..storage.disk import SimulatedDisk
 from ..storage.stats import CPUCounters
 from .ego_order import grid_cells
-from .parallel import _UNIT_STATE, _init_unit_worker, _run_unit_pair
-from .result import JoinResult
+from .parallel import UnitJoinSpec
 from .scheduler import UnitMeta, schedule_units
-from .sequence_join import JoinContext, join_point_blocks
+from .sequence_join import JoinContext
 from .shard import ShardSpec, UnitPairEvent, plan_shards
 
 
@@ -301,7 +300,7 @@ class _UnitReader:
 
     def pair(self, a: int, b: int):
         """``(ids_a, pts_a, ids_b, pts_b)``; ``b``'s arrays are None for
-        a self pair, as :func:`~repro.core.parallel._run_unit_pair`
+        a self pair, as :meth:`~repro.core.parallel.UnitJoinSpec.run`
         expects."""
         ids_a, pts_a = self._pool.get(a)
         if a == b:
@@ -313,12 +312,15 @@ class _UnitReader:
         self._file.disk.close()
 
 
-def _init_supervised_worker(init_args: tuple,
+#: Per-process state of a pool worker, set by its initialiser.
+_UNIT_STATE: dict = {}
+
+
+def _init_supervised_worker(spec: UnitJoinSpec,
                             worker_plan: Optional[WorkerFaultPlan],
                             progress, source: dict) -> None:
-    _init_unit_worker(*init_args)
-    _UNIT_STATE.update(worker_plan=worker_plan, progress=progress,
-                       reader=_UnitReader(source))
+    _UNIT_STATE.update(spec=spec, worker_plan=worker_plan,
+                       progress=progress, reader=_UnitReader(source))
 
 
 def _run_shard(slot: int, events: List[Tuple[int, int, int, int]]):
@@ -334,6 +336,7 @@ def _run_shard(slot: int, events: List[Tuple[int, int, int, int]]):
     the parent.  ``progress[slot]`` counts finished unit pairs — the
     heartbeat the parent's deadline and crash blame read.
     """
+    spec: UnitJoinSpec = _UNIT_STATE["spec"]
     plan: Optional[WorkerFaultPlan] = _UNIT_STATE["worker_plan"]
     reader: _UnitReader = _UNIT_STATE["reader"]
     progress = _UNIT_STATE["progress"]
@@ -355,7 +358,8 @@ def _run_shard(slot: int, events: List[Tuple[int, int, int, int]]):
                 raise InjectedTaskError(
                     f"injected task error for unit pair {key} "
                     f"attempt {attempt}")
-            out_a, out_b, dists, cpu, metrics_data = _run_unit_pair(*arrays)
+            metrics = MetricsRegistry() if spec.collect_metrics else None
+            (out_a, out_b, dists), cpu = spec.run(*arrays, metrics=metrics)
         except Exception:
             outcomes.append((seq, None))
         else:
@@ -372,8 +376,8 @@ def _run_shard(slot: int, events: List[Tuple[int, int, int, int]]):
                     batch = (out_a, out_b, dists)
                 else:
                     digest ^= 1  # empty batch: corrupt the digest itself
-            outcomes.append(
-                (seq, (batch, astuple(cpu), metrics_data, digest)))
+            metrics_data = metrics.collect() if metrics is not None else None
+            outcomes.append((seq, (batch, cpu, metrics_data, digest)))
         progress[slot] += 1
     return outcomes
 
@@ -479,15 +483,10 @@ class SupervisedUnitJoiner:
         self.worker_plan = worker_plan
         self.stats = SupervisorStats()
         self._decision_hook = decision_hook
-        self._metrics = ensure_metrics(getattr(ctx, "metrics", None))
+        self._metrics = ctx.metrics
         self._m_events = None  # registered lazily: a fault-free run's
         self._m_degraded = None  # metrics dump must match the serial one
-        metric = ctx.metric if ctx.metric.name != "euclidean" else None
-        self._init_args = (ctx.epsilon, ctx.minlen, ctx.engine,
-                           ctx.order_dimensions, metric, ctx.grid_epsilon,
-                           ctx.result.collect_distances, ctx.split_strategy,
-                           bool(self._metrics.enabled),
-                           ctx.batch_points, ctx.batch_leaves)
+        self._spec = UnitJoinSpec.of(ctx)
         self._tasks: List[_Task] = []
         # Record count and first/last point of every submitted unit:
         # the shard planner's cost model and ε-cell boundaries.
@@ -517,8 +516,8 @@ class SupervisedUnitJoiner:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_init_supervised_worker,
-                initargs=(self._init_args, self.worker_plan,
-                          self._progress, self._source))
+                initargs=(self._spec, self.worker_plan, self._progress,
+                          self._source))
         return self._pool
 
     def _kill_pool(self) -> None:
@@ -816,29 +815,12 @@ class SupervisedUnitJoiner:
             raise InjectedTaskError(
                 f"injected task error for unit pair {task.key} "
                 f"attempt {task.attempt} (inline)")
-        ctx = self.ctx
-        result = JoinResult(materialize=True,
-                            collect_distances=ctx.result.collect_distances)
-        cpu = CPUCounters()
-        inline_ctx = JoinContext(
-            epsilon=ctx.epsilon, result=result, minlen=ctx.minlen,
-            engine=ctx.engine, order_dimensions=ctx.order_dimensions,
-            cpu=cpu, metric=ctx.metric, grid_epsilon=ctx.grid_epsilon,
-            split_strategy=ctx.split_strategy, invariants=invariants,
-            batch_points=ctx.batch_points, batch_leaves=ctx.batch_leaves,
-            metrics=ctx.metrics)
-        ids_a, pts_a, ids_b, pts_b = arrays
-        if ids_b is None:
-            join_point_blocks(ids_a, pts_a, ids_a, pts_a, inline_ctx,
-                              same_block=True)
-        else:
-            join_point_blocks(ids_a, pts_a, ids_b, pts_b, inline_ctx)
-        out_a, out_b = result.pairs()
-        dists = result.distances() if result.collect_distances else None
-        # Metrics were recorded straight into the parent registry (we
+        # Metrics are recorded straight into the parent registry (we
         # are at the head of the merge order, so the ordering matches
         # the serial joiner); no snapshot to merge.
-        return (out_a, out_b, dists), astuple(cpu), None
+        batch, cpu = self._spec.run(*arrays, metrics=self.ctx.metrics,
+                                    invariants=invariants)
+        return batch, cpu, None
 
     def _finish_inline(self, task: _Task):
         """Join one unit pair in the parent: the bottom of the ladder.

@@ -57,7 +57,7 @@ from ..core.ego_order import (ego_sort_order, ensure_finite, grid_cells,
 from ..core.result import JoinResult
 from ..core.sequence import Sequence
 from ..core.sequence_join import (DEFAULT_MINLEN, JoinContext,
-                                  join_sequences)
+                                  KernelConfig, join_sequences)
 from ..obs.metrics import ensure_metrics
 from ..obs.trace import ensure_tracer
 from ..sorting.external_sort import merge_sorted_arrays
@@ -141,7 +141,7 @@ class EGOStore:
         the first insert.
     engine, minlen:
         Leaf kernel and leaf size for every sequence join the store
-        runs (see :class:`repro.core.sequence_join.JoinContext`).
+        runs (see :class:`repro.core.sequence_join.KernelConfig`).
     compact_threshold:
         Delta-buffer row count at which a mutating op triggers
         compaction into the main run.
@@ -177,8 +177,7 @@ class EGOStore:
             raise ValueError(
                 f"unit_records must be >= 1, got {unit_records}")
         self._dims = None if dimensions is None else int(dimensions)
-        self._engine = engine
-        self._minlen = int(minlen)
+        self._kernel = KernelConfig(engine=engine, minlen=minlen)
         self._compact_threshold = int(compact_threshold)
         self._cache_size = int(cache_size)
         self._unit_records = int(unit_records)
@@ -227,8 +226,8 @@ class EGOStore:
     def _meta(self) -> Dict:
         return {"epsilon": float(self._epsilon),
                 "dimensions": self._dims,
-                "engine": self._engine,
-                "minlen": self._minlen,
+                "engine": self._kernel.engine,
+                "minlen": self._kernel.minlen,
                 "compact_threshold": self._compact_threshold,
                 "cache_size": self._cache_size,
                 "unit_records": self._unit_records}
@@ -834,8 +833,7 @@ class EGOStore:
         return float(eps)
 
     def _make_context(self, eps: float, result: JoinResult) -> JoinContext:
-        return JoinContext(epsilon=eps, result=result,
-                           minlen=self._minlen, engine=self._engine,
+        return JoinContext(epsilon=eps, result=result, kernel=self._kernel,
                            grid_epsilon=self._query_grid(eps),
                            metrics=self._metrics, trace=self._trace)
 

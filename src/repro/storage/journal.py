@@ -1,9 +1,11 @@
 """Crash-safe progress journal for the external join pipeline.
 
-A :class:`Journal` records, per pipeline stage, what has *completed*:
-sorted runs as they are written, merge passes as they finish, and joined
-I/O-unit pairs together with the result file's pair count after each —
-the watermark that makes result appends idempotent.  A run interrupted at
+A :class:`Journal` records the configuration a run started with and,
+per pipeline stage, what has *completed*: sorted runs as they are
+written, merge passes as they finish, and joined I/O-unit pairs together
+with the result file's pair count after each — the watermark that makes
+result appends idempotent.  A resume at a different configuration is
+refused (:meth:`Journal.check_config`).  A run interrupted at
 any point resumes by replaying nothing: completed work is skipped, the
 result file is truncated back to the last watermark (discarding a
 possibly-torn tail), and execution continues deterministically, producing
@@ -85,6 +87,32 @@ class Journal:
         self.state = {"version": _FORMAT_VERSION}
         self._pairs_done = set()
         self.flush()
+
+    # -- run configuration ---------------------------------------------------
+
+    def check_config(self, config: Dict) -> None:
+        """Record the run's configuration, or refuse a different one.
+
+        A journal without a configuration (a fresh run) records
+        ``config``.  One that already holds a configuration — a resumed
+        run — must hold exactly this one: progress recorded at other
+        parameters would silently mix into this run's result, so a
+        mismatch raises :class:`ValueError` naming the differing keys.
+        """
+        config = json.loads(json.dumps(config))  # compare as stored
+        recorded = self.state.get("config")
+        if recorded is None:
+            self.state["config"] = config
+            self._changed(force=True)
+            return
+        if recorded != config:
+            keys = sorted(k for k in set(recorded) | set(config)
+                          if recorded.get(k) != config.get(k))
+            raise ValueError(
+                f"checkpoint journal {self.path} belongs to a run with a "
+                f"different configuration ({', '.join(keys)} differ); "
+                f"resume with the original parameters or start a new "
+                f"checkpoint")
 
     # -- sort phase ---------------------------------------------------------
 

@@ -167,7 +167,7 @@ class InvariantMonitor:
             self.skipped_checks += 1
             return
         self.prune_checks += 1
-        combined = self._combined(s.points, t.points, ctx.metric)
+        combined = self._combined(s.points, t.points, ctx.kernel.metric)
         hits = int((combined <= ctx.threshold).sum())
         if hits:
             i, j = np.unravel_index(int(np.argmin(combined)),
@@ -184,7 +184,7 @@ class InvariantMonitor:
             self.skipped_checks += 1
             return
         self.leaf_checks += 1
-        combined = self._combined(s.points, t.points, ctx.metric)
+        combined = self._combined(s.points, t.points, ctx.kernel.metric)
         mask = combined <= ctx.threshold
         if upper_triangle:
             mask &= np.triu(np.ones_like(mask, dtype=bool), k=1)
@@ -192,7 +192,7 @@ class InvariantMonitor:
         got = set(zip(ia.tolist(), ib.tolist()))
         if want != got:
             raise InvariantViolation(
-                f"leaf kernel ({ctx.engine}) emitted a wrong pair set on "
+                f"leaf kernel ({ctx.kernel.engine}) emitted a wrong pair set on "
                 f"a {len(s)}×{len(t)} leaf: {len(want - got)} missing, "
                 f"{len(got - want)} spurious")
 

@@ -14,8 +14,8 @@ Three areas:
   the re-verified count proportional to the accepts.
 * the ``"batched"`` engine — :class:`LeafBatch` /
   :func:`pairs_within_batched` units, pair-stream identity with the
-  per-leaf engines, knob plumbing, oracle/metamorphic sweeps and the
-  batch metrics.
+  per-leaf engines (including across flush boundaries), oracle/
+  metamorphic sweeps and the batch metrics.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from repro.core.kernels import (DEFAULT_BATCH_LEAVES, DEFAULT_BATCH_POINTS,
 from repro.core.metrics import get_metric
 from repro.core.result import JoinResult
 from repro.core.sequence import Sequence
-from repro.core.sequence_join import JoinContext, join_sequences
+from repro.core.sequence_join import (JoinContext, KernelConfig,
+                                      join_sequences)
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.stats import CPUCounters
 from repro.verify import run_impl, run_relations
@@ -353,20 +354,16 @@ class TestBatchedEngineSelection:
 
     def test_context_accepts_batched_and_knobs(self):
         ctx = JoinContext(epsilon=0.1, result=JoinResult(),
-                          engine="batched")
-        assert ctx.engine == "batched"
-        assert ctx.batch_points == DEFAULT_BATCH_POINTS
-        assert ctx.batch_leaves == DEFAULT_BATCH_LEAVES
-        ctx = JoinContext(epsilon=0.1, result=JoinResult(),
-                          batch_points=7, batch_leaves=2)
-        assert ctx.batch.max_points == 7
-        assert ctx.batch.max_leaves == 2
+                          kernel=KernelConfig(engine="batched"))
+        assert ctx.kernel.engine == "batched"
+        assert ctx.batch.max_points == DEFAULT_BATCH_POINTS
+        assert ctx.batch.max_leaves == DEFAULT_BATCH_LEAVES
 
-    @pytest.mark.parametrize("bad", [{"batch_points": 0},
-                                     {"batch_leaves": -1}])
+    @pytest.mark.parametrize("bad", [{"metric": "cosine"},
+                                     {"split_strategy": "thirds"}])
     def test_context_rejects_bad_knobs(self, bad):
         with pytest.raises(ValueError):
-            JoinContext(epsilon=0.1, result=JoinResult(), **bad)
+            KernelConfig(**bad)
 
 
 class TestBatchedEngineEndToEnd:
@@ -384,10 +381,15 @@ class TestBatchedEngineEndToEnd:
         pts = rng.random((250, 3))
         eps = 0.2
         ref = stream_pairs(ego_self_join(pts, eps, engine="vector"))
+        from repro.core.ego_order import ego_sorted
+        ids, spts = ego_sorted(pts, eps)
         for bp, bl in ((64, 3), (1, 1), (10**6, 10**6)):
-            got = ego_self_join(pts, eps, engine="batched",
-                                batch_points=bp, batch_leaves=bl)
-            assert stream_pairs(got) == ref
+            ctx = JoinContext(epsilon=eps, result=JoinResult(),
+                              kernel=KernelConfig(engine="batched"))
+            ctx._batch = LeafBatch(max_points=bp, max_leaves=bl)
+            seq = Sequence(ids, spts, eps)
+            join_sequences(seq, seq, ctx)
+            assert stream_pairs(ctx.result) == ref
 
     def test_auto_mixes_batched_and_matmul(self, rng):
         """auto drains the pending batch before a matmul leaf emits, so
@@ -441,8 +443,7 @@ class TestBatchedEngineEndToEnd:
         pts = rng.random((40, 2))
         eps = 0.3
         ctx = JoinContext(epsilon=eps, result=JoinResult(),
-                          engine="batched", batch_points=10**6,
-                          batch_leaves=10**6)
+                          kernel=KernelConfig(engine="batched"))
         from repro.core.ego_order import ego_sorted
         ids, spts = ego_sorted(pts, eps)
         seq = Sequence(ids, spts, eps)
@@ -456,8 +457,8 @@ class TestBatchedEngineEndToEnd:
         pts = rng.random((300, 3))
         reg = MetricsRegistry()
         res = JoinResult()
-        ctx = JoinContext(epsilon=0.15, result=res, engine="batched",
-                          metrics=reg)
+        ctx = JoinContext(epsilon=0.15, result=res,
+                          kernel=KernelConfig(engine="batched"), metrics=reg)
         from repro.core.ego_order import ego_sorted
         ids, spts = ego_sorted(pts, 0.15)
         seq = Sequence(ids, spts, 0.15)

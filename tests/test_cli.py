@@ -55,8 +55,7 @@ class TestJoin:
 
     def test_join_batched_engine_with_knobs(self, data_file, capsys):
         assert main(["join", data_file, "--epsilon", "0.2",
-                     "--engine", "batched", "--batch-points", "512",
-                     "--batch-leaves", "8", "--count-only"]) == 0
+                     "--engine", "batched", "--count-only"]) == 0
         batched = [ln for ln in capsys.readouterr().err.splitlines()
                    if "pairs:" in ln]
         assert main(["join", data_file, "--epsilon", "0.2",
@@ -65,10 +64,17 @@ class TestJoin:
                   if "pairs:" in ln]
         assert batched == vector
 
-    def test_bad_batch_knob_exits_2(self, data_file, capsys):
+    def test_resume_at_other_epsilon_exits_2(self, data_file, tmp_path,
+                                             capsys):
+        ck = str(tmp_path / "ck")
         assert main(["join", data_file, "--epsilon", "0.2",
-                     "--batch-points", "0", "--count-only"]) == 2
-        assert "error: --batch-points" in capsys.readouterr().err
+                     "--count-only", "--checkpoint", ck]) == 0
+        capsys.readouterr()
+        assert main(["join", data_file, "--epsilon", "0.3",
+                     "--count-only", "--checkpoint", ck,
+                     "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "different configuration" in err
 
     def test_join_prints_pairs(self, data_file, capsys):
         assert main(["join", data_file, "--epsilon", "0.3",

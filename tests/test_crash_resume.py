@@ -139,3 +139,71 @@ class TestCrashResume:
         report = run_join(dataset, checkpoint_dir=ck)
         assert not report.resumed
         assert report.total_pairs == baseline["count"]
+
+
+class TestResumeConfiguration:
+    """The journal records the configuration a run started with; resuming
+    at any other configuration is refused instead of mixing the recorded
+    progress of one join into the result of another."""
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        from repro.data.synthetic import uniform
+        return uniform(3000, 4, seed=0)
+
+    @staticmethod
+    def join(points, epsilon, ck, buffer_units=6, **kwargs):
+        with SimulatedDisk() as disk:
+            pf = make_file(disk, points)
+            return ego_self_join_file(pf, epsilon, unit_bytes=4096,
+                                      buffer_units=buffer_units,
+                                      checkpoint_dir=ck, **kwargs)
+
+    @staticmethod
+    def truth(points, epsilon):
+        from repro.joins.brute import brute_force_self_join
+        return brute_force_self_join(points, epsilon, chunk=256).count
+
+    def crash(self, points, ck):
+        with pytest.raises(SimulatedCrash):
+            self.join(points, 0.05, ck,
+                      fault_plan=FaultPlan(seed=0, crash_ops=[30]))
+
+    def test_crashed_run_resumed_at_other_epsilon_refused(self, points,
+                                                          tmp_path):
+        ck = str(tmp_path / "ck")
+        self.crash(points, ck)
+        with pytest.raises(ValueError, match="epsilon"):
+            self.join(points, 0.10, ck, resume=True)
+        # The refusal touched nothing: the original ε still resumes
+        # to the exact answer.
+        report = self.join(points, 0.05, ck, resume=True)
+        assert report.total_pairs == self.truth(points, 0.05)
+
+    def test_completed_run_resumed_at_other_epsilon_refused(self, points,
+                                                            tmp_path):
+        ck = str(tmp_path / "ck")
+        done = self.join(points, 0.05, ck)
+        assert done.total_pairs == self.truth(points, 0.05)
+        with pytest.raises(ValueError, match="epsilon"):
+            self.join(points, 0.10, ck, resume=True)
+
+    @pytest.mark.parametrize("change,key", [
+        ({"minlen": 8}, "kernel"), ({"metric": "manhattan"}, "kernel"),
+        ({"split_strategy": "boundary"}, "kernel"),
+        ({"buffer_units": 5}, "buffer_units"),
+        ({"sort_memory_records": 500}, "sort_memory_records")],
+        ids=["minlen", "metric", "split_strategy", "buffer_units",
+             "sort_memory_records"])
+    def test_other_parameters_refused(self, points, tmp_path, change, key):
+        ck = str(tmp_path / "ck")
+        self.crash(points, ck)
+        with pytest.raises(ValueError, match=key):
+            self.join(points, 0.05, ck, resume=True, **change)
+
+    def test_same_configuration_resumes(self, points, tmp_path):
+        ck = str(tmp_path / "ck")
+        self.crash(points, ck)
+        report = self.join(points, 0.05, ck, resume=True,
+                           engine="vector")
+        assert report.total_pairs == self.truth(points, 0.05)

@@ -193,3 +193,53 @@ class TestNonFiniteInputs:
         pts = rng.random((50, 2))
         result = ego_self_join(pts, 0.3)
         assert result.canonical_pair_set() == brute_truth(pts, 0.3)
+
+
+#: One coordinate of each kind the grid cell mapping cannot place.
+NON_FINITE = pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                                     ids=["nan", "inf", "-inf"])
+
+
+def poisoned(rng, bad, n=500):
+    """``n`` uniform 3-d points, one of whose coordinates is ``bad``."""
+    pts = rng.random((n, 3))
+    pts[n // 3, 1] = bad
+    return pts
+
+
+class TestNonFiniteFileInputs:
+    """The file pipeline rejects non-finite records while the external
+    sort generates its runs, instead of joining garbage grid cells."""
+
+    @NON_FINITE
+    def test_serial_file_self_join_rejects(self, rng, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            external(poisoned(rng, bad), 0.1)
+
+    @NON_FINITE
+    def test_parallel_file_self_join_rejects(self, rng, bad, tmp_path):
+        with SimulatedDisk(path=str(tmp_path / "in.pts")) as disk:
+            pf = make_file(disk, poisoned(rng, bad))
+            with pytest.raises(ValueError, match="non-finite"):
+                ego_self_join_file(pf, 0.1, unit_bytes=300,
+                                   buffer_units=3, workers=2)
+
+    @NON_FINITE
+    def test_two_file_join_rejects_either_side(self, rng, bad):
+        good = rng.random((200, 3))
+        for r, s in ((poisoned(rng, bad), good), (good, poisoned(rng, bad))):
+            with SimulatedDisk() as disk_r, SimulatedDisk() as disk_s:
+                fr, fs = make_file(disk_r, r), make_file(disk_s, s)
+                with pytest.raises(ValueError, match="non-finite"):
+                    ego_join_files(fr, fs, 0.1, unit_bytes=300,
+                                   buffer_units=3)
+
+    @NON_FINITE
+    def test_cli_join_exits_2(self, rng, bad, tmp_path, capsys):
+        from repro.cli import main
+        from repro.data.loader import save_points
+        path = str(tmp_path / "in.pts")
+        save_points(path, poisoned(rng, bad))
+        assert main(["join", path, "--epsilon", "0.1",
+                     "--count-only"]) == 2
+        assert "error: points contain non-finite" in capsys.readouterr().err

@@ -9,9 +9,8 @@ from repro.core.ego_order import ego_sorted
 from repro.core.preprocess import (resolve_dimension_order,
                                    spread_dimension_order,
                                    variance_dimension_order)
-from repro.core.result import JoinResult
 from repro.core.sequence import Sequence
-from repro.core.sequence_join import JoinContext
+from repro.core.sequence_join import KernelConfig
 from repro.storage.stats import CPUCounters
 
 from conftest import brute_truth
@@ -135,8 +134,7 @@ class TestBoundarySplit:
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
-            JoinContext(epsilon=0.5, result=JoinResult(),
-                        split_strategy="golden-ratio")
+            KernelConfig(split_strategy="golden-ratio")
 
     def test_degenerate_single_giant_cell(self, rng):
         """A dominant cell must not blow the recursion depth."""

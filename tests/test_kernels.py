@@ -13,7 +13,7 @@ from repro.core.kernels import (AUTO_MATMUL_VOLUME, ScratchBuffers,
                                 select_engine)
 from repro.core.metrics import get_metric
 from repro.core.sequence import Sequence
-from repro.core.sequence_join import JoinContext
+from repro.core.sequence_join import JoinContext, KernelConfig
 from repro.core.result import JoinResult
 from repro.storage.stats import CPUCounters
 
@@ -186,12 +186,13 @@ class TestEngineSelection:
 
     def test_context_accepts_new_engines(self):
         for eng in ("matmul", "auto"):
-            ctx = JoinContext(epsilon=0.1, result=JoinResult(), engine=eng)
-            assert ctx.engine == eng
+            ctx = JoinContext(epsilon=0.1, result=JoinResult(),
+                              kernel=KernelConfig(engine=eng))
+            assert ctx.kernel.engine == eng
 
     def test_context_rejects_unknown_engine(self):
         with pytest.raises(ValueError):
-            JoinContext(epsilon=0.1, result=JoinResult(), engine="gpu")
+            KernelConfig(engine="gpu")
 
 
 class TestEnginesEndToEnd:
@@ -225,7 +226,7 @@ class TestEnginesEndToEnd:
 
     def test_scratch_buffers_are_reused(self, rng):
         ctx = JoinContext(epsilon=0.1, result=JoinResult(),
-                          engine="matmul")
+                          kernel=KernelConfig(engine="matmul"))
         first = ctx.scratch
         assert ctx.scratch is first
         tile = first.gram_tile(16, 16)

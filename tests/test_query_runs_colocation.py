@@ -1,119 +1,16 @@
-"""Tests for EGOIndex, replacement-selection runs, and co-location mining."""
+"""Tests for replacement-selection runs and co-location mining."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.apps.colocation import colocation_patterns
-from repro.core.ego_join import ego_key_function, ego_self_join
+from repro.core.ego_join import ego_key_function
 from repro.core.ego_order import is_ego_sorted
-from repro.core.query import EGOIndex
 from repro.sorting.external_sort import external_sort
 from repro.storage.disk import SimulatedDisk
 from repro.storage.pagefile import PointFile
 
-from conftest import brute_truth, make_file
-
-
-class TestEGOIndex:
-    def test_range_query_matches_scan(self, rng):
-        pts = rng.random((300, 3))
-        idx = EGOIndex(pts, 0.25)
-        for _ in range(8):
-            q = rng.random(3)
-            r = rng.uniform(0.02, 0.25)
-            ids, dists = idx.range_query(q, r)
-            truth = {i for i in range(300)
-                     if np.linalg.norm(pts[i] - q) <= r}
-            assert set(ids.tolist()) == truth
-            assert (dists <= r + 1e-12).all()
-
-    def test_default_radius_is_epsilon(self, rng):
-        pts = rng.random((100, 2))
-        idx = EGOIndex(pts, 0.2)
-        ids, _ = idx.range_query(pts[0])
-        truth = {i for i in range(100)
-                 if np.linalg.norm(pts[i] - pts[0]) <= 0.2}
-        assert set(ids.tolist()) == truth
-
-    def test_radius_above_epsilon_rejected(self, rng):
-        idx = EGOIndex(rng.random((10, 2)), 0.1)
-        with pytest.raises(ValueError):
-            idx.range_query(np.zeros(2), 0.2)
-
-    def test_negative_radius_rejected(self, rng):
-        idx = EGOIndex(rng.random((10, 2)), 0.1)
-        with pytest.raises(ValueError):
-            idx.range_query(np.zeros(2), -0.1)
-
-    def test_count_neighbors(self, rng):
-        pts = rng.random((150, 2))
-        idx = EGOIndex(pts, 0.3)
-        q = pts[3]
-        assert idx.count_neighbors(q, 0.1) == sum(
-            1 for i in range(150)
-            if np.linalg.norm(pts[i] - q) <= 0.1)
-
-    def test_self_join_matches_function(self, rng):
-        pts = rng.random((200, 3))
-        idx = EGOIndex(pts, 0.3)
-        assert (idx.self_join().canonical_pair_set()
-                == ego_self_join(pts, 0.3).canonical_pair_set())
-
-    def test_cross_join(self, rng):
-        r, s = rng.random((60, 2)), rng.random((50, 2))
-        eps = 0.25
-        a = EGOIndex(r, eps)
-        b = EGOIndex(s, eps)
-        result = a.join(b)
-        expected = {(i, j) for i in range(60) for j in range(50)
-                    if np.linalg.norm(r[i] - s[j]) <= eps}
-        assert result.pair_set() == expected
-
-    def test_join_epsilon_mismatch_rejected(self, rng):
-        a = EGOIndex(rng.random((5, 2)), 0.1)
-        b = EGOIndex(rng.random((5, 2)), 0.2)
-        with pytest.raises(ValueError):
-            a.join(b)
-
-    def test_empty_index(self):
-        idx = EGOIndex(np.empty((0, 2)), 0.2)
-        ids, dists = idx.range_query(np.zeros(2), 0.1)
-        assert len(ids) == 0
-        assert idx.self_join().count == 0
-
-    def test_chebyshev_metric_queries(self, rng):
-        pts = rng.random((120, 2))
-        idx = EGOIndex(pts, 0.2, metric="chebyshev")
-        q = rng.random(2)
-        ids, _ = idx.range_query(q, 0.15)
-        truth = {i for i in range(120)
-                 if np.abs(pts[i] - q).max() <= 0.15}
-        assert set(ids.tolist()) == truth
-
-    def test_custom_ids(self, rng):
-        pts = rng.random((30, 2))
-        idx = EGOIndex(pts, 0.5, ids=np.arange(100, 130))
-        ids, _ = idx.range_query(pts[0], 0.5)
-        assert (ids >= 100).all()
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            EGOIndex(np.array([[np.nan, 1.0]]), 0.5)
-
-    @given(st.integers(min_value=1, max_value=60),
-           st.floats(min_value=0.05, max_value=0.5),
-           st.integers(0, 10**6))
-    @settings(max_examples=20, deadline=None)
-    def test_query_property(self, n, radius, seed):
-        rng = np.random.default_rng(seed)
-        pts = rng.random((n, 2))
-        idx = EGOIndex(pts, 0.5)
-        q = rng.random(2)
-        ids, _ = idx.range_query(q, radius)
-        truth = {i for i in range(n)
-                 if np.linalg.norm(pts[i] - q) <= radius}
-        assert set(ids.tolist()) == truth
+from conftest import make_file
 
 
 class TestReplacementSelection:

@@ -8,7 +8,7 @@ from repro.core.ego_join import ego_join, ego_join_files
 from repro.core.ego_order import ego_sorted
 from repro.core.result import JoinResult
 from repro.core.rs_scheduler import TwoFileScheduler, scheduled_units
-from repro.core.sequence_join import JoinContext
+from repro.core.sequence_join import JoinContext, KernelConfig
 from repro.storage.disk import SimulatedDisk
 from repro.storage.pagefile import PointFile
 
@@ -57,7 +57,7 @@ class TestTwoFileScheduler:
         disks, (fr, fs) = make_files(r, s, eps)
         try:
             result = JoinResult()
-            ctx = JoinContext(epsilon=eps, result=result, minlen=8)
+            ctx = JoinContext(epsilon=eps, result=result, kernel=KernelConfig(minlen=8))
             sched = TwoFileScheduler(fr, fs, ctx, unit_bytes=8192,
                                      buffer_units=16)
             stats = sched.run()
@@ -73,7 +73,7 @@ class TestTwoFileScheduler:
         disks, (fr, fs) = make_files(r, s, eps)
         try:
             result = JoinResult()
-            ctx = JoinContext(epsilon=eps, result=result, minlen=8)
+            ctx = JoinContext(epsilon=eps, result=result, kernel=KernelConfig(minlen=8))
             sched = TwoFileScheduler(fr, fs, ctx, unit_bytes=400,
                                      buffer_units=2)
             stats = sched.run()
@@ -88,7 +88,7 @@ class TestTwoFileScheduler:
         r, s = rng.random((300, 2)), rng.random((300, 2))
         disks, (fr, fs) = make_files(r, s, eps)
         try:
-            ctx = JoinContext(epsilon=eps, result=JoinResult(), minlen=8)
+            ctx = JoinContext(epsilon=eps, result=JoinResult(), kernel=KernelConfig(minlen=8))
             sched = TwoFileScheduler(fr, fs, ctx, unit_bytes=512,
                                      buffer_units=16)
             stats = sched.run()

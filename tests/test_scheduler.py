@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.ego_join import ego_key_function
 from repro.core.result import JoinResult
 from repro.core.scheduler import EGOScheduler, lex_less, schedule_self_join
-from repro.core.sequence_join import JoinContext
+from repro.core.sequence_join import JoinContext, KernelConfig
 from repro.sorting.external_sort import external_sort
 from repro.storage.disk import SimulatedDisk
 from repro.storage.pagefile import PointFile
@@ -28,7 +28,7 @@ def run_schedule(points, epsilon, unit_bytes, buffer_units,
     with SimulatedDisk() as disk:
         pf = sorted_file(disk, points, epsilon)
         result = JoinResult()
-        ctx = JoinContext(epsilon=epsilon, result=result, minlen=8)
+        ctx = JoinContext(epsilon=epsilon, result=result, kernel=KernelConfig(minlen=8))
         stats = schedule_self_join(pf, ctx, unit_bytes, buffer_units,
                                    allow_crabstep=allow_crabstep)
         pairs = result.canonical_pair_set()
@@ -129,7 +129,7 @@ class TestSchedulingBehaviour:
         eps = 0.1
         with SimulatedDisk() as disk:
             pf = sorted_file(disk, pts, eps)
-            ctx = JoinContext(epsilon=eps, result=JoinResult(), minlen=8)
+            ctx = JoinContext(epsilon=eps, result=JoinResult(), kernel=KernelConfig(minlen=8))
             sched = EGOScheduler(pf, ctx, unit_bytes=400, buffer_units=32)
             stats = sched.run()
             assert stats.gallop_loads == sched.num_units
@@ -185,7 +185,7 @@ class TestWithExternalSort:
             out, _ = external_sort(pf, dst, scratch,
                                    ego_key_function(eps),
                                    memory_records=40)
-            ctx = JoinContext(epsilon=eps, result=JoinResult(), minlen=8)
+            ctx = JoinContext(epsilon=eps, result=JoinResult(), kernel=KernelConfig(minlen=8))
             schedule_self_join(out, ctx, unit_bytes=512, buffer_units=4)
             assert ctx.result.canonical_pair_set() == brute_truth(pts, eps)
 
@@ -197,7 +197,7 @@ class TestTracing:
         with SimulatedDisk() as disk:
             pf = sorted_file(disk, pts, eps)
             trace = []
-            ctx = JoinContext(epsilon=eps, result=JoinResult(), minlen=8)
+            ctx = JoinContext(epsilon=eps, result=JoinResult(), kernel=KernelConfig(minlen=8))
             sched = EGOScheduler(pf, ctx, unit_bytes=300, buffer_units=4,
                                  trace=trace)
             stats = sched.run()
@@ -213,7 +213,7 @@ class TestTracing:
         with SimulatedDisk() as disk:
             pf = sorted_file(disk, pts, 0.4)
             trace = []
-            ctx = JoinContext(epsilon=0.4, result=JoinResult(), minlen=8)
+            ctx = JoinContext(epsilon=0.4, result=JoinResult(), kernel=KernelConfig(minlen=8))
             EGOScheduler(pf, ctx, 300, 3, trace=trace).run()
         for kind, a, b in trace:
             if kind in ("join", "skip"):

@@ -8,7 +8,8 @@ from repro.core.ego_order import ego_sorted, floor_cells, grid_cells
 from repro.core.kernels import candidate_windows
 from repro.core.result import JoinResult
 from repro.core.sequence import Sequence
-from repro.core.sequence_join import JoinContext, join_sequences
+from repro.core.sequence_join import (JoinContext, KernelConfig,
+                                      join_sequences)
 
 from conftest import brute_truth
 
@@ -226,9 +227,10 @@ class TestPrecomputedCellsProperty:
         for engine in ("vector", "matmul", "batched", "auto"):
             for split in ("half", "boundary"):
                 result = JoinResult()
-                ctx = JoinContext(epsilon=epsilon, result=result, minlen=4,
-                                  engine=engine, grid_epsilon=width,
-                                  split_strategy=split)
+                kernel = KernelConfig(engine=engine, minlen=4,
+                                      split_strategy=split)
+                ctx = JoinContext(epsilon=epsilon, result=result,
+                                  kernel=kernel, grid_epsilon=width)
                 seq = Sequence(ids, spts, width)
                 join_sequences(seq, seq, ctx)
                 assert result.canonical_pair_set() == want, (engine, split)

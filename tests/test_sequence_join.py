@@ -10,8 +10,9 @@ from repro.core.ego_join import ego_self_join_file
 from repro.core.ego_order import ego_sorted
 from repro.core.result import JoinResult
 from repro.core.sequence import Sequence
-from repro.core.sequence_join import (JoinContext, join_point_blocks,
-                                      join_sequences, simple_join)
+from repro.core.sequence_join import (JoinContext, KernelConfig,
+                                      join_point_blocks, join_sequences,
+                                      simple_join)
 from repro.data.synthetic import cad_like
 from repro.storage.disk import SimulatedDisk
 from repro.storage.pagefile import PointFile
@@ -20,11 +21,12 @@ from repro.storage.stats import CPUCounters
 from conftest import brute_truth, make_file
 
 
-def run_self_join(points, epsilon, **kwargs):
+def run_self_join(points, epsilon, cpu=None, **kernel):
     pts = np.asarray(points, dtype=float)
     ids, spts = ego_sorted(pts, epsilon)
     result = JoinResult()
-    ctx = JoinContext(epsilon=epsilon, result=result, **kwargs)
+    ctx = JoinContext(epsilon=epsilon, result=result,
+                      kernel=KernelConfig(**kernel), cpu=cpu)
     seq = Sequence(ids, spts, epsilon)
     join_sequences(seq, seq, ctx)
     return result, ctx
@@ -33,11 +35,11 @@ def run_self_join(points, epsilon, **kwargs):
 class TestContextValidation:
     def test_rejects_bad_minlen(self):
         with pytest.raises(ValueError):
-            JoinContext(epsilon=1.0, result=JoinResult(), minlen=0)
+            KernelConfig(minlen=0)
 
     def test_rejects_unknown_engine(self):
         with pytest.raises(ValueError):
-            JoinContext(epsilon=1.0, result=JoinResult(), engine="gpu")
+            KernelConfig(engine="gpu")
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
@@ -112,7 +114,8 @@ class TestTwoSequenceJoin:
         ids_a, pts_a = ego_sorted(a, eps, ids=np.arange(50))
         ids_b, pts_b = ego_sorted(b, eps, ids=np.arange(100, 140))
         result = JoinResult()
-        ctx = JoinContext(epsilon=eps, result=result, minlen=4)
+        ctx = JoinContext(epsilon=eps, result=result,
+                          kernel=KernelConfig(minlen=4))
         join_sequences(Sequence(ids_a, pts_a, eps),
                        Sequence(ids_b, pts_b, eps), ctx)
         expected = set()
@@ -151,13 +154,6 @@ class TestPruning:
         all_pairs = 300 * 299 // 2
         assert ctx.cpu.distance_calculations < all_pairs / 3
 
-    def test_looser_threshold_still_correct(self, rng):
-        """Figure 6's '> 2' variant (threshold 3) is safe, just looser."""
-        pts = rng.random((100, 3))
-        eps = 0.3
-        result, _ = run_self_join(pts, eps, exclusion_distance=3)
-        assert result.canonical_pair_set() == brute_truth(pts, eps)
-
 
 class TestSimpleJoinAndBlocks:
     def test_simple_join_upper_triangle(self, rng):
@@ -182,7 +178,8 @@ class TestSimpleJoinAndBlocks:
     def test_join_point_blocks_same_block(self, rng):
         eps = 0.4
         ids, pts = ego_sorted(rng.random((30, 2)), eps)
-        ctx = JoinContext(epsilon=eps, result=JoinResult(), minlen=4)
+        ctx = JoinContext(epsilon=eps, result=JoinResult(),
+                          kernel=KernelConfig(minlen=4))
         join_point_blocks(ids, pts, ids, pts, ctx, same_block=True)
         truth = brute_truth(pts[np.argsort(ids)], eps)
         assert ctx.result.canonical_pair_set() == truth

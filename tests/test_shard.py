@@ -276,8 +276,6 @@ class TestShardedIdentity:
     def test_validation(self, dataset):
         with pytest.raises(ValueError):
             run_join(dataset, workers=0)
-        with pytest.raises(ValueError):
-            run_join(dataset, workers=2, task_retries=-1)
 
 
 # -- crash / resume ---------------------------------------------------------

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.ego_join import (ego_key_function, ego_self_join,
                                  ego_self_join_file)
-from repro.core.query import EGOIndex
-from repro.core.sequence_join import JoinContext
+from repro.core.sequence_join import JoinContext, KernelConfig
 from repro.core.result import JoinResult
+from repro.service import EGOStore
 from repro.sorting.external_sort import external_sort
 from repro.storage.disk import SimulatedDisk
 from repro.storage.pagefile import PointFile
@@ -95,7 +95,8 @@ class TestGridEpsilonContext:
         for eps in (0.1, 0.3, 0.5):
             result = JoinResult()
             ctx = JoinContext(epsilon=eps, result=result,
-                              grid_epsilon=grid_eps, minlen=8)
+                              kernel=KernelConfig(minlen=8),
+                              grid_epsilon=grid_eps)
             seq = Sequence(ids, spts, grid_eps)
             join_sequences(seq, seq, ctx)
             assert result.canonical_pair_set() == brute_truth(pts, eps)
@@ -111,33 +112,22 @@ class TestGridEpsilonContext:
 
 
 class TestIndexSweep:
+    """One resident EGO order (an :class:`EGOStore`) serves every ε up to
+    its grid ε without re-sorting."""
+
     def test_self_join_sweep_matches_fresh_joins(self, rng):
         pts = rng.random((200, 3))
-        idx = EGOIndex(pts, 0.4)
+        store = EGOStore.from_points(pts, 0.4)
         for eps in (0.1, 0.25, 0.4):
-            via_index = idx.self_join(epsilon=eps).canonical_pair_set()
+            via_store = {tuple(p) for p in store.join(eps).tolist()}
             fresh = ego_self_join(pts, eps).canonical_pair_set()
-            assert via_index == fresh
+            assert via_store == fresh
+        assert store.grid_epsilon == 0.4
 
     def test_sweep_monotone(self, rng):
-        idx = EGOIndex(rng.random((150, 2)), 0.5)
-        sweep = [idx.self_join(epsilon=e).count
-                 for e in (0.1, 0.2, 0.3, 0.4, 0.5)]
+        store = EGOStore.from_points(rng.random((150, 2)), 0.5)
+        sweep = [len(store.join(e)) for e in (0.1, 0.2, 0.3, 0.4, 0.5)]
         assert sweep == sorted(sweep)
-
-    def test_epsilon_above_index_rejected(self, rng):
-        idx = EGOIndex(rng.random((20, 2)), 0.2)
-        with pytest.raises(ValueError):
-            idx.self_join(epsilon=0.5)
-
-    def test_cross_join_sweep(self, rng):
-        r, s = rng.random((60, 2)), rng.random((50, 2))
-        a, b = EGOIndex(r, 0.4), EGOIndex(s, 0.4)
-        for eps in (0.1, 0.3):
-            got = a.join(b, epsilon=eps).pair_set()
-            expected = {(i, j) for i in range(60) for j in range(50)
-                        if np.linalg.norm(r[i] - s[j]) <= eps}
-            assert got == expected
 
     @given(st.floats(min_value=0.02, max_value=0.5),
            st.integers(0, 10**6))
@@ -145,6 +135,6 @@ class TestIndexSweep:
     def test_sweep_property(self, eps, seed):
         rng = np.random.default_rng(seed)
         pts = rng.random((60, 2))
-        idx = EGOIndex(pts, 0.5)
-        assert (idx.self_join(epsilon=eps).canonical_pair_set()
+        store = EGOStore.from_points(pts, 0.5)
+        assert ({tuple(p) for p in store.join(eps).tolist()}
                 == brute_truth(pts, eps))
