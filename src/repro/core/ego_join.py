@@ -394,7 +394,7 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
         byte-identical to the serial run.  The sorted file must
         therefore be an OS file: a caller-supplied ``sorted_disk``, or
         the input with ``assume_sorted``, on a
-        :class:`~repro.storage.backend.MemoryDisk` is refused with
+        :class:`~repro.storage.disk.MemoryDisk` is refused with
         :class:`ValueError` before anything runs.  Each shard's whole
         result set is held in memory — in its worker, then in the
         parent — until it merges, so peak memory grows with the result

@@ -34,31 +34,12 @@ from ..obs.trace import ensure_tracer
 from ..storage.buffer import BufferPool
 from ..storage.pagefile import PointFile
 from .ego_order import grid_cells, lex_less
-from .scheduler import UnitMeta
+from .scheduler import UnitMeta, schedule_units
 from .sequence_join import JoinContext
 from .sequence import Sequence
 from .sequence_join import join_sequences
 
 UnitData = Tuple[np.ndarray, np.ndarray]
-
-
-def populated_units(point_file: PointFile, unit_bytes: int) -> np.ndarray:
-    """Unit numbers that actually contain record starts.
-
-    Fragmentation can leave units holding only fragments (the trailing
-    unit; with units smaller than a record also interior ones) — those
-    are skipped by the schedule.
-    """
-    if point_file.count == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = (np.arange(point_file.count, dtype=np.int64)
-              * point_file.record_bytes)
-    return np.unique(starts // unit_bytes)
-
-
-def scheduled_units(point_file: PointFile, unit_bytes: int) -> int:
-    """Number of I/O units that actually contain record starts."""
-    return len(populated_units(point_file, unit_bytes))
 
 
 @dataclass
@@ -102,8 +83,8 @@ class TwoFileScheduler:
         self.unit_bytes = unit_bytes
         self.buffer_units = buffer_units
         self.stats = RSScheduleStats()
-        self.units_r = populated_units(file_r, unit_bytes)
-        self.units_s = populated_units(file_s, unit_bytes)
+        self.units_r = schedule_units(file_r, unit_bytes)
+        self.units_s = schedule_units(file_s, unit_bytes)
         self.n_r = len(self.units_r)
         self.n_s = len(self.units_s)
         self.meta_r: List[UnitMeta] = []

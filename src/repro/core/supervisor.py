@@ -245,7 +245,7 @@ def require_file_backed(disk) -> str:
     """Path of the OS file behind ``disk``, which parallel workers read.
 
     Raises :class:`ValueError` for a disk with no backing file (a
-    :class:`~repro.storage.backend.MemoryDisk`), so a run can refuse
+    :class:`~repro.storage.disk.MemoryDisk`), so a run can refuse
     ``workers > 1`` before it sorts or schedules anything.
     """
     path = disk.path

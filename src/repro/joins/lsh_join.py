@@ -6,8 +6,9 @@ materialises, for each of ``L`` hash tables, a **bucket file**: the
 input points rewritten in bucket order through the ordinary
 :mod:`repro.storage` page layer, so every byte moved is charged to the
 same sequential/random accounting as the EGO pipeline (on a
-:class:`~repro.storage.disk.SimulatedDisk` or any other
-:class:`~repro.storage.backend.Backend`).  Each bucket is then scanned
+:class:`~repro.storage.disk.SimulatedDisk`, timed or untimed, or a
+:class:`~repro.storage.disk.MemoryDisk`; see :data:`BUCKET_DISKS`).
+Each bucket is then scanned
 once, sequentially, and its candidate pairs are **exactly re-verified**
 through the :mod:`repro.core.kernels` distance engines.
 
@@ -44,8 +45,7 @@ from ..core.result import JoinResult
 from ..index.lsh import (DEFAULT_K, DEFAULT_W_SCALE, PStableHashFamily,
                          sort_by_keys)
 from ..obs import ensure_metrics, ensure_tracer
-from ..storage.backend import Backend, get_backend
-from ..storage.disk import SimulatedDisk
+from ..storage.disk import UNTIMED, MemoryDisk, SimulatedDisk
 from ..storage.pagefile import PointFile, SequentialWriter
 from ..storage.stats import CPUCounters, IOCounters
 from .base import DiskTracker, JoinReport
@@ -57,6 +57,15 @@ BUCKET_CHUNK_RECORDS = 4096
 #: leaf-batch accumulator of the EGO recursion and resolves to the
 #: fused GEMM kernel here — same arithmetic, no batching seam).
 LSH_ENGINES = ("scalar", "vector", "matmul", "batched", "auto")
+
+#: Bucket-disk constructors by ``backend`` name.  Only ``"simulated"``
+#: charges the paper's cost model; the other two count accesses but
+#: charge no simulated time.  The choice never changes the result.
+BUCKET_DISKS = {
+    "simulated": SimulatedDisk,
+    "file": lambda: SimulatedDisk(model=UNTIMED),
+    "memory": MemoryDisk,
+}
 
 
 @dataclass
@@ -118,8 +127,8 @@ def write_bucket_file(disk, ids: np.ndarray, points: np.ndarray,
 
     The write is buffered and sequential — the layout (and therefore the
     bytes on the device) depends only on ``(ids, points, order)``, so a
-    bucket file round-trips identically through every
-    :class:`~repro.storage.backend.Backend`.
+    bucket file round-trips identically through every kind of
+    :data:`BUCKET_DISKS`.
     """
     bucket_file = PointFile.create(disk, points.shape[1])
     with SequentialWriter(bucket_file,
@@ -160,8 +169,8 @@ def lsh_self_join_file(point_file: PointFile, epsilon: float, *,
         Verification kernel (``scalar``/``vector``/``matmul``/``auto``;
         ``batched`` resolves to the fused GEMM kernel).
     backend:
-        Storage backend name (or a :class:`Backend` instance) for the
-        per-table bucket files.
+        Where the per-table bucket files live: a key of
+        :data:`BUCKET_DISKS` (``simulated``/``file``/``memory``).
     """
     if epsilon <= 0 or not np.isfinite(epsilon):
         raise ValueError(f"epsilon must be positive and finite, "
@@ -169,8 +178,10 @@ def lsh_self_join_file(point_file: PointFile, epsilon: float, *,
     if engine not in LSH_ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; choose from {LSH_ENGINES}")
-    backend_obj = backend if isinstance(backend, Backend) \
-        else get_backend(backend)
+    if backend not in BUCKET_DISKS:
+        raise ValueError(f"unknown storage backend {backend!r}; "
+                         f"choose from {sorted(BUCKET_DISKS)}")
+    make_disk = BUCKET_DISKS[backend]
 
     tracer = ensure_tracer(trace)
     registry = ensure_metrics(metrics)
@@ -187,7 +198,7 @@ def lsh_self_join_file(point_file: PointFile, epsilon: float, *,
     elif tables < 1:
         raise ValueError(f"tables must be at least 1, got {tables}")
     stats = LSHStats(k=family.k, tables=int(tables), w=family.w,
-                     seed=family.seed, backend=backend_obj.name,
+                     seed=family.seed, backend=backend,
                      engine=engine, recall_target=recall_target,
                      model_recall=family.recall_for_tables(tables))
 
@@ -215,7 +226,7 @@ def lsh_self_join_file(point_file: PointFile, epsilon: float, *,
             with tracer.span("lsh_table", args={"table": t}):
                 keys = family.keys(pts, t)
                 order, starts = sort_by_keys(keys)
-                with backend_obj.create_disk() as disk:
+                with make_disk() as disk:
                     with tracer.span("lsh_bucket_write"):
                         bucket_file = write_bucket_file(
                             disk, ids, pts, order,

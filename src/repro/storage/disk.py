@@ -12,10 +12,16 @@ The substitution is documented in DESIGN.md: the paper's experimental
 claims are about access schedules, so exact access counting plus the
 published device constants reproduces the relative I/O behaviour without
 a physical 1-GB testbed.
+
+The same class serves the LSH join's other bucket-file kinds: with the
+:data:`UNTIMED` model it is a plain counted file, and :class:`MemoryDisk`
+is the same device over an in-memory buffer.
 """
 
 from __future__ import annotations
 
+import io
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -44,6 +50,13 @@ class DiskModel:
         if sequential:
             return transfer
         return self.avg_access_time_s + transfer
+
+
+#: A device that charges no simulated time: accesses are still counted
+#: and classified, but ``simulated_time_s`` stays exactly ``0.0``.  The
+#: LSH join's ``"file"`` and ``"memory"`` bucket disks use it.
+UNTIMED = DiskModel(transfer_rate_bytes=math.inf, avg_access_time_s=0.0,
+                    avg_latency_s=0.0)
 
 
 class SimulatedDisk(SimulatedClock):
@@ -202,4 +215,36 @@ class SimulatedDisk(SimulatedClock):
         """Zero the counters and the simulated clocks (data is untouched)."""
         self.counters.reset()
         self.reset_clock()
+        self._last_end = None
+
+
+class MemoryDisk(SimulatedDisk):
+    """A :class:`SimulatedDisk` over an in-memory buffer (a RAM disk).
+
+    Accesses are counted and classified exactly as on the file-backed
+    disk, under the :data:`UNTIMED` model.  There is no OS file, so
+    ``path`` is ``"<memory>"`` and parallel workers cannot read it.
+    """
+
+    def __init__(self) -> None:
+        self.model = UNTIMED
+        self.counters = IOCounters()
+        self.reset_clock()
+        self._owns_file = False
+        self._path = "<memory>"
+        self._file = io.BytesIO()
+        self._last_end: Optional[int] = None
+        self._closed = False
+
+    def size(self) -> int:
+        """Current size of the buffer in bytes."""
+        return self._file.seek(0, io.SEEK_END)
+
+    def truncate(self, nbytes: int) -> None:
+        """Shrink or zero-extend the buffer to exactly ``nbytes``."""
+        size = self.size()
+        if nbytes > size:
+            self._file.write(b"\x00" * (nbytes - size))
+        else:
+            self._file.truncate(nbytes)
         self._last_end = None

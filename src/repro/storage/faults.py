@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 
@@ -269,33 +269,12 @@ class FaultyDisk:
         self.inner = inner
         self.plan = plan
 
-    # -- delegated state ----------------------------------------------------
-
-    @property
-    def counters(self):
-        return self.inner.counters
+    def __getattr__(self, name):
+        return getattr(self.__dict__["inner"], name)
 
     @property
     def simulated_time_s(self) -> float:
         return self.inner.simulated_time_s
-
-    @property
-    def scope_time_s(self) -> float:
-        return self.inner.scope_time_s
-
-    def charge_time(self, seconds: float) -> None:
-        self.inner.charge_time(seconds)
-
-    def begin_time_scope(self) -> None:
-        self.inner.begin_time_scope()
-
-    @property
-    def model(self):
-        return self.inner.model
-
-    @property
-    def path(self) -> str:
-        return self.inner.path
 
     @property
     def under_pressure(self) -> bool:
@@ -307,21 +286,6 @@ class FaultyDisk:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def close(self) -> None:
-        self.inner.close()
-
-    def size(self) -> int:
-        return self.inner.size()
-
-    def truncate(self, nbytes: int) -> None:
-        self.inner.truncate(nbytes)
-
-    def reset_position(self) -> None:
-        self.inner.reset_position()
-
-    def reset_accounting(self) -> None:
-        self.inner.reset_accounting()
 
     def begin_pressure_scope(self) -> None:
         """Re-base the plan's pressure windows at the current op index."""

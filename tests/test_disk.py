@@ -1,11 +1,20 @@
-"""Tests for the simulated disk device and its accounting."""
+"""Tests for the simulated disk device and its accounting.
+
+Every device of the storage layer is a :class:`SimulatedDisk`: timed
+(the paper's cost model), untimed, or :class:`MemoryDisk` over an
+in-memory buffer.  ``TestOneDiskProtocol`` checks that all three count
+and store identically.
+"""
 
 import os
 
 import numpy as np
 import pytest
 
-from repro.storage.disk import DiskModel, SimulatedDisk
+from repro.joins.lsh_join import BUCKET_DISKS, lsh_self_join_file
+from repro.storage.disk import UNTIMED, DiskModel, SimulatedDisk
+
+from conftest import make_file
 
 
 class TestDiskModel:
@@ -190,3 +199,55 @@ class TestLifecycle:
         del disk._file  # simulate a partially torn-down instance
         disk.close()    # must not raise; still unlinks the temp file
         assert not os.path.exists(path)
+
+
+@pytest.fixture(params=sorted(BUCKET_DISKS))
+def any_disk(request):
+    """A timed (``simulated``), untimed (``file``) or ``memory`` disk."""
+    disk = BUCKET_DISKS[request.param]()
+    yield disk
+    disk.close()
+
+
+class TestOneDiskProtocol:
+    def test_same_bytes_and_counters(self, any_disk):
+        payload = bytes(range(100))
+        any_disk.write(0, payload)                     # random: first access
+        assert any_disk.read(0, 50) == payload[:50]    # random: arm at 100
+        assert any_disk.read(50, 50) == payload[50:]   # sequential
+        assert any_disk.read(100, 10) == b""           # past EOF: arm lost
+        assert any_disk.read(100, 10) == b""           # so this is random
+        c = any_disk.counters
+        assert (c.random_writes, c.sequential_writes) == (1, 0)
+        assert (c.random_reads, c.sequential_reads) == (2, 2)
+        assert (c.bytes_written, c.bytes_read) == (100, 100)
+        assert any_disk.size() == 100
+        assert any_disk.read(0, 200) == payload
+        if any_disk.model is UNTIMED:
+            assert any_disk.simulated_time_s == 0.0
+        else:
+            assert any_disk.simulated_time_s > 0.0
+
+    def test_append_and_truncate_zero_extends(self, any_disk):
+        assert any_disk.append(b"abc") == 0
+        assert any_disk.append(b"de") == 3
+        any_disk.truncate(8)
+        assert any_disk.size() == 8
+        assert any_disk.read(0, 8) == b"abcde\x00\x00\x00"
+        any_disk.truncate(2)
+        assert any_disk.read(0, 8) == b"ab"
+        assert any_disk.append(b"z") == 2
+
+    def test_untimed_file_removed_on_close(self):
+        disk = SimulatedDisk(model=UNTIMED)
+        path = disk.path
+        disk.write(0, b"hello world")
+        assert disk.read(6, 5) == b"world"
+        disk.close()
+        assert not os.path.exists(path)
+
+    def test_lsh_bucket_disk_names(self, temp_disk, rng):
+        assert set(BUCKET_DISKS) == {"simulated", "file", "memory"}
+        pf = make_file(temp_disk, rng.random((20, 2)))
+        with pytest.raises(ValueError, match="unknown storage backend"):
+            lsh_self_join_file(pf, 0.1, backend="ramdisk")

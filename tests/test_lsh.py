@@ -5,7 +5,7 @@ collision frequency of seeded projections must bracket the analytic
 p1/p2 curve within binomial tolerance.  The join layer checks the
 engine's three invariants (precision 1.0, monotone-in-L, same-seed
 determinism), the bucket files' byte-identical round-trip through every
-storage backend, and the recall-floor oracle integration.
+bucket-disk kind, and the recall-floor oracle integration.
 """
 
 import math
@@ -22,9 +22,8 @@ from repro.data.loader import save_points
 from repro.index.lsh import (DEFAULT_K, DEFAULT_W_SCALE, MAX_TABLES,
                              PStableHashFamily, collision_probability,
                              sort_by_keys)
-from repro.joins.lsh_join import (lsh_self_join, lsh_self_join_file,
-                                  write_bucket_file)
-from repro.storage.backend import FileBackend, InMemoryBackend
+from repro.joins.lsh_join import (BUCKET_DISKS, lsh_self_join,
+                                  lsh_self_join_file, write_bucket_file)
 from repro.storage.disk import SimulatedDisk
 from repro.storage.pagefile import PointFile
 from repro.verify.canonical import canonical_pairs, pair_digest
@@ -196,7 +195,7 @@ class TestHashFamily:
         assert len(order) == 0 and list(starts) == [0]
 
 
-# -- bucket files through the storage backends ------------------------------
+# -- bucket files through every bucket-disk kind ----------------------------
 
 
 class TestBucketRoundTrip:
@@ -208,11 +207,11 @@ class TestBucketRoundTrip:
         ids = rng.permutation(n).astype(np.int64)
         order = np.argsort(rng.random(n), kind="stable")
         raw = {}
-        for backend in (FileBackend(), InMemoryBackend()):
-            with backend.create_disk() as disk:
+        for backend in ("file", "memory"):
+            with BUCKET_DISKS[backend]() as disk:
                 bucket = write_bucket_file(disk, ids, pts, order,
                                            chunk_records=7)
-                raw[backend.name] = disk.read(0, disk.size())
+                raw[backend] = disk.read(0, disk.size())
                 got_ids, got_pts = bucket.read_all()
                 assert np.array_equal(got_ids, ids[order])
                 assert np.array_equal(got_pts, pts[order])

@@ -14,8 +14,7 @@ import pytest
 
 from repro.core.ego_join import ego_self_join_file
 from repro.core.supervisor import SupervisedUnitJoiner
-from repro.storage.backend import MemoryDisk
-from repro.storage.disk import SimulatedDisk
+from repro.storage.disk import MemoryDisk, SimulatedDisk
 from repro.storage.faults import FaultPlan, SimulatedCrash
 from repro.storage.integrity import CorruptPageError
 

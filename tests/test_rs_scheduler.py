@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.ego_join import ego_join, ego_join_files
 from repro.core.ego_order import ego_sorted
 from repro.core.result import JoinResult
-from repro.core.rs_scheduler import TwoFileScheduler, scheduled_units
+from repro.core.rs_scheduler import TwoFileScheduler
+from repro.core.scheduler import schedule_units
 from repro.core.sequence_join import JoinContext, KernelConfig
 from repro.storage.disk import SimulatedDisk
 from repro.storage.pagefile import PointFile
@@ -40,14 +41,14 @@ def expected_pairs(r, s, epsilon):
 class TestScheduledUnits:
     def test_counts_units_with_record_starts(self, temp_disk, rng):
         pf = make_file(temp_disk, rng.random((20, 1)))  # 16-byte records
-        assert scheduled_units(pf, 16) == 20
-        assert scheduled_units(pf, 64) == 5
-        assert scheduled_units(pf, 10_000) == 1
+        assert len(schedule_units(pf, 16)) == 20
+        assert len(schedule_units(pf, 64)) == 5
+        assert len(schedule_units(pf, 10_000)) == 1
 
     def test_empty_file(self, temp_disk):
         pf = PointFile.create(temp_disk, 2)
         pf.close()
-        assert scheduled_units(pf, 64) == 0
+        assert len(schedule_units(pf, 64)) == 0
 
 
 class TestTwoFileScheduler:

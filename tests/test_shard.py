@@ -2,7 +2,7 @@
 
 Covers the shard planner on adversarial skew, byte-identity of the
 parallel pipeline (whose tasks are shards) against the serial run across
-worker counts and input storage backends, crash/resume across execution
+worker counts and input disk kinds, crash/resume across execution
 modes, worker-fault injection inside shards, and the run-scoped
 pressure-gauge regression.
 """
@@ -20,8 +20,7 @@ from repro.core.shard import (OVERSIZE_FACTOR, UnitPairEvent, event_cost,
                               plan_shards)
 from repro.core.supervisor import (PoolFailureError, SupervisedUnitJoiner,
                                    SupervisorPolicy)
-from repro.storage.backend import (BACKENDS, FileDisk, MemoryDisk,
-                                   get_backend)
+from repro.joins.lsh_join import BUCKET_DISKS
 from repro.storage.disk import SimulatedDisk
 from repro.storage.faults import (FaultPlan, SimulatedCrash,
                                   WorkerFaultPlan)
@@ -173,37 +172,6 @@ class TestPlanner:
         assert ctx.result.count == 0
 
 
-# -- backends ---------------------------------------------------------------
-
-
-class TestBackends:
-    def test_registry(self):
-        assert set(BACKENDS) == {"simulated", "file", "memory"}
-        with pytest.raises(ValueError, match="unknown storage backend"):
-            get_backend("ramdisk")
-
-    def test_memory_disk_counts_like_simulated(self):
-        md, sd = MemoryDisk(), SimulatedDisk()
-        for d in (md, sd):
-            d.write(0, b"x" * 100)       # sequential (first op at 0)
-            d.read(0, 50)                # random (arm moved by write)
-            d.read(50, 50)               # sequential
-        assert (md.counters.sequential_reads, md.counters.random_reads) \
-            == (sd.counters.sequential_reads, sd.counters.random_reads)
-        assert md.counters.bytes_written == sd.counters.bytes_written
-        assert md.simulated_time_s == 0.0
-        sd.close()
-
-    def test_file_disk_roundtrip_and_cleanup(self):
-        fd = FileDisk()
-        path = fd.path
-        fd.write(0, b"hello world")
-        assert fd.read(6, 5) == b"world"
-        assert fd.size() == 11
-        fd.close()
-        assert not os.path.exists(path)
-
-
 # -- sharded pipeline byte-identity -----------------------------------------
 
 
@@ -214,9 +182,9 @@ class TestShardedIdentity:
 
     @pytest.mark.parametrize("backend", ["simulated", "file", "memory"])
     def test_input_backends(self, dataset, serial, backend):
-        # The input may live on any backend; the sorted file workers
+        # The input may live on any disk kind; the sorted file workers
         # read is the pipeline's own.
-        disk = get_backend(backend).create_disk()
+        disk = BUCKET_DISKS[backend]()
         try:
             pf = make_file(disk, dataset)
             rep = ego_self_join_file(pf, EPS, workers=2, **GEOMETRY)
