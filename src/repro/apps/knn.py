@@ -20,6 +20,7 @@ from ..core.ego_join import ego_self_join
 from ..core.ego_order import validate_epsilon
 from ..core.result import JoinResult
 from ..data.synthetic import epsilon_for_average_neighbors
+from .neighborhood import symmetric_csr
 
 
 @dataclass
@@ -50,17 +51,10 @@ class KNNGraph:
 def _collect(n: int, k: int, join: JoinResult
              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     ids_a, ids_b = join.pairs()
-    dists = join.distances()
-    src = np.concatenate([ids_a, ids_b])
-    dst = np.concatenate([ids_b, ids_a])
-    dd = np.concatenate([dists, dists])
+    indptr, dst, dd = symmetric_csr(n, ids_a, ids_b, join.distances())
+    counts = np.diff(indptr)
     neighbors = np.full((n, k), -1, dtype=np.int64)
     distances = np.full((n, k), np.inf)
-    counts = np.bincount(src, minlength=n)
-    order = np.argsort(src, kind="stable")
-    src, dst, dd = src[order], dst[order], dd[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
     for i in range(n):
         lo, hi = indptr[i], indptr[i + 1]
         if hi == lo:

@@ -11,13 +11,34 @@ union-find.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..core.ego_order import validate_epsilon
 from ..core.result import JoinResult
 from ..core.ego_join import ego_self_join
+
+
+def symmetric_csr(n: int, ids_a: np.ndarray, ids_b: np.ndarray,
+                  values: Optional[np.ndarray] = None
+                  ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """CSR rows of the symmetric relation given by self-join pairs.
+
+    Each unordered pair ``(a, b)`` is listed in row ``a`` and in row
+    ``b``; within a row, neighbours keep pair order (a stable sort).
+    ``values`` (e.g. the pair distances) ride along.  Returns
+    ``(indptr, indices, row_values)``; ``row_values`` is ``None`` when
+    ``values`` is.
+    """
+    src = np.concatenate([ids_a, ids_b])
+    order = np.argsort(src, kind="stable")
+    indices = np.concatenate([ids_b, ids_a])[order]
+    row_values = (None if values is None
+                  else np.concatenate([values, values])[order])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, indices, row_values
 
 
 class UnionFind:
@@ -73,14 +94,8 @@ class NeighborhoodGraph:
         ids_b = np.asarray(ids_b, dtype=np.int64)
         if len(ids_a) != len(ids_b):
             raise ValueError("pair arrays differ in length")
-        src = np.concatenate([ids_a, ids_b])
-        dst = np.concatenate([ids_b, ids_a])
-        order = np.argsort(src, kind="stable")
-        src, dst = src[order], dst[order]
-        counts = np.bincount(src, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(n=n, epsilon=epsilon, indptr=indptr, indices=dst)
+        indptr, indices, _ = symmetric_csr(n, ids_a, ids_b)
+        return cls(n=n, epsilon=epsilon, indptr=indptr, indices=indices)
 
     @classmethod
     def build(cls, points: np.ndarray, epsilon: float,

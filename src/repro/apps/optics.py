@@ -34,6 +34,7 @@ import numpy as np
 from ..core.ego_join import ego_self_join
 from ..core.ego_order import validate_epsilon
 from ..core.result import JoinResult
+from .neighborhood import symmetric_csr
 
 UNDEFINED = np.inf
 
@@ -76,21 +77,6 @@ class OPTICSResult:
         return labels
 
 
-def _neighbor_lists(n: int, ids_a: np.ndarray, ids_b: np.ndarray,
-                    dists: np.ndarray
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR neighbour lists with distances from self-join pairs."""
-    src = np.concatenate([ids_a, ids_b])
-    dst = np.concatenate([ids_b, ids_a])
-    dd = np.concatenate([dists, dists])
-    order = np.argsort(src, kind="stable")
-    src, dst, dd = src[order], dst[order], dd[order]
-    counts = np.bincount(src, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, dst, dd
-
-
 def optics(points: np.ndarray, epsilon: float, min_pts: int,
            join_result: Optional[JoinResult] = None) -> OPTICSResult:
     """OPTICS cluster ordering via one EGO similarity self-join.
@@ -109,8 +95,8 @@ def optics(points: np.ndarray, epsilon: float, min_pts: int,
     if not join_result.collect_distances:
         raise ValueError("OPTICS needs a distance-collecting join result")
     ids_a, ids_b = join_result.pairs()
-    dists = join_result.distances()
-    indptr, neighbors, ndists = _neighbor_lists(n, ids_a, ids_b, dists)
+    indptr, neighbors, ndists = symmetric_csr(n, ids_a, ids_b,
+                                              join_result.distances())
 
     # Core distances: p itself is the closest object, so the min_pts-th
     # closest object is the (min_pts - 1)-th nearest neighbour.

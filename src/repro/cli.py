@@ -37,7 +37,7 @@ from .apps.dbscan import dbscan
 from .apps.outliers import distance_based_outliers
 from .core.ego_join import ego_join_files, ego_self_join_file
 from .core.supervisor import SupervisorError, SupervisorPolicy
-from .obs import MetricsRegistry, PhaseProfiler, Tracer
+from .obs import MetricsRegistry, Tracer
 from .data.loader import load_points, save_points
 from .data.synthetic import cad_like, gaussian_clusters, uniform
 from .storage.disk import SimulatedDisk
@@ -183,28 +183,31 @@ def parse_worker_fault_spec(spec: str) -> WorkerFaultPlan:
 
 
 def _build_obs(args):
-    """Observability recorders requested by ``--trace/--metrics/--profile``.
+    """Observability recorders requested by ``--trace/--metrics``.
 
-    Returns ``(tracer, registry, profiler)`` — each ``None`` when its
-    flag is absent, so the pipeline falls back to the null recorders.
+    Returns ``(tracer, registry)`` — each ``None`` when its flag is
+    absent, so the pipeline falls back to the null recorders.
     """
     tracer = Tracer() if getattr(args, "trace", None) else None
     registry = MetricsRegistry() if getattr(args, "metrics", None) else None
-    profiler = PhaseProfiler() if getattr(args, "profile", False) else None
-    return tracer, registry, profiler
+    return tracer, registry
 
 
-def _dump_obs(args, tracer, registry, profiler) -> None:
-    """Write the requested observability outputs after a run."""
+def _dump_obs(args, tracer, registry) -> None:
+    """Write the requested observability outputs after a run.
+
+    A traced run also prints the wall seconds of each ``pipeline`` span
+    (the root, ``sort``, ``schedule``) — the run's per-phase times.
+    """
     if tracer is not None:
         tracer.dump(args.trace)
         print(f"trace: {args.trace} ({len(tracer.events)} events)",
               file=sys.stderr)
+        for name, wall_s in tracer.wall_seconds().items():
+            print(f"phase {name}: {wall_s:.3f}s wall", file=sys.stderr)
     if registry is not None:
         registry.dump(args.metrics)
         print(f"metrics: {args.metrics}", file=sys.stderr)
-    if profiler is not None:
-        print(profiler.format_table(), file=sys.stderr)
 
 
 def cmd_join(args) -> int:
@@ -241,7 +244,7 @@ def cmd_join(args) -> int:
         # The scheduled crash already happened in the interrupted run.
         fault_plan = fault_plan.without_crashes()
     retry = RetryPolicy(max_attempts=args.retries) if args.retries else None
-    tracer, registry, profiler = _build_obs(args)
+    tracer, registry = _build_obs(args)
     with SimulatedDisk(path=args.file) as disk:
         pf = PointFile.open(disk)
         unit_bytes, buffer_units = _budget_geometry(
@@ -259,7 +262,7 @@ def cmd_join(args) -> int:
                            f"{lsh_est.model_recall:.3f})")
             print(f"impl auto -> {impl} ({detail})", file=sys.stderr)
         if impl == "lsh":
-            return _run_lsh_join(args, pf, tracer, registry, profiler)
+            return _run_lsh_join(args, pf, tracer, registry)
         try:
             report = ego_self_join_file(pf, args.epsilon,
                                         unit_bytes=unit_bytes,
@@ -275,8 +278,7 @@ def cmd_join(args) -> int:
                                         resume=args.resume,
                                         worker_fault_plan=worker_faults,
                                         supervisor_policy=policy,
-                                        trace=tracer, metrics=registry,
-                                        profiler=profiler)
+                                        trace=tracer, metrics=registry)
         except SimulatedCrash as exc:
             print(f"crashed: {exc}", file=sys.stderr)
             if args.checkpoint:
@@ -297,7 +299,7 @@ def cmd_join(args) -> int:
             # configuration other than the checkpoint's.
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    _dump_obs(args, tracer, registry, profiler)
+    _dump_obs(args, tracer, registry)
     pairs = report.total_pairs
     if pairs is None:
         pairs = report.result.count
@@ -327,7 +329,7 @@ def cmd_join(args) -> int:
     return 0
 
 
-def _run_lsh_join(args, pf, tracer, registry, profiler) -> int:
+def _run_lsh_join(args, pf, tracer, registry) -> int:
     """Run the approximate LSH join branch of ``repro join``."""
     from .index.lsh import DEFAULT_K, DEFAULT_W_SCALE
     from .joins.lsh_join import lsh_self_join_file
@@ -346,7 +348,7 @@ def _run_lsh_join(args, pf, tracer, registry, profiler) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _dump_obs(args, tracer, registry, profiler)
+    _dump_obs(args, tracer, registry)
     stats = report.lsh
     print(f"pairs: {report.result.count} (approximate: model recall "
           f"{stats.model_recall:.4f} at ε, precision exact)",
@@ -366,7 +368,7 @@ def _run_lsh_join(args, pf, tracer, registry, profiler) -> int:
 
 def cmd_join_two(args) -> int:
     """Handle ``repro join-two``."""
-    tracer, registry, profiler = _build_obs(args)
+    tracer, registry = _build_obs(args)
     with SimulatedDisk(path=args.file_r) as disk_r, \
             SimulatedDisk(path=args.file_s) as disk_s:
         fr = PointFile.open(disk_r)
@@ -379,9 +381,8 @@ def cmd_join_two(args) -> int:
                                 materialize=not args.count_only,
                                 engine=args.engine,
                                 metric=args.metric,
-                                trace=tracer, metrics=registry,
-                                profiler=profiler)
-    _dump_obs(args, tracer, registry, profiler)
+                                trace=tracer, metrics=registry)
+    _dump_obs(args, tracer, registry)
     print(f"pairs: {report.result.count}", file=sys.stderr)
     if not args.count_only:
         _print_pairs(report.result, args.limit)
@@ -482,7 +483,7 @@ def cmd_serve(args) -> int:
     from .service import EGOStore
     from .verify.canonical import canonical_pairs, diff_pairs
 
-    tracer, registry, _profiler = _build_obs(args)
+    tracer, registry = _build_obs(args)
     try:
         if args.recover:
             if not args.journal:
@@ -541,7 +542,7 @@ def cmd_serve(args) -> int:
     if not check_join("final"):
         failures += 1
 
-    _dump_obs(args, tracer, registry, _profiler)
+    _dump_obs(args, tracer, registry)
     s = store.stats()
     print(f"ops: {s.inserts} inserts, {s.deletes} deletes, "
           f"{s.epsilon_changes} epsilon changes, {s.compactions} "
@@ -713,12 +714,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "after an interrupted run")
     j.add_argument("--trace", default=None, metavar="OUT.json",
                    help="write a Chrome trace_event JSON of the run "
-                        "(open in chrome://tracing or Perfetto)")
+                        "(open in chrome://tracing or Perfetto) and "
+                        "print each phase's wall seconds")
     j.add_argument("--metrics", default=None, metavar="OUT",
                    help="dump run metrics; .json extension selects JSON, "
                         "anything else Prometheus text format")
-    j.add_argument("--profile", action="store_true",
-                   help="print a per-phase wall/CPU time table")
     j.set_defaults(func=cmd_join)
 
     j2 = sub.add_parser("join-two", help="external EGO R ⋈ S join")
@@ -735,12 +735,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "scalar"],
                     help="leaf distance kernel")
     j2.add_argument("--trace", default=None, metavar="OUT.json",
-                    help="write a Chrome trace_event JSON of the run")
+                    help="write a Chrome trace_event JSON of the run "
+                         "and print each phase's wall seconds")
     j2.add_argument("--metrics", default=None, metavar="OUT",
                     help="dump run metrics (.json → JSON, else "
                          "Prometheus text)")
-    j2.add_argument("--profile", action="store_true",
-                    help="print a per-phase wall/CPU time table")
     j2.set_defaults(func=cmd_join_two)
 
     d = sub.add_parser("dbscan", help="join-based DBSCAN clustering")

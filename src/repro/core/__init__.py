@@ -17,8 +17,7 @@ from .metrics import (CHEBYSHEV, EUCLIDEAN, MANHATTAN, Metric,
 from .parallel import SerialUnitJoiner
 from .result import JoinResult
 from .rs_scheduler import RSScheduleStats, TwoFileScheduler
-from .scheduler import (EGOScheduler, ScheduleStats, UnitMeta, lex_less,
-                        schedule_self_join)
+from .scheduler import EGOScheduler, ScheduleStats, UnitMeta, lex_less
 from .sequence import Sequence
 from .sequence_join import (DEFAULT_MINLEN, EXCLUSION_CELL_DISTANCE,
                             JoinContext, KernelConfig, join_point_blocks,
@@ -73,7 +72,6 @@ __all__ = [
     "select_engine",
     "pairs_within_vector",
     "pairwise_sq_distances",
-    "schedule_self_join",
     "simple_join",
     "validate_epsilon",
 ]

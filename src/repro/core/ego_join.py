@@ -1,6 +1,6 @@
 """Top-level EGO similarity join.
 
-Three entry points:
+Four entry points:
 
 * :func:`ego_self_join` — in-memory self-join of a point array.  The
   whole EGO-sorted data set is one sequence; the recursion of Figure 6
@@ -10,9 +10,13 @@ Three entry points:
   external merge sort by epsilon grid order, then the gallop/crabstep
   I/O schedule of Figure 4 over fixed-size I/O units with a bounded
   buffer.
+* :func:`ego_join_files` — the external R ⋈ S join of two point files
+  (both sorted, then the two-file schedule of
+  :class:`~repro.core.rs_scheduler.TwoFileScheduler`).
 
-The external variant returns an :class:`ExternalJoinReport` with the
-complete operation accounting (sort runs, unit loads, distance
+The external self-join returns an :class:`ExternalJoinReport` (the
+R ⋈ S join an :class:`ExternalRSJoinReport`) with the complete
+operation accounting (sort runs, unit loads, distance
 computations, simulated I/O time) that the benchmark harness feeds into
 the cost model.
 """
@@ -26,7 +30,6 @@ from typing import Optional
 import numpy as np
 
 from ..obs.metrics import ensure_metrics
-from ..obs.profile import ensure_profiler
 from ..obs.trace import ensure_tracer
 from ..sorting.external_sort import SortStats, external_sort
 from ..storage.disk import SimulatedDisk
@@ -224,7 +227,7 @@ def ego_join_files(file_r: PointFile, file_s: PointFile, epsilon: float,
                    materialize: bool = True,
                    invariants: bool = False,
                    trace=None, metrics=None,
-                   profiler=None, **kernel) -> ExternalRSJoinReport:
+                   **kernel) -> ExternalRSJoinReport:
     """External EGO join of two point files (R ⋈ S).
 
     Both files are externally sorted into epsilon grid order, then the
@@ -237,8 +240,9 @@ def ego_join_files(file_r: PointFile, file_s: PointFile, epsilon: float,
 
     ``**kernel`` are the
     :class:`~repro.core.sequence_join.KernelConfig` knobs.  ``trace`` /
-    ``metrics`` / ``profiler`` attach the observability recorders of
-    :mod:`repro.obs` (see :func:`ego_self_join_file`).
+    ``metrics`` attach the observability recorders of :mod:`repro.obs`
+    (see :func:`ego_self_join_file`); the trace's root span is
+    ``external_rs_join``.
     """
     from .rs_scheduler import RSScheduleStats, TwoFileScheduler
 
@@ -246,7 +250,6 @@ def ego_join_files(file_r: PointFile, file_s: PointFile, epsilon: float,
     config = KernelConfig(**kernel)
     tracer = ensure_tracer(trace)
     registry = ensure_metrics(metrics)
-    prof = ensure_profiler(profiler)
     if file_r.dimensions != file_s.dimensions:
         raise ValueError(
             f"dimension mismatch: {file_r.dimensions} vs "
@@ -267,7 +270,7 @@ def ego_join_files(file_r: PointFile, file_s: PointFile, epsilon: float,
         # identically, and provides this run's I/O deltas.
         scope = IOScope(file_r.disk, file_s.disk, sorted_r_disk,
                         sorted_s_disk, scratch).begin()
-        with prof.phase("sort"), tracer.span("sort", cat="pipeline"):
+        with tracer.span("sort", cat="pipeline"):
             sorted_r, sort_r = external_sort(file_r, sorted_r_disk, scratch,
                                              key, sort_memory_records,
                                              trace=tracer, metrics=registry)
@@ -285,7 +288,7 @@ def ego_join_files(file_r: PointFile, file_s: PointFile, epsilon: float,
                        + sorted_s_disk.scope_time_s)
         scheduler = TwoFileScheduler(sorted_r, sorted_s, ctx, unit_bytes,
                                      buffer_units)
-        with prof.phase("schedule"), tracer.span("schedule", cat="pipeline"):
+        with tracer.span("schedule", cat="pipeline"):
             schedule_stats = scheduler.run()
         join_io_time = (sorted_r_disk.scope_time_s
                         + sorted_s_disk.scope_time_s) - join_before
@@ -322,7 +325,7 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
                        supervisor_policy: Optional[SupervisorPolicy] = None,
                        invariants: bool = False,
                        trace=None, metrics=None,
-                       profiler=None, **kernel) -> ExternalJoinReport:
+                       **kernel) -> ExternalJoinReport:
     """External EGO self-join of a point file (the paper's full pipeline).
 
     Parameters
@@ -418,20 +421,21 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
         leaf checks in the recursion.  With ``workers > 1`` the
         recursion-level checks run only for pairs joined in-process;
         the schedule-level checks always run in the parent.
-    trace, metrics, profiler:
+    trace, metrics:
         Observability recorders (:mod:`repro.obs`).  ``trace`` — a
         :class:`~repro.obs.trace.Tracer` collecting the span hierarchy
         (``external_self_join`` → ``sort``/``schedule`` → ``load`` /
-        ``unit_pair`` → ``sequence_join`` → ``leaf``) for Chrome
-        ``trace_event`` export.  ``metrics`` — a
+        ``unit_pair`` → ``sequence_join`` → ``leaf``, plus a ``skip``
+        instant per interval-skipped unit pair) for Chrome
+        ``trace_event`` export; the ``pipeline``-category spans
+        (``external_self_join``, ``sort``, ``schedule``) are the run's
+        per-phase wall times.  ``metrics`` — a
         :class:`~repro.obs.metrics.MetricsRegistry` of structural
         counters (unit reads by mode, prunes by reason, buffer events,
         …) whose dumps are byte-identical across runs and worker
         counts; with ``workers > 1`` the worker deltas are merged in
-        schedule order.  ``profiler`` — a
-        :class:`~repro.obs.profile.PhaseProfiler` timing the ``sort``
-        and ``schedule`` phases.  All default to shared null recorders
-        that record nothing and allocate nothing.
+        schedule order.  Both default to shared null recorders that
+        record nothing and allocate nothing.
     **kernel:
         The :class:`~repro.core.sequence_join.KernelConfig` knobs
         (``engine``, ``minlen``, ``metric``, ``order_dimensions``,
@@ -445,7 +449,6 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
         supervisor_policy = SupervisorPolicy()
     tracer = ensure_tracer(trace)
     registry = ensure_metrics(metrics)
-    prof = ensure_profiler(profiler)
     codec = input_file.codec
     if sort_memory_records is None:
         per_unit = max(1, unit_bytes // codec.record_bytes)
@@ -584,7 +587,7 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
             sorted_disk_obj = sorted_io
             io_scope = IOScope(input_disk, sorted_io, scratch_io).begin()
 
-            with prof.phase("sort"), tracer.span("sort", cat="pipeline"):
+            with tracer.span("sort", cat="pipeline"):
                 sorted_file, sort_stats = external_sort(
                     input_file, sorted_io, scratch_io,
                     ego_key_function(epsilon), sort_memory_records,
@@ -640,8 +643,7 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
                                      pair_done=pair_done,
                                      pair_complete=pair_complete,
                                      unit_joiner=unit_joiner)
-            with prof.phase("schedule"), \
-                    tracer.span("schedule", cat="pipeline"):
+            with tracer.span("schedule", cat="pipeline"):
                 schedule_stats = scheduler.run()
         join_io_time = sorted_disk_obj.scope_time_s - join_time_before
 

@@ -30,7 +30,7 @@ with LRU replacement, reproducing the thrashing behaviour of Figure 3b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -160,7 +160,6 @@ class EGOScheduler:
     def __init__(self, point_file: PointFile, ctx: JoinContext,
                  unit_bytes: int, buffer_units: int,
                  allow_crabstep: bool = True,
-                 trace: Optional[List[Tuple[str, int, int]]] = None,
                  pair_done: Optional[Callable[[int, int], bool]] = None,
                  pair_complete: Optional[Callable[[int, int], None]] = None,
                  unit_joiner=None) -> None:
@@ -172,7 +171,6 @@ class EGOScheduler:
         self.ctx = ctx
         self.unit_bytes = unit_bytes
         self.allow_crabstep = allow_crabstep
-        self.trace = trace
         self.pair_done = pair_done
         self.pair_complete = pair_complete
         if unit_joiner is None:
@@ -232,8 +230,6 @@ class EGOScheduler:
     # -- unit loading and metadata ------------------------------------------
 
     def _load_unit(self, ordinal: int) -> UnitData:
-        if self.trace is not None:
-            self.trace.append(("load", ordinal, ordinal))
         span_args = ({"unit": ordinal, "mode": self._mode}
                      if self._tracer.enabled else None)
         with self._tracer.span("load", cat="io", args=span_args):
@@ -278,17 +274,14 @@ class EGOScheduler:
             self._m_pair_resumed.inc()
             if self.monitor is not None:
                 self.monitor.note_unit_pair(a, b)
-            if self.trace is not None:
-                self.trace.append(("resume-skip", min(a, b), max(a, b)))
             return
         if a != b and not self._units_may_join(a, b):
             self.stats.unit_pairs_skipped += 1
             self._m_pair_skipped.inc()
-            if self.trace is not None:
-                self.trace.append(("skip", min(a, b), max(a, b)))
+            if self._tracer.enabled:
+                self._tracer.instant("skip", args={"a": min(a, b),
+                                                   "b": max(a, b)})
             return
-        if self.trace is not None:
-            self.trace.append(("join", min(a, b), max(a, b)))
         self.stats.unit_pairs_joined += 1
         self._m_pair_joined.inc()
         if self.monitor is not None:
@@ -481,14 +474,3 @@ class EGOScheduler:
         self.pool.unpin_all()
         return i
 
-
-def schedule_self_join(point_file: PointFile, ctx: JoinContext,
-                       unit_bytes: int, buffer_units: int,
-                       allow_crabstep: bool = True) -> ScheduleStats:
-    """Run the EGO I/O schedule for a similarity self-join.
-
-    Convenience wrapper constructing and running an :class:`EGOScheduler`.
-    """
-    scheduler = EGOScheduler(point_file, ctx, unit_bytes, buffer_units,
-                             allow_crabstep=allow_crabstep)
-    return scheduler.run()

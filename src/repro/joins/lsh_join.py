@@ -202,7 +202,7 @@ def lsh_self_join_file(point_file: PointFile, epsilon: float, *,
                      engine=engine, recall_target=recall_target,
                      model_recall=family.recall_for_tables(tables))
 
-    with tracer.span("lsh_self_join"):
+    with tracer.span("lsh_self_join", cat="pipeline"):
         # One sequential pass over the input; the points stay resident
         # for hashing while all data *movement* below goes through the
         # bucket files.

@@ -1,32 +1,30 @@
-"""Observability for the EGO join pipeline: tracing, metrics, profiling.
+"""Observability for the EGO join pipeline: tracing and metrics.
 
-Three zero-dependency subsystems behind one idiom — a recorder object
-threaded through the pipeline, with a shared no-op implementation so an
+Two zero-dependency recorders behind one idiom — an object threaded
+through the pipeline, with a shared no-op implementation so an
 uninstrumented run pays one attribute lookup per event and allocates
 nothing:
 
-* :mod:`.trace` — hierarchical span tracer (sort → schedule →
-  unit_pair → sequence_join → leaf) emitting Chrome ``trace_event``
-  JSON for ``chrome://tracing``;
+* :mod:`.trace` — the one record of when and where a run spent its
+  time: a hierarchical span tracer (sort → schedule → load/unit_pair →
+  sequence_join → leaf) emitting Chrome ``trace_event`` JSON for
+  ``chrome://tracing``; its ``pipeline`` spans are the per-phase wall
+  times;
 * :mod:`.metrics` — typed counters / gauges / histograms with
   Prometheus-text and JSON exporters; every metric is a structural
   operation count, so dumps are byte-identical across runs and across
-  worker counts;
-* :mod:`.profile` — opt-in per-phase wall/CPU timing with optional
-  cProfile hotspot capture.
+  worker counts.
 
 Entry points: ``ego_self_join_file(..., trace=Tracer(),
-metrics=MetricsRegistry(), profiler=PhaseProfiler())`` or the CLI
-``repro join FILE --trace out.json --metrics out.prom --profile``.
-See ``docs/OBSERVABILITY.md`` for the metric catalogue and how to read
-a trace.
+metrics=MetricsRegistry())`` or the CLI ``repro join FILE --trace
+out.json --metrics out.prom``, which also prints each phase's wall
+seconds.  See ``docs/OBSERVABILITY.md`` for the metric catalogue and
+how to read a trace.
 """
 
 from .metrics import (NULL_INSTRUMENT, NULL_METRICS, Counter, Gauge,
                       Histogram, MetricsRegistry, NullMetrics,
                       ensure_metrics)
-from .profile import (NULL_PROFILER, NullProfiler, PhaseProfiler,
-                      PhaseTimes, ensure_profiler)
 from .trace import (NULL_SPAN, NULL_TRACER, NullTracer, Span, Tracer,
                     ensure_tracer)
 
@@ -39,11 +37,6 @@ __all__ = [
     "NULL_INSTRUMENT",
     "NULL_METRICS",
     "ensure_metrics",
-    "NullProfiler",
-    "NULL_PROFILER",
-    "PhaseProfiler",
-    "PhaseTimes",
-    "ensure_profiler",
     "NullTracer",
     "NULL_SPAN",
     "NULL_TRACER",

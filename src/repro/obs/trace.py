@@ -10,15 +10,21 @@ or Perfetto.  The pipeline emits one span hierarchy per phase::
     │   └── merge_pass
     └── schedule
         ├── load          (one per physical unit read)
+        ├── skip          (instant: a unit pair the ε-interval rules out)
         └── unit_pair
             └── sequence_join
                 └── leaf  (one per leaf kernel call)
 
+The ``pipeline``-category spans (the root, ``sort``, ``schedule``) are
+the run's per-phase wall times; :meth:`Tracer.wall_seconds` sums them
+by name.
+
 Span nesting is positional: a span opened while another is open becomes
-its child, per thread.  Pids and tids are stable small integers (pid is
-always 1; tids are allocated in order of first use), so traces diff
-cleanly.  Timestamps come from ``time.perf_counter_ns`` and are
-monotonic, which guarantees non-negative durations.
+its child.  The library runs one thread per process, so every event
+carries the same constant pid and tid (:data:`TRACE_PID`,
+:data:`TRACE_TID`) and traces diff cleanly.  Timestamps come from
+``time.perf_counter_ns`` and are monotonic, which guarantees
+non-negative durations.
 
 With ``workers > 1`` the unit-pair compute happens in worker processes,
 which run with the null tracer; the parent's ``unit_pair`` spans then
@@ -33,7 +39,6 @@ tracing allocates no span objects at all.
 from __future__ import annotations
 
 import json
-import threading
 import time
 from typing import Dict, List, Optional
 
@@ -43,11 +48,14 @@ __all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "ensure_tracer"]
 #: worker processes do not trace).
 TRACE_PID = 1
 
+#: The one tid every event carries (the pipeline runs one thread).
+TRACE_TID = 1
+
 
 class Span:
     """An open span; use as a context manager (returned by ``Tracer.span``)."""
 
-    __slots__ = ("tracer", "name", "cat", "args", "tid", "start_ns")
+    __slots__ = ("tracer", "name", "cat", "args", "start_ns")
 
     def __init__(self, tracer: "Tracer", name: str, cat: str,
                  args: Optional[dict]) -> None:
@@ -55,7 +63,6 @@ class Span:
         self.name = name
         self.cat = cat
         self.args = args
-        self.tid = tracer._tid()
         self.start_ns = time.perf_counter_ns()
 
     def __enter__(self) -> "Span":
@@ -73,16 +80,6 @@ class Tracer:
     def __init__(self) -> None:
         self.events: List[dict] = []
         self._t0_ns = time.perf_counter_ns()
-        self._tids: Dict[int, int] = {}
-        self._lock = threading.Lock()
-
-    def _tid(self) -> int:
-        ident = threading.get_ident()
-        tid = self._tids.get(ident)
-        if tid is None:
-            with self._lock:
-                tid = self._tids.setdefault(ident, len(self._tids) + 1)
-        return tid
 
     def _us(self, t_ns: int) -> float:
         return (t_ns - self._t0_ns) / 1000.0
@@ -99,7 +96,7 @@ class Tracer:
             "name": span.name,
             "cat": span.cat,
             "pid": TRACE_PID,
-            "tid": span.tid,
+            "tid": TRACE_TID,
             "ts": self._us(span.start_ns),
             "dur": (end_ns - span.start_ns) / 1000.0,
         }
@@ -115,7 +112,7 @@ class Tracer:
             "name": name,
             "cat": cat,
             "pid": TRACE_PID,
-            "tid": self._tid(),
+            "tid": TRACE_TID,
             "ts": self._us(time.perf_counter_ns()),
             "s": "t",
         }
@@ -143,6 +140,19 @@ class Tracer:
         """Complete ("X") events, optionally filtered by span name."""
         return [e for e in self.events
                 if e["ph"] == "X" and (name is None or e["name"] == name)]
+
+    def wall_seconds(self) -> Dict[str, float]:
+        """Wall seconds per ``pipeline``-category span name: the phases.
+
+        Names are ordered by their first span's start, so the root
+        (``external_self_join``) comes first, then ``sort`` and
+        ``schedule``; repeated spans of one name add up.
+        """
+        totals: Dict[str, float] = {}
+        for e in sorted((e for e in self.spans() if e["cat"] == "pipeline"),
+                        key=lambda e: e["ts"]):
+            totals[e["name"]] = totals.get(e["name"], 0.0) + e["dur"] / 1e6
+        return totals
 
 
 class _NullSpan:

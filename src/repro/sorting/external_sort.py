@@ -263,50 +263,10 @@ def merge_sorted_arrays(runs: List[Tuple[np.ndarray, np.ndarray]],
     return ids[order], np.ascontiguousarray(points[order])
 
 
-def _generate_runs_replacement(input_file: PointFile,
-                               scratch: SimulatedDisk,
-                               key_of_batch: KeyFunction,
-                               memory_records: int,
-                               stats: SortStats) -> List["_Run"]:
-    """Run generation via replacement selection (see :mod:`.runs`)."""
-    from .runs import replacement_selection_runs
-
-    codec = input_file.codec
-    runs: List[_Run] = []
-    state = {"next_byte": 0}
-
-    def factory():
-        run = _Run(scratch, codec, state["next_byte"])
-        runs.append(run)
-        return SequentialWriter(run.file, buffer_records=memory_records)
-
-    lengths = replacement_selection_runs(input_file, key_of_batch,
-                                         memory_records, _chain(factory,
-                                                                runs,
-                                                                state))
-    runs[:] = [r for r in runs if r.count]
-    stats.runs_generated += len(runs)
-    stats.records_sorted += sum(lengths)
-    return runs
-
-
-def _chain(factory, runs, state):
-    """Wrap the run factory to advance the scratch-disk high-water mark."""
-
-    def wrapped():
-        if runs:
-            state["next_byte"] = max(state["next_byte"],
-                                     runs[-1].end_byte)
-        return factory()
-
-    return wrapped
-
-
 def external_sort(input_file: PointFile, output_disk: SimulatedDisk,
                   scratch_disk: SimulatedDisk, key_of_batch: KeyFunction,
                   memory_records: int,
                   fanin: int = 16,
-                  run_strategy: str = "load",
                   journal: Optional[Journal] = None,
                   trace=None, metrics=None
                   ) -> Tuple[PointFile, SortStats]:
@@ -319,17 +279,12 @@ def external_sort(input_file: PointFile, output_disk: SimulatedDisk,
         and the total merge buffering.
     fanin:
         Maximum runs merged per pass.
-    run_strategy:
-        ``"load"`` (sort one memory-load per run, the default) or
-        ``"replacement"`` (replacement selection: ~2× longer runs on
-        random input, halving the merge work).
     journal:
         Optional :class:`~repro.storage.journal.Journal` for crash-safe
         checkpointing: completed runs, merge passes and the finished
         output are recorded, and a sort re-invoked with the same journal
         (and the same file-backed disks) resumes after the last completed
-        step instead of starting over.  Requires ``run_strategy="load"``
-        (replacement selection consumes its input stream statefully).
+        step instead of starting over.
     trace, metrics:
         Optional :class:`~repro.obs.trace.Tracer` /
         :class:`~repro.obs.metrics.MetricsRegistry`.  The sort emits
@@ -342,11 +297,6 @@ def external_sort(input_file: PointFile, output_disk: SimulatedDisk,
         raise ValueError("memory_records must be at least 2")
     if fanin < 2:
         raise ValueError("fanin must be at least 2")
-    if run_strategy not in ("load", "replacement"):
-        raise ValueError(f"unknown run_strategy {run_strategy!r}")
-    if journal is not None and run_strategy != "load":
-        raise ValueError(
-            "journaled sorting requires run_strategy='load'")
     codec = input_file.codec
     tracer = ensure_tracer(trace)
     registry = ensure_metrics(metrics)
@@ -368,13 +318,8 @@ def external_sort(input_file: PointFile, output_disk: SimulatedDisk,
     if not resuming:
         scratch_disk.truncate(0)
     with tracer.span("run_generation", cat="sort"):
-        if run_strategy == "replacement":
-            runs = _generate_runs_replacement(input_file, scratch_disk,
-                                              key_of_batch, memory_records,
-                                              stats)
-        else:
-            runs = _generate_runs(input_file, scratch_disk, key_of_batch,
-                                  memory_records, stats, journal=journal)
+        runs = _generate_runs(input_file, scratch_disk, key_of_batch,
+                              memory_records, stats, journal=journal)
 
     # Intermediate merge passes keep results on the scratch disk, the
     # final pass writes the output file.  With a journal, each completed

@@ -5,7 +5,7 @@ import pytest
 
 from repro.apps.dbscan import NOISE, dbscan, dbscan_from_graph
 from repro.apps.neighborhood import (NeighborhoodGraph, UnionFind,
-                                     epsilon_graph)
+                                     epsilon_graph, symmetric_csr)
 from repro.apps.outliers import distance_based_outliers
 from repro.core.ego_join import ego_self_join
 from repro.data.synthetic import gaussian_clusters
@@ -76,6 +76,19 @@ class TestNeighborhoodGraph:
         graph = epsilon_graph(pts, 0.5)
         labels = graph.connected_components()
         assert labels[0] != labels[1]
+
+    def test_symmetric_csr_rows_carry_values(self):
+        """Each pair lands in both rows, in pair order, with its value."""
+        a, b = np.array([0, 2, 1]), np.array([1, 0, 3])
+        dists = np.array([0.1, 0.2, 0.3])
+        indptr, indices, values = symmetric_csr(4, a, b, dists)
+        np.testing.assert_array_equal(indptr, [0, 2, 4, 5, 6])
+        np.testing.assert_array_equal(indices, [1, 2, 3, 0, 0, 1])
+        np.testing.assert_array_equal(values, [0.1, 0.2, 0.3, 0.1, 0.2, 0.3])
+        same_ptr, same_idx, none = symmetric_csr(4, a, b)
+        assert none is None
+        np.testing.assert_array_equal(same_ptr, indptr)
+        np.testing.assert_array_equal(same_idx, indices)
 
     def test_from_pairs_rejects_mismatch(self):
         with pytest.raises(ValueError):

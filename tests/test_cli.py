@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -100,10 +102,12 @@ class TestJoin:
         metrics_path = str(tmp_path / "run.prom")
         assert main(["join", data_file, "--epsilon", "0.2",
                      "--count-only", "--trace", trace_path,
-                     "--metrics", metrics_path, "--profile"]) == 0
+                     "--metrics", metrics_path]) == 0
         err = capsys.readouterr().err
         assert "trace:" in err and "metrics:" in err
-        assert "phase" in err and "schedule" in err  # profiler table
+        for phase in ("external_self_join", "sort", "schedule"):
+            assert re.search(rf"^phase {phase}: \d+\.\d{{3}}s wall$", err,
+                             re.M), phase
         with open(trace_path) as fh:
             doc = json.load(fh)
         assert any(e["name"] == "external_self_join"
@@ -111,6 +115,19 @@ class TestJoin:
         with open(metrics_path) as fh:
             text = fh.read()
         assert "# TYPE ego_unit_reads_total counter" in text
+
+    def test_untraced_join_prints_no_phase_lines(self, data_file, capsys):
+        assert main(["join", data_file, "--epsilon", "0.2",
+                     "--count-only"]) == 0
+        assert "phase " not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["join", "join-two"])
+    def test_profile_flag_is_gone(self, data_file, command, capsys):
+        files = [data_file] * (2 if command == "join-two" else 1)
+        with pytest.raises(SystemExit) as exc:
+            main([command, *files, "--epsilon", "0.2", "--profile"])
+        assert exc.value.code == 2
+        assert "--profile" in capsys.readouterr().err
 
     def test_join_metrics_json_extension(self, data_file, tmp_path,
                                          capsys):
@@ -132,7 +149,9 @@ class TestJoin:
         trace_path = str(tmp_path / "rs.trace.json")
         assert main(["join-two", r_path, s_path, "--epsilon", "0.2",
                      "--count-only", "--trace", trace_path]) == 0
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        for phase in ("external_rs_join", "sort", "schedule"):
+            assert f"phase {phase}: " in err
         with open(trace_path) as fh:
             doc = json.load(fh)
         assert any(e["name"] == "external_rs_join"

@@ -525,6 +525,13 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "approximate" in err and "lsh" in err
 
+    def test_join_impl_lsh_trace_prints_its_phase(self, lsh_file, tmp_path,
+                                                  capsys):
+        trace_path = str(tmp_path / "lsh.trace.json")
+        assert main(["join", lsh_file, "--epsilon", "0.4", "--impl",
+                     "lsh", "--count-only", "--trace", trace_path]) == 0
+        assert "phase lsh_self_join: " in capsys.readouterr().err
+
     def test_join_impl_auto_routes(self, lsh_file, capsys):
         assert main(["join", lsh_file, "--epsilon", "0.4", "--impl",
                      "auto", "--count-only"]) == 0

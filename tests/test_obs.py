@@ -22,9 +22,9 @@ from repro.core.ego_order import ego_sorted, lex_less
 from repro.core.result import JoinResult
 from repro.core.scheduler import EGOScheduler
 from repro.core.sequence_join import JoinContext
-from repro.obs import (NULL_INSTRUMENT, NULL_METRICS, NULL_PROFILER,
-                       NULL_SPAN, NULL_TRACER, MetricsRegistry,
-                       ensure_metrics, ensure_profiler, ensure_tracer)
+from repro.obs import (NULL_INSTRUMENT, NULL_METRICS, NULL_SPAN,
+                       NULL_TRACER, MetricsRegistry, ensure_metrics,
+                       ensure_tracer)
 from repro.storage.disk import SimulatedDisk
 from repro.storage.pagefile import PointFile
 from repro.verify.workloads import generate_workload
@@ -57,7 +57,6 @@ class TestNullRecorders:
     def test_ensure_defaults_to_shared_singletons(self):
         assert ensure_metrics(None) is NULL_METRICS
         assert ensure_tracer(None) is NULL_TRACER
-        assert ensure_profiler(None) is NULL_PROFILER
         real = MetricsRegistry()
         assert ensure_metrics(real) is real
 
@@ -86,16 +85,6 @@ class TestNullRecorders:
         assert NULL_TRACER.spans() == []
         assert NULL_TRACER.to_chrome()["traceEvents"] == []
         assert not NULL_TRACER.enabled
-
-    def test_null_profiler_shares_one_phase(self):
-        p1 = NULL_PROFILER.phase("sort")
-        p2 = NULL_PROFILER.phase("schedule")
-        assert p1 is p2
-        with p1:
-            pass
-        assert NULL_PROFILER.report() == []
-        assert NULL_PROFILER.hottest_phase() is None
-        assert NULL_PROFILER.format_table() == "no phases recorded"
 
 
 # -- registry semantics -------------------------------------------------------

@@ -1,10 +1,10 @@
 """Schema validation of the observability exports.
 
 Checks the Chrome ``trace_event`` JSON a traced pipeline run produces
-(well-formed events, proper span nesting, stable pids/tids, no negative
-durations) and parses the Prometheus text exposition line by line
-against the format grammar (TYPE lines, label syntax, cumulative
-histogram series).
+(well-formed events, proper span nesting, constant pid/tid, no negative
+durations, per-phase wall seconds) and parses the Prometheus text
+exposition line by line against the format grammar (TYPE lines, label
+syntax, cumulative histogram series).
 """
 
 import json
@@ -15,7 +15,8 @@ import pytest
 
 from conftest import make_file
 from repro.core.ego_join import ego_self_join_file
-from repro.obs import MetricsRegistry, PhaseProfiler, Tracer
+from repro.obs import MetricsRegistry, Tracer
+from repro.obs.trace import TRACE_PID, TRACE_TID
 from repro.storage.disk import SimulatedDisk
 from repro.storage.pagefile import PointFile
 
@@ -27,14 +28,13 @@ def traced_run():
     pts = rng.uniform(size=(350, 4))
     tracer = Tracer()
     registry = MetricsRegistry()
-    profiler = PhaseProfiler(capture_hotspot=True)
     with SimulatedDisk() as disk:
         make_file(disk, pts)
         pf = PointFile.open(disk)
         report = ego_self_join_file(pf, 0.12, unit_bytes=2048,
                                     buffer_units=4, trace=tracer,
-                                    metrics=registry, profiler=profiler)
-    return tracer, registry, profiler, report
+                                    metrics=registry)
+    return tracer, registry, report
 
 
 class TestChromeTraceSchema:
@@ -54,8 +54,8 @@ class TestChromeTraceSchema:
             assert e["ph"] in ("X", "i")
             assert isinstance(e["name"], str) and e["name"]
             assert isinstance(e["cat"], str) and e["cat"]
-            assert e["pid"] == 1
-            assert isinstance(e["tid"], int) and e["tid"] >= 1
+            assert e["pid"] == TRACE_PID == 1
+            assert e["tid"] == TRACE_TID == 1
             assert e["ts"] >= 0.0
             if e["ph"] == "X":
                 assert e["dur"] >= 0.0
@@ -65,62 +65,52 @@ class TestChromeTraceSchema:
 
     def test_tids_are_stable_small_integers(self, traced_run):
         tracer = traced_run[0]
-        tids = sorted({e["tid"] for e in tracer.events})
-        assert tids == list(range(1, len(tids) + 1))
+        assert {e["tid"] for e in tracer.events} == {TRACE_TID}
 
     def test_spans_nest_properly(self, traced_run):
-        """Per thread, complete spans form a proper hierarchy.
+        """Complete spans form a proper hierarchy.
 
-        Two spans on one thread either do not overlap in time or one
-        contains the other — context-managed spans cannot partially
-        overlap.
+        Two spans either do not overlap in time or one contains the
+        other — context-managed spans cannot partially overlap.
         """
         tracer = traced_run[0]
-        by_tid = {}
-        for e in tracer.spans():
-            by_tid.setdefault(e["tid"], []).append(e)
-        for events in by_tid.values():
-            # Sort by start; ties broken longest-first (parent first).
-            events.sort(key=lambda e: (e["ts"], -e["dur"]))
-            stack = []
-            for e in events:
-                end = e["ts"] + e["dur"]
-                while stack and e["ts"] >= stack[-1]:
-                    stack.pop()
-                if stack:
-                    assert end <= stack[-1], \
-                        f"span {e['name']} escapes its parent"
-                stack.append(end)
+        # Sort by start; ties broken longest-first (parent first).
+        events = sorted(tracer.spans(), key=lambda e: (e["ts"], -e["dur"]))
+        stack = []
+        for e in events:
+            end = e["ts"] + e["dur"]
+            while stack and e["ts"] >= stack[-1]:
+                stack.pop()
+            if stack:
+                assert end <= stack[-1], \
+                    f"span {e['name']} escapes its parent"
+            stack.append(end)
 
     def test_expected_hierarchy_present(self, traced_run):
-        tracer, _registry, _profiler, report = traced_run
+        tracer, _registry, report = traced_run
         names = {e["name"] for e in tracer.spans()}
         assert {"external_self_join", "sort", "run_generation",
                 "schedule", "load", "unit_pair", "sequence_join",
                 "leaf"} <= names
         root = tracer.spans("external_self_join")
         assert len(root) == 1
-        # The root span covers every other span on its thread.
+        # The root span covers every other span.
         lo, hi = root[0]["ts"], root[0]["ts"] + root[0]["dur"]
         for e in tracer.spans():
-            if e["tid"] == root[0]["tid"]:
-                assert lo <= e["ts"] and e["ts"] + e["dur"] <= hi
+            assert lo <= e["ts"] and e["ts"] + e["dur"] <= hi
         # One load span per physical unit read.
         assert len(tracer.spans("load")) \
             == report.schedule_stats.total_unit_loads
 
-    def test_profiler_report_matches_phases(self, traced_run):
-        profiler = traced_run[2]
-        rows = {r["phase"]: r for r in profiler.report()}
-        assert set(rows) == {"sort", "schedule"}
-        for r in rows.values():
-            assert r["calls"] == 1
-            assert r["wall_s"] >= 0.0 and r["cpu_s"] >= 0.0
-        assert profiler.hottest_phase() in rows
-        hotspot = profiler.hotspot_stats()
-        assert hotspot is not None and "hottest phase" in hotspot
-        table = profiler.format_table()
-        assert "sort" in table and "schedule" in table
+    def test_wall_seconds_per_pipeline_phase(self, traced_run):
+        tracer = traced_run[0]
+        walls = tracer.wall_seconds()
+        assert list(walls) == ["external_self_join", "sort", "schedule"]
+        assert all(w >= 0.0 for w in walls.values())
+        assert walls["sort"] + walls["schedule"] \
+            <= walls["external_self_join"] + 1e-9
+        root = tracer.spans("external_self_join")[0]
+        assert walls["external_self_join"] == root["dur"] / 1e6
 
 
 #: Prometheus exposition grammar for the pieces this exporter emits.
@@ -191,7 +181,7 @@ class TestPrometheusText:
         assert json.loads(j.read_text()) == registry.to_json()
 
     def test_no_wall_clock_metrics(self, traced_run):
-        """Policy gate: wall-time goes to the profiler, never to metrics.
+        """Policy gate: wall time goes to the trace, never to metrics.
 
         ``ego_simulated_io_seconds`` is allowed — the simulated clock is
         deterministic — but nothing derived from the host's real clock

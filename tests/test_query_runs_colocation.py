@@ -1,61 +1,9 @@
-"""Tests for replacement-selection runs and co-location mining."""
+"""Tests for co-location mining."""
 
 import numpy as np
 import pytest
 
 from repro.apps.colocation import colocation_patterns
-from repro.core.ego_join import ego_key_function
-from repro.core.ego_order import is_ego_sorted
-from repro.sorting.external_sort import external_sort
-from repro.storage.disk import SimulatedDisk
-from repro.storage.pagefile import PointFile
-
-from conftest import make_file
-
-
-class TestReplacementSelection:
-    def run_sort(self, points, memory, strategy):
-        eps = 0.2
-        with SimulatedDisk() as src, SimulatedDisk() as dst, \
-                SimulatedDisk() as scratch:
-            pf = make_file(src, points)
-            out, stats = external_sort(pf, dst, scratch,
-                                       ego_key_function(eps), memory,
-                                       run_strategy=strategy)
-            ids, pts = out.read_all()
-            return ids.copy(), pts.copy(), stats
-
-    def test_produces_sorted_output(self, rng):
-        pts = rng.random((400, 3))
-        ids, out, _ = self.run_sort(pts, 40, "replacement")
-        assert is_ego_sorted(out, 0.2)
-        assert sorted(ids.tolist()) == list(range(400))
-
-    def test_fewer_runs_than_load_strategy(self, rng):
-        """Replacement selection gives ~2x longer runs on random input."""
-        pts = rng.random((600, 2))
-        _, _, load = self.run_sort(pts, 50, "load")
-        _, _, repl = self.run_sort(pts, 50, "replacement")
-        assert repl.runs_generated < load.runs_generated
-        assert repl.runs_generated <= load.runs_generated * 0.75
-
-    def test_presorted_input_single_run(self, rng):
-        """Already-sorted input collapses to one run (the classic win)."""
-        from repro.core.ego_order import ego_sorted
-        _ids, pts = ego_sorted(rng.random((300, 2)), 0.2)
-        _, _, stats = self.run_sort(pts, 20, "replacement")
-        assert stats.runs_generated == 1
-
-    def test_unknown_strategy_rejected(self, rng):
-        with pytest.raises(ValueError):
-            self.run_sort(rng.random((10, 2)), 8, "quantum")
-
-    def test_same_result_as_load(self, rng):
-        pts = rng.random((200, 2))
-        ids_a, out_a, _ = self.run_sort(pts, 30, "load")
-        ids_b, out_b, _ = self.run_sort(pts, 30, "replacement")
-        np.testing.assert_array_equal(ids_a, ids_b)
-        np.testing.assert_allclose(out_a, out_b)
 
 
 class TestColocation:

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.ego_join import ego_key_function
 from repro.core.result import JoinResult
-from repro.core.scheduler import EGOScheduler, lex_less, schedule_self_join
+from repro.core.scheduler import EGOScheduler, lex_less
 from repro.core.sequence_join import JoinContext, KernelConfig
+from repro.obs.trace import Tracer
 from repro.sorting.external_sort import external_sort
 from repro.storage.disk import SimulatedDisk
 from repro.storage.pagefile import PointFile
@@ -29,8 +30,8 @@ def run_schedule(points, epsilon, unit_bytes, buffer_units,
         pf = sorted_file(disk, points, epsilon)
         result = JoinResult()
         ctx = JoinContext(epsilon=epsilon, result=result, kernel=KernelConfig(minlen=8))
-        stats = schedule_self_join(pf, ctx, unit_bytes, buffer_units,
-                                   allow_crabstep=allow_crabstep)
+        stats = EGOScheduler(pf, ctx, unit_bytes, buffer_units,
+                             allow_crabstep=allow_crabstep).run()
         pairs = result.canonical_pair_set()
         io = disk.counters.snapshot()
     return pairs, stats, io
@@ -111,7 +112,7 @@ class TestCorrectness:
             pf = PointFile.create(disk, 2)
             pf.close()
             ctx = JoinContext(epsilon=0.5, result=JoinResult())
-            stats = schedule_self_join(pf, ctx, 256, 4)
+            stats = EGOScheduler(pf, ctx, 256, 4).run()
             assert stats.total_unit_loads == 0
 
     def test_single_unit_file(self, rng):
@@ -186,35 +187,56 @@ class TestWithExternalSort:
                                    ego_key_function(eps),
                                    memory_records=40)
             ctx = JoinContext(epsilon=eps, result=JoinResult(), kernel=KernelConfig(minlen=8))
-            schedule_self_join(out, ctx, unit_bytes=512, buffer_units=4)
+            EGOScheduler(out, ctx, unit_bytes=512, buffer_units=4).run()
             assert ctx.result.canonical_pair_set() == brute_truth(pts, eps)
+
+
+def traced_schedule(points, epsilon, unit_bytes, buffer_units):
+    """Run the schedule with a :class:`Tracer`; returns (tracer, stats)."""
+    tracer = Tracer()
+    with SimulatedDisk() as disk:
+        pf = sorted_file(disk, points, epsilon)
+        ctx = JoinContext(epsilon=epsilon, result=JoinResult(),
+                          kernel=KernelConfig(minlen=8), trace=tracer)
+        stats = EGOScheduler(pf, ctx, unit_bytes, buffer_units).run()
+    return tracer, stats
+
+
+def skip_events(tracer):
+    return [e for e in tracer.events
+            if e["ph"] == "i" and e["name"] == "skip"]
 
 
 class TestTracing:
     def test_trace_records_loads_and_pairs(self, rng):
         pts = rng.random((100, 2))
-        eps = 0.3
-        with SimulatedDisk() as disk:
-            pf = sorted_file(disk, pts, eps)
-            trace = []
-            ctx = JoinContext(epsilon=eps, result=JoinResult(), kernel=KernelConfig(minlen=8))
-            sched = EGOScheduler(pf, ctx, unit_bytes=300, buffer_units=4,
-                                 trace=trace)
-            stats = sched.run()
-        kinds = {kind for kind, _a, _b in trace}
-        assert "load" in kinds and "join" in kinds
-        loads = sum(1 for k, _a, _b in trace if k == "load")
-        joins = sum(1 for k, _a, _b in trace if k == "join")
-        assert loads == stats.total_unit_loads
-        assert joins == stats.unit_pairs_joined
+        tracer, stats = traced_schedule(pts, 0.3, unit_bytes=300,
+                                        buffer_units=4)
+        assert stats.total_unit_loads > 0 and stats.unit_pairs_joined > 0
+        assert len(tracer.spans("load")) == stats.total_unit_loads
+        assert len(tracer.spans("unit_pair")) == stats.unit_pairs_joined
+        assert len(skip_events(tracer)) == stats.unit_pairs_skipped
 
     def test_trace_pairs_canonicalized(self, rng):
         pts = rng.random((80, 2))
-        with SimulatedDisk() as disk:
-            pf = sorted_file(disk, pts, 0.4)
-            trace = []
-            ctx = JoinContext(epsilon=0.4, result=JoinResult(), kernel=KernelConfig(minlen=8))
-            EGOScheduler(pf, ctx, 300, 3, trace=trace).run()
-        for kind, a, b in trace:
-            if kind in ("join", "skip"):
-                assert a <= b
+        tracer, _stats = traced_schedule(pts, 0.4, 300, 3)
+        pairs = tracer.spans("unit_pair") + skip_events(tracer)
+        assert pairs
+        for event in pairs:
+            assert event["args"]["a"] <= event["args"]["b"]
+
+    def test_crabstep_reloads_record_skips(self, rng):
+        """A 3-frame buffer forces crabstep reloads; reloaded units that
+        fall outside part of the pinned window's interval add skipped
+        pairs a galloping run never forms, each one ``skip`` instant."""
+        pts = rng.random((300, 2))
+        tracer, stats = traced_schedule(pts, 0.2, unit_bytes=300,
+                                        buffer_units=3)
+        _gallop_tracer, gallop = traced_schedule(pts, 0.2, unit_bytes=300,
+                                                 buffer_units=64)
+        assert gallop.crabstep_reloads == 0 and stats.crabstep_reloads > 0
+        assert stats.unit_pairs_skipped > gallop.unit_pairs_skipped
+        skips = skip_events(tracer)
+        assert len(skips) == stats.unit_pairs_skipped
+        assert all(e["args"]["a"] < e["args"]["b"] for e in skips)
+        assert len(tracer.spans("load")) == stats.total_unit_loads
