@@ -12,7 +12,9 @@ and reports wall-clock seconds per call:
 
 Also measures the external self-join wall clock at ``workers`` 1 vs 4
 on a Figure-9-style workload, so the parallel unit-pair join's benefit
-(or, on a single-core machine, its overhead) is recorded honestly.
+(or, on a single-core machine, its overhead) is recorded honestly, and
+whole in-memory self-joins per engine, where the ``batched`` engine's
+one gather pass per flush competes with per-leaf GEMM.
 
 Run as a script for the committed tables, ``--tiny`` for the CI smoke
 configuration; results land in ``results/bench_kernels.txt`` and are
@@ -50,8 +52,8 @@ EPSILON = 0.25
 
 #: Figure-9-style end-to-end points for the batched-vs-matmul
 #: comparison: ``(n, d, eps, minlen)``.  Small ``minlen`` is the regime
-#: the batched engine targets — many small leaves whose per-leaf GEMM
-#: dispatch it amortises into one fused call per batch.
+#: the batched engine targets — many small leaves whose per-leaf
+#: dispatch it replaces with one gather pass per flush.
 BATCHED_POINTS = [(3000, 8, 0.3, 16), (3000, 8, 0.3, 32),
                   (2000, 16, 0.5, 16)]
 TINY_BATCHED_POINTS = [(800, 8, 0.3, 16)]
@@ -136,8 +138,8 @@ def measure_workers(n=6000, worker_counts=(1, 4), repeats=1, seed=777):
 
 
 def measure_batched_e2e(points_list, repeats=2, seed=99):
-    """End-to-end in-memory self-join: per-leaf engines vs the fused
-    cross-leaf ``batched`` engine, one row per Figure-9-style point."""
+    """End-to-end in-memory self-join: per-leaf engines vs the
+    ``batched`` engine's gather pass, one row per Figure-9-style point."""
     from repro.core.ego_join import ego_self_join
     rows = []
     for n, d, eps, minlen in points_list:
@@ -178,7 +180,7 @@ def run_suite(tiny=False):
          worker_rows)
     emit("bench_kernels_batched",
          "End-to-end self-join wall clock: per-leaf engines vs the "
-         "fused cross-leaf batched engine",
+         "batched engine's gather pass",
          batched_rows,
          time_columns=["vector", "matmul", "batched"],
          reference="batched")

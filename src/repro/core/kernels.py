@@ -1,30 +1,37 @@
 """High-throughput leaf kernels for the similarity join.
 
 Section 4.2 observes that the final point-distance tests dominate the
-CPU cost of the EGO join.  The ``vector`` engine in
-:mod:`repro.core.distance` materialises a full ``na × nb × d``
-difference cube per leaf; for the leaf sizes where numpy batching pays
-off, that cube is both the memory and the time bottleneck.  This module
-provides a BLAS-bound alternative:
+CPU cost of the EGO join.  In this numpy reproduction the cost of a
+small leaf is per-call overhead rather than arithmetic, and the
+``vector`` engine in :mod:`repro.core.distance` materialises a full
+``na × nb × d`` difference cube per leaf.  This module provides two
+alternatives that decide the same pairs with the same exact distances:
 
-* :func:`pairs_within_matmul` — squared Euclidean distances via the
-  Gram identity ``‖p − q‖² = ‖p‖² + ‖q‖² − 2·(p·q)``, evaluated
-  blockwise with GEMM so peak memory is one ``block × block`` tile
-  instead of the full cube.  Borderline accepts (within a rounding
+* :func:`pairs_within_matmul` — one leaf at a time, squared Euclidean
+  distances via the Gram identity ``‖p − q‖² = ‖p‖² + ‖q‖² − 2·(p·q)``,
+  evaluated blockwise with GEMM so peak memory is one ``block × block``
+  tile instead of the full cube.  Borderline accepts (within a rounding
   slack of the threshold) are re-verified with exact differences, so
   the reported pair set and distances match the reference engines.
+* :class:`LeafBatch` and :func:`pairs_within_batched` — many small
+  leaves at once.  The recursion records each leaf as index ranges into
+  its two blocks; a flush finds every row's candidate window with one
+  ``searchsorted`` and decides every candidate with the exact sum of
+  squared differences, gathered in fixed-size chunks.  The record is
+  bounded at ``DEFAULT_BATCH_VOLUME`` candidate pairs and the gather's
+  scratch at ``DEFAULT_GATHER_CHUNK × d`` floats per side.
 * :func:`candidate_windows` — an EGO-sorted candidate-window prefilter:
   ``searchsorted`` on the grid cells of one monotone dimension bounds
   each point's candidate range to the ±1-cell band that can contain
   join mates, shrinking the GEMM tiles before any arithmetic happens.
 * :class:`ScratchBuffers` — reusable per-join scratch for the Gram
-  tiles, norms and masks, so steady-state leaf joins allocate nothing
+  tiles and norms, so steady-state leaf joins allocate nothing
   proportional to ``block²``.
 * :func:`select_engine` — the ``"auto"`` heuristic mapping leaf shape
   and metric to the fastest engine.
 
-Counter semantics: the dense kernel has no early abort, so with
-``counters`` it charges one distance calculation and ``d`` dimension
+Counter semantics: neither kernel has an early abort, so with
+``counters`` each charges one distance calculation and ``d`` dimension
 evaluations per candidate it evaluates (candidates excluded by the
 window prefilter are never charged).  The scalar/vector engines
 reconstruct the Figure-7 abort position instead; benchmarks that rely
@@ -52,14 +59,29 @@ DEFAULT_BLOCK = 256
 #: at d = 8; below it the einsum/broadcast path wins on call overhead.
 AUTO_MATMUL_VOLUME = 32768
 
-#: Flush a :class:`LeafBatch` once its stacked blocks hold this many rows.
-#: Large enough that one flush amortises the per-leaf Python dispatch over
-#: dozens of ``minlen``-sized leaves, small enough that the stacked tiles
-#: and candidate masks stay cache-resident.
-DEFAULT_BATCH_POINTS = 4096
+#: Flush a :class:`LeafBatch` once its leaves hold this many candidate
+#: pairs (Σ |a|·|b|).  A flush then pays its fixed numpy calls for
+#: dozens of ``minlen``-sized leaves, while the pairs it holds back
+#: stay a small fraction of a join's memory.
+DEFAULT_BATCH_VOLUME = 65536
 
-#: ...or this many leaf pairs, whichever comes first.
-DEFAULT_BATCH_LEAVES = 256
+#: Candidates expanded and decided per gather step of a flush.  Bounds
+#: the flush's scratch to a few ``chunk × d`` float arrays, which at
+#: d = 16 (512 KB each) stay in a 2 MB L2 cache: in a micro-benchmark
+#: of the gather, 16,384-candidate chunks cost 3–5× more per candidate.
+DEFAULT_GATHER_CHUNK = 4096
+
+#: Bound on a flush's packed window keys (see :func:`pairs_within_batched`).
+_KEY_ROOM = 1 << 62
+
+#: Key gap between consecutive leaves.  A row's window bounds reach
+#: three keys past its leaf's cells (two of clipping, one of the
+#: window), so the cells of neighbouring leaves must be four apart.
+_KEY_PAD = 4
+
+#: Triangle shift of a leaf that is not a range joined with itself:
+#: far below any window start, so it never moves one.
+_NO_TRIANGLE = -(1 << 62)
 
 #: Engines a :class:`~repro.core.sequence_join.JoinContext` accepts.
 ENGINES = ("scalar", "vector", "matmul", "batched", "auto")
@@ -361,233 +383,264 @@ def pairs_within_matmul(a: np.ndarray, b: np.ndarray, eps_sq: float,
     return ia, ib
 
 
-class LeafBatch:
-    """Accumulator of leaf-pair candidate blocks for the batched engine.
 
-    The sequence join appends each leaf pair's point blocks (plus their
-    candidate windows and triangle flag) instead of dispatching a kernel
-    per pair; once :attr:`full`, :func:`pairs_within_batched` evaluates
-    every accumulated pair with one fused, tiled GEMM over the stacked
-    blocks.  The batch stores raw arrays and opaque ``payloads`` only —
-    this stacked-block interface is the seam a CuPy/torch array-module
-    backend plugs into.
+
+class LeafBatch:
+    """Leaf pairs of one sequence join, recorded as index ranges.
+
+    The batched engine does not evaluate a leaf when the recursion
+    reaches it: it records the leaf's rows ``[a_lo, a_hi)`` of block
+    ``a``, rows ``[b_lo, b_hi)`` of block ``b``, its triangle flag and
+    the dimension its candidate window runs in.  Once :attr:`full` (or
+    when the join returns, or before a per-leaf engine emits),
+    :func:`pairs_within_batched` decides every recorded leaf in one
+    gather pass.  All leaves of a batch index the same two blocks,
+    bound by :meth:`bind`.
+
+    Memory: a leaf costs three small tuples.  A batch is full at
+    ``max_volume`` candidate pairs (Σ |a|·|b| over its leaves), and a
+    flush gathers ``chunk`` candidates at a time, so the deferral holds
+    O(max_volume) result pairs and O(chunk · d) floats of scratch.
     """
 
-    __slots__ = ("max_points", "max_leaves", "blocks_a", "blocks_b",
-                 "windows", "upper", "payloads", "points")
+    __slots__ = ("max_volume", "chunk", "points_a", "cells_a", "points_b",
+                 "cells_b", "leaves", "row_keys", "col_keys", "n_rows",
+                 "n_cols", "volume", "key_end", "_gathered")
 
-    def __init__(self, max_points: int = DEFAULT_BATCH_POINTS,
-                 max_leaves: int = DEFAULT_BATCH_LEAVES) -> None:
-        if max_points < 1:
-            raise ValueError(f"max_points must be positive, got {max_points}")
-        if max_leaves < 1:
-            raise ValueError(f"max_leaves must be positive, got {max_leaves}")
-        self.max_points = int(max_points)
-        self.max_leaves = int(max_leaves)
-        self.blocks_a = []
-        self.blocks_b = []
-        self.windows = []
-        self.upper = []
-        self.payloads = []
-        self.points = 0
+    def __init__(self, max_volume: int = DEFAULT_BATCH_VOLUME,
+                 chunk: int = DEFAULT_GATHER_CHUNK) -> None:
+        if max_volume < 1:
+            raise ValueError(f"max_volume must be positive, got {max_volume}")
+        if chunk < 1:
+            raise ValueError(f"chunk must be positive, got {chunk}")
+        self.max_volume = int(max_volume)
+        self.chunk = int(chunk)
+        self.points_a = self.cells_a = self.points_b = self.cells_b = None
+        self.leaves = []
+        self.row_keys = []
+        self.col_keys = []
+        self._gathered = None
+        self.clear()
+
+    def bind(self, points_a: np.ndarray, cells_a: np.ndarray,
+             points_b: np.ndarray, cells_b: np.ndarray) -> None:
+        """Drop any recorded leaves and index these blocks from now on."""
+        self.clear()
+        self.points_a, self.cells_a = points_a, cells_a
+        self.points_b, self.cells_b = points_b, cells_b
 
     def __len__(self) -> int:
-        return len(self.blocks_a)
+        return len(self.leaves)
 
     @property
     def full(self) -> bool:
         """True once the batch should be flushed."""
-        return (self.points >= self.max_points
-                or len(self.blocks_a) >= self.max_leaves)
+        return (self.volume >= self.max_volume
+                or self.key_end >= _KEY_ROOM // 2)
 
-    def add(self, a: np.ndarray, b: np.ndarray,
-            windows: Optional[Tuple[np.ndarray, np.ndarray]],
-            upper_triangle: bool, payload=None) -> None:
-        """Append one leaf pair's blocks (kept by reference, not copied)."""
-        self.blocks_a.append(a)
-        self.blocks_b.append(b)
-        self.windows.append(windows)
-        self.upper.append(bool(upper_triangle))
-        self.payloads.append(payload)
-        self.points += len(a) + len(b)
+    def add(self, a_lo: int, a_hi: int, b_lo: int, b_hi: int,
+            upper_triangle: bool = False,
+            wdim: Optional[int] = None) -> None:
+        """Record the leaf ``a[a_lo:a_hi] × b[b_lo:b_hi]``.
+
+        ``wdim`` is the window dimension: the cells of ``b[b_lo:b_hi]``
+        must be non-decreasing in it (true for the leaf's active
+        dimension).  ``None`` makes every row of ``b`` a candidate.
+        ``upper_triangle`` marks a range joined with itself.
+        """
+        base = last = pad = 0
+        if b_hi <= b_lo:
+            wdim = None
+        if wdim is not None:
+            base = int(self.cells_b[b_lo, wdim])
+            last = int(self.cells_b[b_hi - 1, wdim])
+            pad = 2
+            if last - base >= _KEY_ROOM // 4:
+                # Only cells beyond float64's exact range span this much.
+                wdim, base, last, pad = None, 0, 0, 0
+        room = last - base + _KEY_PAD
+        if self.key_end + room > _KEY_ROOM:
+            raise ValueError("window keys would overflow; flush first")
+        # Per-leaf columns the flush repeats once per row and per column
+        # of the leaf.  A windowless leaf clips every cell to 0, so all
+        # its keys sit at its offset and its window is the whole leaf.
+        # Row cells are clipped to two cells beyond the leaf's: a row
+        # that far out has an empty window whether clipped or not, and
+        # the clip keeps every key inside the leaf's room.
+        wcol = 0 if wdim is None else wdim
+        row_shift, col_shift = a_lo - self.n_rows, b_lo - self.n_cols
+        tri = (self.n_cols - self.n_rows + 1 if upper_triangle
+               else _NO_TRIANGLE)
+        self.leaves.append((a_lo, a_hi, b_lo, b_hi, int(upper_triangle)))
+        self.row_keys.append((row_shift, wcol, base, base - pad,
+                              last + pad, self.key_end, tri, col_shift))
+        self.col_keys.append((col_shift, wcol, base, base, last,
+                              self.key_end))
+        self.n_rows += a_hi - a_lo
+        self.n_cols += b_hi - b_lo
+        self.volume += (a_hi - a_lo) * (b_hi - b_lo)
+        self.key_end += room
 
     def clear(self) -> None:
-        """Drop all accumulated blocks."""
-        self.blocks_a.clear()
-        self.blocks_b.clear()
-        self.windows.clear()
-        self.upper.clear()
-        self.payloads.clear()
-        self.points = 0
+        """Drop all recorded leaves."""
+        self.leaves.clear()
+        self.row_keys.clear()
+        self.col_keys.clear()
+        self.n_rows = self.n_cols = self.volume = 0
+        self.key_end = _KEY_PAD
+
+    def gather_buffers(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Two reusable ``(n, d)`` arrays for gathered ``a`` and ``b`` rows.
+
+        Reused across flushes: a fresh half-megabyte array per gather
+        step is returned to the OS and faulted in again each time, which
+        measured several times the cost of the gather itself.
+        """
+        like = self.points_a
+        bufs = self._gathered
+        if (bufs is None or len(bufs[0]) < n
+                or bufs[0].shape[1:] != like.shape[1:]
+                or bufs[0].dtype != like.dtype):
+            size = max(n, self.chunk)
+            bufs = self._gathered = (np.empty((size,) + like.shape[1:],
+                                              dtype=like.dtype),
+                                     np.empty((size,) + like.shape[1:],
+                                              dtype=like.dtype))
+        return bufs[0][:n], bufs[1][:n]
+
+
+def _row_items(points: np.ndarray) -> np.ndarray:
+    """``points`` as a 1-D array with one opaque item per row.
+
+    Gathering whole rows as single items is faster than indexing the
+    2-D array, and the bytes (hence every difference) are the same.
+    """
+    rows = np.ascontiguousarray(points)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))
+                     ).reshape(-1)
 
 
 def pairs_within_batched(batch: LeafBatch, eps_sq: float,
                          counters: Optional[CPUCounters] = None,
-                         return_sq_distances: bool = False,
-                         scratch: Optional[ScratchBuffers] = None,
-                         block: int = DEFAULT_BLOCK,
                          metrics=None):
-    """Evaluate every leaf pair in ``batch`` with one fused, tiled GEMM.
+    """Decide every leaf recorded in ``batch`` in one gather pass.
 
-    The stacked ``a`` blocks form the row space and the stacked ``b``
-    blocks the column space of a single Gram evaluation; each global
-    ``a`` row carries a contiguous candidate range ``[low, high)`` into
-    the stacked columns that simultaneously encodes which entry the row
-    belongs to, its candidate window and (for self-pairs) the
-    upper-triangle constraint, so the tile loop is structurally the one
-    from :func:`pairs_within_matmul`.  All near-threshold accepts across
-    the whole batch are re-verified in one vectorized pass from the
-    original rows, then scattered back per leaf pair in deterministic
-    row-major order — the per-pair results (and distances) are exactly
-    those of the per-leaf engines.
+    Each row of each leaf gets its candidate window at once: the ``b``
+    rows whose cells in the leaf's window dimension lie within one cell
+    of the row's (the :func:`candidate_windows` rule), found with one
+    ``searchsorted`` over the whole batch.  The keys pack a leaf and a
+    cell as ``leaf offset + (cell − first cell of the leaf)``; offsets
+    grow by the leaf's cell span, which :class:`LeafBatch` bounds, so no
+    key overflows int64.  Candidates are then expanded ``batch.chunk``
+    at a time and decided by the exact sum of squared differences — the
+    ``einsum`` the GEMM kernel re-verifies its accepts with — so pairs
+    and distances are those of :func:`pairs_within_matmul`.
 
-    Returns a list with one ``(ia, ib)`` (or ``(ia, ib, sq_distances)``)
-    tuple per batch entry, in insertion order.
+    Returns ``(ia, ib, sq, offsets)``: row indices into
+    ``batch.points_a`` / ``batch.points_b``, the squared distances, and
+    ``len(batch) + 1`` offsets — leaf ``k``'s pairs are
+    ``[offsets[k], offsets[k + 1])``.  Pairs come in recording order,
+    row-major within a leaf.  ``counters`` are charged one distance
+    calculation and ``d`` dimension evaluations per candidate.
     """
-    entries = len(batch)
-    if entries == 0:
-        return []
-    if scratch is None:
-        scratch = ScratchBuffers(block)
-    else:
-        block = scratch.block
+    n_leaves = len(batch)
+    empty = np.empty(0, dtype=np.intp)
+    if n_leaves == 0:
+        return empty, empty, np.empty(0, dtype=np.float64), \
+            np.zeros(1, dtype=np.int64)
+    ranges = np.array(batch.leaves, dtype=np.int64)
+    sizes_a = ranges[:, 1] - ranges[:, 0]
+    # One row per row (column) of every leaf, carrying its leaf's
+    # columns from ``LeafBatch.add``.
+    per_row = np.repeat(np.array(batch.row_keys, dtype=np.int64), sizes_a,
+                        axis=0)
+    per_col = np.repeat(np.array(batch.col_keys, dtype=np.int64),
+                        ranges[:, 3] - ranges[:, 2], axis=0)
+    (row_shift, row_dim, row_base, row_low, row_high, row_key, row_tri,
+     row_col_shift) = per_row.T
+    col_shift, col_dim, col_base, col_low, col_high, col_key = per_col.T
+    n_rows, n_cols = batch.n_rows, batch.n_cols
+    iota = np.arange(n_rows)
+    rows = iota + row_shift
+    cols = np.arange(n_cols) + col_shift
+    keys_b = batch.cells_b[cols, col_dim]
+    np.maximum(keys_b, col_low, out=keys_b)
+    np.minimum(keys_b, col_high, out=keys_b)
+    keys_b -= col_base
+    keys_b += col_key
+    keys_a = batch.cells_a[rows, row_dim]
+    np.maximum(keys_a, row_low, out=keys_a)
+    np.minimum(keys_a, row_high, out=keys_a)
+    keys_a -= row_base
+    keys_a += row_key
+    lo = np.searchsorted(keys_b, keys_a - 1, side="left")
+    hi = np.searchsorted(keys_b, keys_a + 1, side="right")
+    if metrics is not None:
+        windowed = row_low != row_high
+        metrics.histogram(
+            "ego_candidate_window_rows",
+            "Candidate-window heights from EGO-sorted windowing",
+            unit="rows").observe_many((hi - lo)[windowed].tolist())
+    # Upper-triangle leaves start each row's window past the diagonal.
+    np.maximum(lo, iota + row_tri, out=lo)
+    counts = hi - lo
+    np.maximum(counts, 0, out=counts)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    total = int(ends[-1]) if n_rows else 0
+    # Root row of each window's first candidate: within a leaf the
+    # concatenated columns are consecutive rows of ``b``.
+    b_first = lo + row_col_shift
 
-    na_sizes = np.array([len(blk) for blk in batch.blocks_a], dtype=np.intp)
-    nb_sizes = np.array([len(blk) for blk in batch.blocks_b], dtype=np.intp)
-    a_off = np.zeros(entries + 1, dtype=np.intp)
-    b_off = np.zeros(entries + 1, dtype=np.intp)
-    np.cumsum(na_sizes, out=a_off[1:])
-    np.cumsum(nb_sizes, out=b_off[1:])
-    total_a, total_b = int(a_off[-1]), int(b_off[-1])
-    dims = batch.blocks_a[0].shape[1]
-
-    def _empty():
-        return (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
-
-    if total_a == 0 or total_b == 0:
-        out = []
-        for _ in range(entries):
-            ia, ib = _empty()
-            out.append((ia, ib, np.empty(0, dtype=np.float64))
-                       if return_sq_distances else (ia, ib))
-        return out
-
-    # Stack the blocks, centering each pair by its joint mean (see
-    # pairs_within_matmul) so the slack reflects spread, not magnitude.
-    # The original stacks feed the exact re-verification.
-    stack_a0 = np.concatenate(batch.blocks_a) if entries > 1 \
-        else np.asarray(batch.blocks_a[0])
-    stack_b0 = np.concatenate(batch.blocks_b) if entries > 1 \
-        else np.asarray(batch.blocks_b[0])
-    stack_a = np.empty_like(stack_a0)
-    stack_b = np.empty_like(stack_b0)
-    low = np.empty(total_a, dtype=np.intp)
-    high = np.empty(total_a, dtype=np.intp)
-    for e in range(entries):
-        blk_a, blk_b = batch.blocks_a[e], batch.blocks_b[e]
-        sa, sb = a_off[e], b_off[e]
-        if len(blk_a) and len(blk_b):
-            center = 0.5 * (blk_a.mean(axis=0) + blk_b.mean(axis=0))
-        else:
-            center = 0.0
-        stack_a[sa:sa + len(blk_a)] = blk_a - center
-        stack_b[sb:sb + len(blk_b)] = blk_b - center
-        win = batch.windows[e]
-        if win is not None:
-            low[sa:sa + len(blk_a)] = sb + win[0]
-            high[sa:sa + len(blk_a)] = sb + win[1]
-        else:
-            low[sa:sa + len(blk_a)] = sb
-            high[sa:sa + len(blk_a)] = sb + len(blk_b)
-        if batch.upper[e]:
-            np.maximum(low[sa:sa + len(blk_a)],
-                       sb + np.arange(1, len(blk_a) + 1, dtype=np.intp),
-                       out=low[sa:sa + len(blk_a)])
-
-    norms_a = scratch.norms(stack_a, "a")
-    norms_b = scratch.norms(stack_b, "b")
-    slack = _euclidean_slack(norms_a, norms_b, dims)
-
-    rows_out, cols_out = [], []
-    candidates_evaluated = 0
-    gemm_tiles = 0
-    for i0 in range(0, total_a, block):
-        i1 = min(i0 + block, total_a)
-        j_start = int(low[i0:i1].min())
-        j_end = int(high[i0:i1].max())
-        if j_start >= j_end:
-            continue
-        a_blk = stack_a[i0:i1]
-        lo_blk = low[i0:i1, None]
-        hi_blk = high[i0:i1, None]
-        for j0 in range(j_start, j_end, block):
-            j1 = min(j0 + block, j_end)
-            gram = scratch.gram_tile(i1 - i0, j1 - j0)
-            gemm_tiles += 1
-            np.matmul(a_blk, stack_b[j0:j1].T, out=gram)
-            d2 = (norms_a[i0:i1, None] + norms_b[None, j0:j1]
-                  - 2.0 * gram)
-            cols = np.arange(j0, j1, dtype=np.intp)
-            in_range = (cols[None, :] >= lo_blk) & (cols[None, :] < hi_blk)
-            if counters is not None:
-                candidates_evaluated += int(in_range.sum())
-            mask = (d2 <= eps_sq + slack) & in_range
-            ci, cj = np.nonzero(mask)
-            if len(ci):
-                rows_out.append((ci + i0).astype(np.intp))
-                cols_out.append((cj + j0).astype(np.intp))
-
-    if rows_out:
-        rows = np.concatenate(rows_out)
-        cols = np.concatenate(cols_out)
-        # One deterministic row-major order across the batch: rows of an
-        # entry are contiguous, so per-entry segments come out sorted
-        # exactly like the per-leaf engines emit them.
-        order = np.lexsort((cols, rows))
-        rows = rows[order]
-        cols = cols[order]
-        # Single vectorized exact re-verification pass over all
-        # near-threshold candidates, from the original (uncentered) rows.
-        diffs = stack_a0[rows] - stack_b0[cols]
-        exact = np.einsum("ij,ij->i", diffs, diffs)
-        keep = exact <= eps_sq
-        reverified = len(rows)
-        rows, cols, exact = rows[keep], cols[keep], exact[keep]
-    else:
-        rows = cols = np.empty(0, dtype=np.intp)
-        exact = np.empty(0, dtype=np.float64)
-        reverified = 0
+    dims = batch.points_a.shape[1]
+    items_a = _row_items(batch.points_a)
+    items_b = _row_items(batch.points_b)
+    out_a, out_b, out_d, out_r = [], [], [], []
+    r0 = 0
+    while r0 < n_rows:
+        r1 = max(int(np.searchsorted(ends, starts[r0] + batch.chunk,
+                                     side="right")), r0 + 1)
+        n = int(ends[r1 - 1] - starts[r0])
+        if n:
+            c = counts[r0:r1]
+            which = np.repeat(np.arange(r0, r1), c)
+            ia = rows[which]
+            ib = np.arange(n) + np.repeat(
+                b_first[r0:r1] - (starts[r0:r1] - starts[r0]), c)
+            diffs, rows_b = batch.gather_buffers(n)
+            # The indices are in range; "clip" skips the buffered bounds
+            # check the default mode makes when ``out`` is given.
+            np.take(items_a, ia, out=_row_items(diffs), mode="clip")
+            np.take(items_b, ib, out=_row_items(rows_b), mode="clip")
+            np.subtract(diffs, rows_b, out=diffs)
+            sq = np.einsum("ij,ij->i", diffs, diffs)
+            keep = sq <= eps_sq
+            out_a.append(ia[keep])
+            out_b.append(ib[keep])
+            out_d.append(sq[keep])
+            out_r.append(which[keep])
+        r0 = r1
 
     if counters is not None:
-        counters.distance_calculations += candidates_evaluated
-        counters.dimension_evaluations += candidates_evaluated * dims
+        counters.distance_calculations += total
+        counters.dimension_evaluations += total * dims
     if metrics is not None:
-        metrics.counter(
-            "ego_gemm_tiles_total",
-            "GEMM tiles evaluated by the matmul leaf kernel").inc(gemm_tiles)
-        metrics.counter(
-            "ego_gemm_reverified_total",
-            "Borderline GEMM accepts re-verified with exact differences",
-        ).inc(reverified)
         metrics.counter(
             "ego_kernel_batches_total",
             "LeafBatch flushes evaluated by the batched engine").inc()
         metrics.histogram(
             "ego_kernel_batch_leaves",
-            "Leaf pairs per batched-kernel flush").observe(entries)
+            "Leaf pairs per batched-kernel flush").observe(n_leaves)
         metrics.histogram(
             "ego_kernel_batch_points",
-            "Stacked rows per batched-kernel flush").observe(batch.points)
-
-    starts = np.searchsorted(rows, a_off[:-1], side="left")
-    ends = np.searchsorted(rows, a_off[1:], side="left")
-    results = []
-    for e in range(entries):
-        s, t = int(starts[e]), int(ends[e])
-        ia = rows[s:t] - a_off[e]
-        ib = cols[s:t] - b_off[e]
-        if return_sq_distances:
-            results.append((ia, ib, exact[s:t]))
-        else:
-            results.append((ia, ib))
-    return results
+            "Leaf rows (both sides) per batched-kernel flush").observe(
+                n_rows + n_cols)
+    if not out_a:
+        return empty, empty, np.empty(0, dtype=np.float64), \
+            np.zeros(n_leaves + 1, dtype=np.int64)
+    ia = np.concatenate(out_a).astype(np.intp, copy=False)
+    ib = np.concatenate(out_b).astype(np.intp, copy=False)
+    row_start = np.zeros(n_leaves + 1, dtype=np.int64)
+    np.cumsum(sizes_a, out=row_start[1:])
+    offsets = np.searchsorted(np.concatenate(out_r), row_start, side="left")
+    return ia, ib, np.concatenate(out_d), offsets

@@ -175,6 +175,9 @@ class TwoFileScheduler:
                 lex_less(ms.last_plus_eps_cells, mr.first_cells):
             self.stats.unit_pairs_skipped += 1
             self._m_pair_skipped.inc()
+            if self._tracer.enabled:
+                self._tracer.instant("skip", args={"r": r_unit,
+                                                   "s": s_unit})
             return
         ids_r, pts_r = self._pool_r.get(r_unit)
         ids_s, pts_s = self._pool_s.get(s_unit)

@@ -103,11 +103,14 @@ class Sequence:
         active = self.active_dimension()
         return self.dimensions if active is None else active
 
-    def slice(self, start: int, stop: int) -> "Sequence":
+    def slice(self, start: int, stop: int,
+              inactive: Optional[int] = None) -> "Sequence":
         """Sub-sequence view over ``[start, stop)``.
 
         The parent's invariants carry over to any non-empty slice, so
-        the view is built without re-validating them.
+        the view is built without re-validating them.  A caller that
+        already knows the slice's :meth:`inactive_count` passes it as
+        ``inactive``, so the view does not compute it again.
         """
         sub = Sequence.__new__(Sequence)
         sub.ids = self.ids[start:stop]
@@ -116,7 +119,10 @@ class Sequence:
         sub.points = self.points[start:stop]
         sub.cells = self.cells[start:stop]
         sub.epsilon = self.epsilon
-        sub._active_dim = -2
+        if inactive is None:
+            sub._active_dim = -2
+        else:
+            sub._active_dim = -1 if inactive == self.dimensions else inactive
         return sub
 
     def first_half(self) -> "Sequence":

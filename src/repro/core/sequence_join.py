@@ -7,11 +7,14 @@ threshold length ``minlen`` the remaining points are compared with the
 early-abort distance test of Figure 7, using the dimension ordering of
 Section 4.2.
 
-Because the sequences are materialised as sorted arrays and halving
-produces views (of the points and of their grid cells, computed once
-per block), the join needs no search structure at all.  Besides one
-cell row per point, the only memory overhead is the recursion stack,
-as the paper emphasises in Section 4.1.
+The recursion runs on index ranges ``[lo, hi)`` of the two root
+sequences: a node reads the first and last cell rows of its ranges
+(computed once per block, read as Python lists on first use) and
+builds no sub-sequence object, so the join needs no search structure
+at all.  Its memory is one cell row per point, the recursion stack (as
+the paper emphasises in Section 4.1), and — for the ``batched`` engine
+— a leaf buffer bounded at ``DEFAULT_BATCH_VOLUME`` candidate pairs
+(see :class:`~repro.core.kernels.LeafBatch`).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from ..obs.trace import ensure_tracer
 from ..storage.stats import CPUCounters
 from .distance import (dimension_ordering, natural_ordering,
                        pairs_within_scalar, pairs_within_vector)
-from .ego_order import lex_less, validate_epsilon
+from .ego_order import validate_epsilon
 from .kernels import (ENGINES, LeafBatch, ScratchBuffers, candidate_windows,
                       pairs_within_batched, pairs_within_matmul,
                       select_engine)
@@ -58,18 +61,20 @@ class KernelConfig:
     ``engine`` picks the leaf distance kernel: ``"scalar"`` (the
     literal Figure-7 loop), ``"vector"`` (difference-cube numpy),
     ``"matmul"`` (tiled GEMM with candidate windowing, see
-    :mod:`repro.core.kernels`), ``"batched"`` (leaf pairs accumulated
-    into a :class:`~repro.core.kernels.LeafBatch` and evaluated with one
-    fused GEMM per flush — amortises per-leaf dispatch) or ``"auto"``
-    (per-leaf heuristic choosing between ``batched`` and ``matmul`` by
-    leaf volume and metric).  ``minlen`` is the leaf threshold of
-    Section 4.1.  ``metric`` selects the distance (Euclidean by default;
-    any Minkowski L_p or L_∞ name/power/:class:`Metric` is accepted and
-    resolved here — the paper's pruning rules hold for the whole family,
-    see :mod:`repro.core.metrics`).  ``order_dimensions`` enables the
-    dimension ordering of Section 4.2 in the leaf test, and
-    ``split_strategy`` is ``"half"`` (the paper's halving) or
-    ``"boundary"`` (split at the cell boundary nearest the middle).
+    :mod:`repro.core.kernels`), ``"batched"`` (leaves recorded as index
+    ranges in a :class:`~repro.core.kernels.LeafBatch` and decided by
+    one gather pass per flush — amortises per-leaf dispatch) or
+    ``"auto"`` (per-leaf heuristic choosing between ``batched`` and
+    ``matmul`` by leaf volume and metric; ``batched`` and ``matmul``
+    use ``vector`` for a non-Euclidean metric).  ``minlen`` is the leaf
+    threshold of Section 4.1.  ``metric`` selects the distance
+    (Euclidean by default; any Minkowski L_p or L_∞ name/power/
+    :class:`Metric` is accepted and resolved here — the paper's pruning
+    rules hold for the whole family, see :mod:`repro.core.metrics`).
+    ``order_dimensions`` enables the dimension ordering of Section 4.2
+    in the leaf test, and ``split_strategy`` is ``"half"`` (the paper's
+    halving) or ``"boundary"`` (split at the cell boundary nearest the
+    middle).
     """
 
     engine: str = "vector"
@@ -102,9 +107,10 @@ class JoinContext:
 
     ``kernel`` holds the kernel knobs (:class:`KernelConfig`).
     ``threshold`` is the combined-value comparison bound the engines use
-    (ε² for Euclidean).  Batched-engine leaf pairs accumulate in a
+    (ε² for Euclidean).  Batched-engine leaves are recorded in one
     :class:`~repro.core.kernels.LeafBatch` with the default bounds
-    (``DEFAULT_BATCH_POINTS`` rows, ``DEFAULT_BATCH_LEAVES`` leaf pairs).
+    (``DEFAULT_BATCH_VOLUME`` candidate pairs per flush,
+    ``DEFAULT_GATHER_CHUNK`` candidates per gather step).
 
     ``invariants`` enables the runtime invariant hooks of
     :mod:`repro.verify.invariants`: pruning-soundness and leaf-exactness
@@ -164,7 +170,7 @@ class JoinContext:
 
     @property
     def batch(self) -> LeafBatch:
-        """Per-run leaf-pair accumulator (created on first use)."""
+        """Per-run leaf recorder of the batched engine (created on first use)."""
         if self._batch is None:
             self._batch = LeafBatch()
         return self._batch
@@ -214,10 +220,28 @@ class _SequenceObs:
             unit="pairs")
 
 
-def _excluded(s: Sequence, t: Sequence, ctx: JoinContext) -> bool:
+def _active(first: list, last: list) -> int:
+    """Active dimension of a range from its first and last cell rows.
+
+    Definition 2: the first dimension in which the rows differ; ``d``
+    (the row length) when all dimensions are inactive.
+    """
+    if first == last:
+        return len(first)
+    k = 0
+    while first[k] == last[k]:
+        k += 1
+    return k
+
+
+def _excluded(sf: list, sl: list, tf: list, tl: list, common: int,
+              obs: "_SequenceObs") -> bool:
     """Pruning rules: ε-interval disjointness and inactive dimensions.
 
-    Two tests, both exact consequences of the paper's lemmata:
+    ``sf``/``sl`` and ``tf``/``tl`` are the first and last cell rows of
+    the two sequences as Python int lists, ``common`` the number of
+    leading dimensions inactive in both.  Two tests, both exact
+    consequences of the paper's lemmata:
 
     1. Lemma 2/3 at sequence level: when the whole of ``s`` lies below
        the ε-interval of ``t`` (``s.last + [ε,…,ε] <ego t.first``) or
@@ -229,19 +253,14 @@ def _excluded(s: Sequence, t: Sequence, ctx: JoinContext) -> bool:
     2. The inactive-dimension rule of Section 3.3: a common inactive
        dimension with cell distance ≥ 2 excludes the pair.
     """
-    if (lex_less(s.last_cells + 1, t.first_cells)
-            or lex_less(t.last_cells + 1, s.first_cells)):
-        ctx.obs.prune_interval.inc()
+    if [c + 1 for c in sl] < tf or [c + 1 for c in tl] < sf:
+        obs.prune_interval.inc()
         return True
-    common = min(s.inactive_count(), t.inactive_count())
-    if common == 0:
-        return False
-    gap = np.abs(s.first_cells[:common] - t.first_cells[:common])
-    hit = gap >= EXCLUSION_CELL_DISTANCE
-    if hit.any():
-        ctx.obs.prune_inactive.inc()
-        ctx.obs.prune_dim.labels(int(np.argmax(hit))).inc()
-        return True
+    for k in range(common):
+        if abs(sf[k] - tf[k]) >= EXCLUSION_CELL_DISTANCE:
+            obs.prune_inactive.inc()
+            obs.prune_dim.labels(k).inc()
+            return True
     return False
 
 
@@ -264,72 +283,22 @@ def _leaf_windows(s: Sequence, t: Sequence, ctx: JoinContext):
     return windows
 
 
-def _emit_leaf(s: Sequence, t: Sequence, ia, ib, combined,
-               ctx: JoinContext, upper_triangle: bool) -> None:
-    """Monitor, count and report one leaf pair's result arrays."""
-    if ctx.monitor is not None:
-        ctx.monitor.check_leaf(s, t, ia, ib, ctx, upper_triangle)
+def _emit(ids_a, ids_b, ia, ib, combined, ctx: JoinContext) -> None:
+    """Count and report one batch of result index pairs."""
     ctx.obs.leaf_pairs.inc(len(ia))
     if len(ia):
         if combined is not None:
-            ctx.result.add_batch(s.ids[ia], t.ids[ib],
+            ctx.result.add_batch(ids_a[ia], ids_b[ib],
                                  distances=ctx.kernel.metric.finalize(combined))
         else:
-            ctx.result.add_batch(s.ids[ia], t.ids[ib])
+            ctx.result.add_batch(ids_a[ia], ids_b[ib])
 
 
-def flush_leaf_batch(ctx: JoinContext) -> None:
-    """Evaluate accumulated batched-engine leaf pairs and scatter results.
-
-    Entries are emitted strictly in accumulation (leaf-visit) order with
-    row-major pairs inside each leaf, so the pair stream is the one the
-    per-leaf engines produce.
-    """
-    batch = ctx._batch
-    if batch is None or len(batch) == 0:
-        return
-    span_args = ({"leaves": len(batch), "points": batch.points}
-                 if ctx.trace.enabled else None)
-    with ctx.trace.span("leaf_batch", cat="kernel", args=span_args):
-        results = pairs_within_batched(
-            batch, ctx.threshold, counters=ctx.cpu,
-            return_sq_distances=ctx.result.collect_distances,
-            scratch=ctx.scratch,
-            metrics=ctx.metrics if ctx.metrics.enabled else None)
-    for entry, payload in zip(results, batch.payloads):
-        s, t, upper = payload
-        if ctx.result.collect_distances:
-            ia, ib, combined = entry
-        else:
-            (ia, ib), combined = entry, None
-        _emit_leaf(s, t, ia, ib, combined, ctx, upper)
-    batch.clear()
-
-
-def simple_join(s: Sequence, t: Sequence, ctx: JoinContext,
-                upper_triangle: bool = False) -> None:
-    """Leaf case: compare the remaining points directly (Figure 7).
-
-    With ``upper_triangle`` the sequences are the identical slice and
-    only pairs ``(i, j)`` with ``i < j`` are produced.
-    """
+def _per_leaf(s: Sequence, t: Sequence, ctx: JoinContext, engine: str,
+              upper_triangle: bool) -> None:
+    """Evaluate one leaf with a per-leaf engine and report its pairs."""
     kernel = ctx.kernel
     metric = kernel.engine_metric
-    engine = select_engine(kernel.engine, len(s), len(t), s.dimensions,
-                           metric, batching=True)
-    ctx.obs.leaf_joins.labels(engine).inc()
-    ctx.obs.leaf_volume.observe(len(s) * len(t))
-    if engine == "batched":
-        ctx.batch.add(s.points, t.points, _leaf_windows(s, t, ctx),
-                      upper_triangle, payload=(s, t, upper_triangle))
-        if ctx.batch.full:
-            flush_leaf_batch(ctx)
-        return
-    # A pending batch must drain before a per-leaf engine emits, so the
-    # result stream keeps the leaf-visit order (``auto`` mixes batched
-    # and matmul leaves).
-    if ctx._batch is not None and len(ctx._batch):
-        flush_leaf_batch(ctx)
     if kernel.order_dimensions:
         order = dimension_ordering(s, t)
     else:
@@ -361,69 +330,174 @@ def simple_join(s: Sequence, t: Sequence, ctx: JoinContext,
                             counters=ctx.cpu, upper_triangle=upper_triangle,
                             metric=metric, **extra)
             combined = None
-    _emit_leaf(s, t, ia, ib, combined, ctx, upper_triangle)
+    if ctx.monitor is not None:
+        ctx.monitor.check_leaf(s, t, ia, ib, ctx, upper_triangle)
+    _emit(s.ids, t.ids, ia, ib, combined, ctx)
 
 
-def _split(seq: Sequence, ctx: JoinContext):
-    """Split a sequence per the context's strategy (§4 recursion knob).
+class _RowCache(dict):
+    """A block's cell rows as Python int lists, each read on first use."""
 
-    Boundary splits fall back to halving when the nearest cell boundary
-    is too lopsided (outside the middle 3/4), which bounds the recursion
-    depth at O(log n) like plain halving.
+    __slots__ = ("cells",)
+
+    def __init__(self, cells: np.ndarray) -> None:
+        super().__init__()
+        self.cells = cells
+
+    def __missing__(self, i: int) -> list:
+        row = self[i] = self.cells[i].tolist()
+        return row
+
+
+class _RangeJoin:
+    """One ``join_sequences`` call: Figure 6 on index ranges.
+
+    A sub-sequence is a row range ``[lo, hi)`` of the root sequence
+    ``s`` or ``t``.  A node reads the first and last cell rows of its
+    two ranges from a :class:`_RowCache`, so it makes no numpy call and
+    allocates no :class:`Sequence`; views are built only for a per-leaf
+    engine and for the invariant monitor.  Leaves the batched engine
+    takes are recorded in the context's :class:`LeafBatch` and decided
+    one flush at a time.
     """
-    if ctx.kernel.split_strategy == "boundary":
-        point = seq.boundary_split_point()
-        n = len(seq)
-        if n // 8 <= point <= n - n // 8:
-            return seq.split_at(point)
-    return seq.first_half(), seq.second_half()
+
+    def __init__(self, s: Sequence, t: Sequence, ctx: JoinContext) -> None:
+        self.s, self.t, self.ctx = s, t, ctx
+        self.same = s.same_storage(t)
+        self.rows_s = _RowCache(s.cells)
+        self.rows_t = self.rows_s if t is s else _RowCache(t.cells)
+        self.dims = s.dimensions
+        self.cpu = ctx.cpu
+        self.obs = ctx.obs
+        self.monitor = ctx.monitor
+        self.minlen = ctx.kernel.minlen
+        self.boundary = ctx.kernel.split_strategy == "boundary"
+        self.batch = ctx.batch
+        self.batch.bind(s.points, s.cells, t.points, t.cells)
+
+    def node(self, a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> None:
+        """The Figure 6 recursion body for ``s[a_lo:a_hi] × t[b_lo:b_hi]``."""
+        if self.cpu is not None:
+            self.cpu.sequence_pairs += 1
+        self.obs.seq_pairs.inc()
+        sf, sl = self.rows_s[a_lo], self.rows_s[a_hi - 1]
+        tf, tl = self.rows_t[b_lo], self.rows_t[b_hi - 1]
+        act_s, act_t = _active(sf, sl), _active(tf, tl)
+        if _excluded(sf, sl, tf, tl, min(act_s, act_t), self.obs):
+            if self.cpu is not None:
+                self.cpu.sequence_exclusions += 1
+            if self.monitor is not None:
+                # Pruning soundness (Section 3.3 / Lemma 2): the excluded
+                # sequence pair must genuinely contain no pair within ε.
+                self.monitor.check_prune(self.s.slice(a_lo, a_hi),
+                                         self.t.slice(b_lo, b_hi), self.ctx)
+            return
+
+        self_pair = self.same and a_lo == b_lo and a_hi == b_hi
+        s_splittable = a_hi - a_lo > self.minlen
+        t_splittable = b_hi - b_lo > self.minlen
+        if not s_splittable and not t_splittable:
+            self.leaf(a_lo, a_hi, b_lo, b_hi, self_pair, act_s, act_t)
+            return
+        if self_pair:
+            mid = self.split(self.s, a_lo, a_hi)
+            self.node(a_lo, mid, a_lo, mid)
+            self.node(a_lo, mid, mid, a_hi)
+            self.node(mid, a_hi, mid, a_hi)
+            return
+        if s_splittable and t_splittable:
+            sm = self.split(self.s, a_lo, a_hi)
+            tm = self.split(self.t, b_lo, b_hi)
+            self.node(a_lo, sm, b_lo, tm)
+            self.node(a_lo, sm, tm, b_hi)
+            self.node(sm, a_hi, b_lo, tm)
+            self.node(sm, a_hi, tm, b_hi)
+        elif s_splittable:
+            sm = self.split(self.s, a_lo, a_hi)
+            self.node(a_lo, sm, b_lo, b_hi)
+            self.node(sm, a_hi, b_lo, b_hi)
+        else:
+            tm = self.split(self.t, b_lo, b_hi)
+            self.node(a_lo, a_hi, b_lo, tm)
+            self.node(a_lo, a_hi, tm, b_hi)
+
+    def split(self, root: Sequence, lo: int, hi: int) -> int:
+        """Split index of ``root[lo:hi]`` per the split strategy.
+
+        Boundary splits fall back to halving when the nearest cell
+        boundary is too lopsided (outside the middle 3/4), which bounds
+        the recursion depth at O(log n) like plain halving.
+        """
+        n = hi - lo
+        if self.boundary:
+            point = root.slice(lo, hi).boundary_split_point()
+            if n // 8 <= point <= n - n // 8:
+                return lo + point
+        return lo + (n + 1) // 2
+
+    def leaf(self, a_lo: int, a_hi: int, b_lo: int, b_hi: int,
+             upper_triangle: bool, act_s: int, act_t: int) -> None:
+        """Leaf case (Figure 7): record it in the batch or evaluate it.
+
+        ``act_s``/``act_t`` are the ranges' active dimensions (``d``
+        when none), as the node computed them.
+        """
+        ctx = self.ctx
+        na, nb = a_hi - a_lo, b_hi - b_lo
+        engine = select_engine(ctx.kernel.engine, na, nb, self.dims,
+                               ctx.kernel.engine_metric, batching=True)
+        self.obs.leaf_joins.labels(engine).inc()
+        self.obs.leaf_volume.observe(na * nb)
+        if engine == "batched":
+            self.batch.add(a_lo, a_hi, b_lo, b_hi, upper_triangle,
+                           None if act_t == self.dims else act_t)
+            if self.batch.full:
+                self.flush()
+            return
+        # A pending batch must drain before a per-leaf engine emits, so
+        # the result stream keeps the leaf-visit order (``auto`` mixes
+        # batched and matmul leaves).
+        self.flush()
+        _per_leaf(self.s.slice(a_lo, a_hi, act_s),
+                  self.t.slice(b_lo, b_hi, act_t), ctx, engine,
+                  upper_triangle)
+
+    def flush(self) -> None:
+        """Decide the recorded leaves and report their pairs in order."""
+        batch = self.batch
+        if not len(batch):
+            return
+        ctx = self.ctx
+        span_args = ({"leaves": len(batch), "volume": batch.volume}
+                     if ctx.trace.enabled else None)
+        with ctx.trace.span("leaf_batch", cat="kernel", args=span_args):
+            ia, ib, sq, offsets = pairs_within_batched(
+                batch, ctx.threshold, counters=ctx.cpu,
+                metrics=ctx.metrics if ctx.metrics.enabled else None)
+        if self.monitor is not None:
+            for k, (a_lo, a_hi, b_lo, b_hi, upper) in enumerate(
+                    batch.leaves):
+                o0, o1 = offsets[k], offsets[k + 1]
+                self.monitor.check_leaf(
+                    self.s.slice(a_lo, a_hi), self.t.slice(b_lo, b_hi),
+                    ia[o0:o1] - a_lo, ib[o0:o1] - b_lo, ctx, bool(upper))
+        batch.clear()
+        _emit(self.s.ids, self.t.ids, ia, ib,
+              sq if ctx.result.collect_distances else None, ctx)
 
 
-def _join_sequences(s: Sequence, t: Sequence, ctx: JoinContext) -> None:
-    """Figure 6 recursion body — may leave batched leaves unflushed."""
-    if ctx.cpu is not None:
-        ctx.cpu.sequence_pairs += 1
-    ctx.obs.seq_pairs.inc()
-    if _excluded(s, t, ctx):
-        if ctx.cpu is not None:
-            ctx.cpu.sequence_exclusions += 1
-        if ctx.monitor is not None:
-            # Pruning soundness (Section 3.3 / Lemma 2): the excluded
-            # sequence pair must genuinely contain no pair within ε.
-            ctx.monitor.check_prune(s, t, ctx)
-        return
+def simple_join(s: Sequence, t: Sequence, ctx: JoinContext,
+                upper_triangle: bool = False) -> None:
+    """Leaf case: compare the remaining points directly (Figure 7).
 
-    self_pair = s.same_storage(t)
-    minlen = ctx.kernel.minlen
-    s_splittable = len(s) > minlen
-    t_splittable = len(t) > minlen
-
-    if not s_splittable and not t_splittable:
-        simple_join(s, t, ctx, upper_triangle=self_pair)
-        return
-
-    if self_pair:
-        first, second = _split(s, ctx)
-        _join_sequences(first, first, ctx)
-        _join_sequences(first, second, ctx)
-        _join_sequences(second, second, ctx)
-        return
-
-    if s_splittable and t_splittable:
-        sf, ss = _split(s, ctx)
-        tf, ts = _split(t, ctx)
-        _join_sequences(sf, tf, ctx)
-        _join_sequences(sf, ts, ctx)
-        _join_sequences(ss, tf, ctx)
-        _join_sequences(ss, ts, ctx)
-    elif s_splittable:
-        sf, ss = _split(s, ctx)
-        _join_sequences(sf, t, ctx)
-        _join_sequences(ss, t, ctx)
-    else:
-        tf, ts = _split(t, ctx)
-        _join_sequences(s, tf, ctx)
-        _join_sequences(s, ts, ctx)
+    With ``upper_triangle`` the sequences are the identical slice and
+    only pairs ``(i, j)`` with ``i < j`` are produced.
+    """
+    join = _RangeJoin(s, t, ctx)
+    join.leaf(0, len(s), 0, len(t), upper_triangle,
+              _active(join.rows_s[0], join.rows_s[len(s) - 1]),
+              _active(join.rows_t[0], join.rows_t[len(t) - 1]))
+    join.flush()
 
 
 def join_sequences(s: Sequence, t: Sequence, ctx: JoinContext) -> None:
@@ -434,11 +508,12 @@ def join_sequences(s: Sequence, t: Sequence, ctx: JoinContext) -> None:
     comparison is restricted to the upper triangle so each unordered pair
     is reported exactly once.
 
-    Any leaf pairs the batched engine accumulated are flushed before
+    Any leaf pairs the batched engine recorded are flushed before
     returning, so callers always observe a complete result.
     """
-    _join_sequences(s, t, ctx)
-    flush_leaf_batch(ctx)
+    join = _RangeJoin(s, t, ctx)
+    join.node(0, len(s), 0, len(t))
+    join.flush()
 
 
 def join_point_blocks(ids_a: np.ndarray, points_a: np.ndarray,

@@ -54,8 +54,8 @@ from .base import DiskTracker, JoinReport
 BUCKET_CHUNK_RECORDS = 4096
 
 #: Engines the verification pass accepts (``batched`` needs the
-#: leaf-batch accumulator of the EGO recursion and resolves to the
-#: fused GEMM kernel here — same arithmetic, no batching seam).
+#: leaf recorder of the EGO recursion and resolves to the ``matmul``
+#: GEMM kernel here — same pairs and distances).
 LSH_ENGINES = ("scalar", "vector", "matmul", "batched", "auto")
 
 #: Bucket-disk constructors by ``backend`` name.  Only ``"simulated"``
@@ -167,7 +167,7 @@ def lsh_self_join_file(point_file: PointFile, epsilon: float, *,
         is not given.
     engine:
         Verification kernel (``scalar``/``vector``/``matmul``/``auto``;
-        ``batched`` resolves to the fused GEMM kernel).
+        ``batched`` resolves to the ``matmul`` GEMM kernel).
     backend:
         Where the per-table bucket files live: a key of
         :data:`BUCKET_DISKS` (``simulated``/``file``/``memory``).

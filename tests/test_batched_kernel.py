@@ -1,5 +1,5 @@
-"""Tests for the batched cross-leaf GEMM engine and the precision
-bugfixes that shipped with it.
+"""Tests for the batched leaf engine and the precision bugfixes that
+shipped with the GEMM kernels.
 
 Three areas:
 
@@ -8,14 +8,16 @@ Three areas:
   rational arithmetic; on each of them the pre-fix ``np.floor(x / w)``
   places the coordinate one cell too high, so these tests fail on the
   raw-floor code.
-* the centered Gram expansion — on translated data the pre-fix slack
-  (computed from raw norms) exceeds ε² and forces every windowed
-  candidate through exact re-verification; the centered kernel keeps
-  the re-verified count proportional to the accepts.
-* the ``"batched"`` engine — :class:`LeafBatch` /
-  :func:`pairs_within_batched` units, pair-stream identity with the
-  per-leaf engines (including across flush boundaries), oracle/
-  metamorphic sweeps and the batch metrics.
+* the centered Gram expansion of ``pairs_within_matmul`` — on
+  translated data the pre-fix slack (computed from raw norms) exceeds
+  ε² and forces every windowed candidate through exact
+  re-verification; the centered kernel keeps the re-verified count
+  proportional to the accepts.
+* the ``"batched"`` engine — :class:`LeafBatch` (leaves recorded as
+  index ranges) and :func:`pairs_within_batched` (one gather pass per
+  flush) units, pair-stream identity with the per-leaf engines
+  (including across flush and chunk boundaries), oracle/metamorphic
+  sweeps and the batch metrics.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.distance import natural_ordering, pairs_within_scalar
 from repro.core.ego_join import ego_join, ego_self_join
 from repro.core.ego_order import floor_cells, grid_cells
-from repro.core.kernels import (DEFAULT_BATCH_LEAVES, DEFAULT_BATCH_POINTS,
+from repro.core.kernels import (DEFAULT_BATCH_VOLUME, DEFAULT_GATHER_CHUNK,
                                 LeafBatch, ScratchBuffers, candidate_windows,
                                 pairs_within_batched, pairs_within_matmul,
                                 select_engine)
@@ -179,19 +181,6 @@ class TestCenteredSlackRegression:
         assert reverified <= 4 * max(len(ia), 1) + 64
         assert reverified < all_candidates // 4
 
-    def test_batched_reverification_stays_bounded(self, rng):
-        pts = rng.uniform(0, 1, size=(200, 3)) + 1e8
-        eps = 0.05
-        batch = LeafBatch()
-        for s in range(0, len(pts), 50):
-            blk = pts[s:s + 50]
-            batch.add(blk, blk, None, True)
-        reg = MetricsRegistry()
-        results = pairs_within_batched(batch, eps * eps, metrics=reg)
-        accepts = sum(len(ia) for ia, _ in results)
-        reverified = reg.get("ego_gemm_reverified_total").value
-        assert reverified <= 4 * max(accepts, 1) + 64
-
 
 class TestScratchBuffers:
     def test_invalid_slot_rejected(self):
@@ -228,66 +217,126 @@ class TestScratchBuffers:
         np.testing.assert_array_equal(view, kept)
 
 
+def _bound(a, b, eps):
+    """A batch indexing blocks ``a`` and ``b`` (cells at width ``eps``)."""
+    batch = LeafBatch()
+    batch.bind(a, floor_cells(a, eps), b, floor_cells(b, eps))
+    return batch
+
+
 class TestLeafBatch:
     def test_validation(self):
         with pytest.raises(ValueError):
-            LeafBatch(max_points=0)
+            LeafBatch(max_volume=0)
         with pytest.raises(ValueError):
-            LeafBatch(max_leaves=0)
+            LeafBatch(chunk=0)
 
-    def test_fills_by_points_or_leaves(self):
-        batch = LeafBatch(max_points=10, max_leaves=100)
-        blk = np.zeros((3, 2))
+    def test_fills_by_volume(self):
+        blk = np.zeros((6, 2))
+        batch = LeafBatch(max_volume=20)
+        batch.bind(blk, floor_cells(blk, 0.1), blk, floor_cells(blk, 0.1))
         assert not batch.full
-        batch.add(blk, blk, None, False)
-        assert not batch.full and len(batch) == 1
-        batch.add(blk, blk, None, True)
-        assert batch.full  # 12 stacked rows >= 10
-        by_leaves = LeafBatch(max_points=10**9, max_leaves=2)
-        by_leaves.add(blk, blk, None, False)
-        by_leaves.add(blk, blk, None, False)
-        assert by_leaves.full
+        batch.add(0, 3, 0, 3)
+        assert not batch.full and len(batch) == 1 and batch.volume == 9
+        batch.add(0, 3, 3, 6)
+        assert not batch.full  # 18 candidate pairs < 20
+        batch.add(3, 6, 3, 6, True)
+        assert batch.full and batch.volume == 27
 
     def test_clear_resets(self):
-        batch = LeafBatch()
         blk = np.zeros((2, 2))
-        batch.add(blk, blk, None, False, payload="x")
+        batch = _bound(blk, blk, 0.1)
+        batch.add(0, 2, 0, 2, False, 0)
         batch.clear()
-        assert len(batch) == 0 and batch.points == 0 \
-            and not batch.payloads
+        assert len(batch) == 0 and batch.volume == 0 and not batch.leaves
+
+    def test_bind_drops_recorded_leaves(self):
+        blk = np.zeros((2, 2))
+        batch = _bound(blk, blk, 0.1)
+        batch.add(0, 2, 0, 2)
+        batch.bind(blk, floor_cells(blk, 0.1), blk, floor_cells(blk, 0.1))
+        assert len(batch) == 0
 
     def test_empty_batch_evaluates_to_nothing(self):
-        assert pairs_within_batched(LeafBatch(), 0.1) == []
+        ia, ib, sq, offsets = pairs_within_batched(LeafBatch(), 0.1)
+        assert len(ia) == len(ib) == len(sq) == 0
+        assert offsets.tolist() == [0]
+
+    def test_huge_cell_span_drops_the_window(self):
+        """A window dimension spanning more cells than the key room
+        allows (only possible beyond float64's exact range) is recorded
+        without a window instead of overflowing the packed keys."""
+        pts = np.zeros((3, 1))
+        cells = np.array([[-(1 << 61)], [0], [1 << 61]], dtype=np.int64)
+        batch = LeafBatch()
+        batch.bind(pts, cells, pts, cells)
+        batch.add(0, 3, 0, 3, False, 0)
+        c = CPUCounters()
+        ia, ib, _sq, _off = pairs_within_batched(batch, 1.0, counters=c)
+        # Every row is a candidate (with a window each row would be its
+        # own only candidate), and all are at distance 0.
+        assert c.distance_calculations == 9 and len(ia) == 9
+
+    def test_keys_stay_in_room(self):
+        """Adding past the key room raises instead of overflowing."""
+        pts = np.zeros((2, 1))
+        cells = np.array([[0], [1 << 59]], dtype=np.int64)
+        batch = LeafBatch()
+        batch.bind(pts, cells, pts, cells)
+        while not batch.full:
+            batch.add(0, 2, 0, 2, False, 0)
+        with pytest.raises(ValueError, match="overflow"):
+            for _ in range(8):
+                batch.add(0, 2, 0, 2, False, 0)
 
 
 class TestBatchedKernel:
-    def _random_batch(self, rng, entries, d, eps):
-        """A batch of mixed self/cross leaf pairs plus matmul references."""
-        batch = LeafBatch()
-        refs = []
+    def _random_batch(self, rng, entries, d, eps, chunk=DEFAULT_GATHER_CHUNK):
+        """A batch of self and cross leaves over two EGO-sorted blocks,
+        plus the matmul reference of each leaf."""
+        from repro.core.ego_order import ego_sorted
+        _ids, a = ego_sorted(rng.random((200, d)), eps)
+        _ids, b = ego_sorted(rng.random((150, d)), eps)
+        cells_a, cells_b = floor_cells(a, eps), floor_cells(b, eps)
+        selfs = LeafBatch(chunk=chunk)
+        selfs.bind(a, cells_a, a, cells_a)
+        cross = LeafBatch(chunk=chunk)
+        cross.bind(a, cells_a, b, cells_b)
+        refs = {id(selfs): [], id(cross): []}
         for e in range(entries):
-            na = int(rng.integers(0, 40))
-            if e % 2 == 0:
-                a = b = rng.random((na, d))
-                upper = True
+            batch, other, cells_o = ((selfs, a, cells_a) if e % 2 == 0
+                                     else (cross, b, cells_b))
+            upper = batch is selfs
+            a_lo = int(rng.integers(0, len(a)))
+            a_hi = min(len(a), a_lo + int(rng.integers(0, 40)))
+            if upper:
+                b_lo, b_hi = a_lo, a_hi
             else:
-                a = rng.random((na, d))
-                b = rng.random((int(rng.integers(0, 40)), d))
-                upper = False
-            windows = None
-            if e % 3 == 0 and len(a) and len(b):
-                order_b = np.argsort(floor_cells(b[:, 0], eps),
-                                     kind="stable")
-                b = b[order_b]
-                if upper:
-                    a = b
-                windows = candidate_windows(a, b, 0, eps)
-            batch.add(a, b, windows, upper)
-            refs.append(pairs_within_matmul(
-                a, b, eps * eps, natural_ordering(d),
-                upper_triangle=upper, return_sq_distances=True,
-                windows=windows))
-        return batch, refs
+                b_lo = int(rng.integers(0, len(other)))
+                b_hi = min(len(other), b_lo + int(rng.integers(0, 40)))
+            wdim = windows = None
+            if e % 3 == 0 and b_hi > b_lo and a_hi > a_lo:
+                first, last = cells_o[b_lo], cells_o[b_hi - 1]
+                diff = first != last
+                if diff.any():
+                    wdim = int(np.argmax(diff))
+                    windows = candidate_windows(
+                        a[a_lo:a_hi], other[b_lo:b_hi], wdim, eps,
+                        cells_a=cells_a[a_lo:a_hi, wdim],
+                        cells_b=cells_o[b_lo:b_hi, wdim])
+            batch.add(a_lo, a_hi, b_lo, b_hi, upper, wdim)
+            refs[id(batch)].append(pairs_within_matmul(
+                a[a_lo:a_hi], other[b_lo:b_hi], eps * eps,
+                natural_ordering(d), upper_triangle=upper,
+                return_sq_distances=True, windows=windows))
+        return [(selfs, refs[id(selfs)]), (cross, refs[id(cross)])]
+
+    @staticmethod
+    def _per_leaf(batch, result):
+        ia, ib, sq, offsets = result
+        for k, leaf in enumerate(batch.leaves):
+            o0, o1 = offsets[k], offsets[k + 1]
+            yield ia[o0:o1] - leaf[0], ib[o0:o1] - leaf[2], sq[o0:o1]
 
     @given(st.integers(min_value=1, max_value=12),
            st.integers(min_value=1, max_value=6),
@@ -296,30 +345,36 @@ class TestBatchedKernel:
     @settings(max_examples=40, deadline=None)
     def test_matches_matmul_per_entry(self, entries, d, eps, seed):
         rng = np.random.default_rng(seed)
-        batch, refs = self._random_batch(rng, entries, d, eps)
-        results = pairs_within_batched(batch, eps * eps,
-                                       return_sq_distances=True)
-        assert len(results) == entries
-        for (ia, ib, dist), (ra, rb, rd) in zip(results, refs):
-            np.testing.assert_array_equal(ia, ra)
-            np.testing.assert_array_equal(ib, rb)
-            np.testing.assert_array_equal(dist, rd)
-
-    def test_blocking_invariance(self, rng):
-        batch, refs = self._random_batch(rng, 8, 4, 0.4)
-        for block in (1, 7, 64, 2048):
-            got = pairs_within_batched(batch, 0.16,
-                                       scratch=ScratchBuffers(block))
-            for (ia, ib), (ra, rb, _rd) in zip(got, refs):
+        for batch, refs in self._random_batch(rng, entries, d, eps):
+            result = pairs_within_batched(batch, eps * eps)
+            got = list(self._per_leaf(batch, result))
+            assert len(got) == len(refs) == len(batch)
+            for (ia, ib, dist), (ra, rb, rd) in zip(got, refs):
                 np.testing.assert_array_equal(ia, ra)
                 np.testing.assert_array_equal(ib, rb)
+                np.testing.assert_array_equal(dist, rd)
+
+    def test_chunking_invariance(self, rng):
+        """Gather chunks (even one candidate at a time) change nothing."""
+        state = rng.bit_generator.state
+        ref = None
+        for chunk in (1, 7, 64, 2048):
+            rng.bit_generator.state = state
+            batches = self._random_batch(rng, 8, 4, 0.4, chunk=chunk)
+            got = [pairs_within_batched(batch, 0.16) for batch, _ in batches]
+            if ref is None:
+                ref = got
+            for g, r in zip(got, ref):
+                for x, y in zip(g, r):
+                    np.testing.assert_array_equal(x, y)
 
     def test_counters_charge_windowed_candidates(self, rng):
         a = rng.random((10, 3))
-        batch = LeafBatch()
-        batch.add(a, a, None, True)
         b = rng.random((6, 3))
-        batch.add(a, b, None, False)
+        both = np.concatenate([a, b])
+        batch = _bound(both, both, 0.1)
+        batch.add(0, 10, 0, 10, True)
+        batch.add(0, 10, 10, 16, False)
         c = CPUCounters()
         pairs_within_batched(batch, 0.1, counters=c)
         expected = 10 * 9 // 2 + 10 * 6
@@ -327,12 +382,16 @@ class TestBatchedKernel:
         assert c.dimension_evaluations == expected * 3
 
     def test_entries_with_empty_blocks(self):
-        batch = LeafBatch()
-        batch.add(np.empty((0, 2)), np.ones((3, 2)), None, False)
-        batch.add(np.zeros((2, 2)), np.zeros((2, 2)) + 1e-9, None, False)
-        results = pairs_within_batched(batch, 0.5)
-        assert len(results[0][0]) == 0
-        assert len(results[1][0]) == 4
+        a = np.zeros((2, 2))
+        b = np.zeros((2, 2)) + 1e-9
+        batch = _bound(a, b, 0.5)
+        batch.add(0, 0, 0, 2, False)
+        batch.add(0, 2, 1, 1, False, 0)
+        batch.add(0, 2, 0, 2, False)
+        ia, ib, _sq, offsets = pairs_within_batched(batch, 0.5)
+        assert offsets.tolist() == [0, 0, 0, 4]
+        assert list(zip(ia.tolist(), ib.tolist())) == [(0, 0), (0, 1),
+                                                        (1, 0), (1, 1)]
 
 
 class TestBatchedEngineSelection:
@@ -356,8 +415,8 @@ class TestBatchedEngineSelection:
         ctx = JoinContext(epsilon=0.1, result=JoinResult(),
                           kernel=KernelConfig(engine="batched"))
         assert ctx.kernel.engine == "batched"
-        assert ctx.batch.max_points == DEFAULT_BATCH_POINTS
-        assert ctx.batch.max_leaves == DEFAULT_BATCH_LEAVES
+        assert ctx.batch.max_volume == DEFAULT_BATCH_VOLUME
+        assert ctx.batch.chunk == DEFAULT_GATHER_CHUNK
 
     @pytest.mark.parametrize("bad", [{"metric": "cosine"},
                                      {"split_strategy": "thirds"}])
@@ -376,17 +435,17 @@ class TestBatchedEngineEndToEnd:
         assert stream_pairs(got) == stream_pairs(ref)
 
     def test_stream_identical_with_tiny_batches(self, rng):
-        """Flush boundaries (points- and leaves-triggered) don't reorder
-        or drop pairs."""
+        """Flush and gather-chunk boundaries don't reorder or drop
+        pairs."""
         pts = rng.random((250, 3))
         eps = 0.2
         ref = stream_pairs(ego_self_join(pts, eps, engine="vector"))
         from repro.core.ego_order import ego_sorted
         ids, spts = ego_sorted(pts, eps)
-        for bp, bl in ((64, 3), (1, 1), (10**6, 10**6)):
+        for volume, chunk in ((64, 3), (1, 1), (10**6, 10**6)):
             ctx = JoinContext(epsilon=eps, result=JoinResult(),
                               kernel=KernelConfig(engine="batched"))
-            ctx._batch = LeafBatch(max_points=bp, max_leaves=bl)
+            ctx._batch = LeafBatch(max_volume=volume, chunk=chunk)
             seq = Sequence(ids, spts, eps)
             join_sequences(seq, seq, ctx)
             assert stream_pairs(ctx.result) == ref
@@ -438,7 +497,7 @@ class TestBatchedEngineEndToEnd:
         assert got == ref
 
     def test_flush_on_return_covers_partial_batches(self, rng):
-        """A batch smaller than both knobs is still flushed by
+        """A batch below its volume bound is still flushed by
         join_sequences before it returns."""
         pts = rng.random((40, 2))
         eps = 0.3
@@ -466,8 +525,10 @@ class TestBatchedEngineEndToEnd:
         assert reg.get("ego_kernel_batches_total").value > 0
         assert reg.get("ego_kernel_batch_leaves").count > 0
         assert reg.get("ego_kernel_batch_points").count > 0
-        assert reg.get("ego_gemm_tiles_total").value > 0
+        assert reg.get("ego_candidate_window_rows").count > 0
         assert reg.get("ego_leaf_joins_total").value_of("batched") > 0
+        # The gather pass decides every candidate exactly: no GEMM.
+        assert reg.get("ego_gemm_tiles_total") is None
 
 
 class TestBatchedVerification:

@@ -10,6 +10,7 @@ from repro.core.result import JoinResult
 from repro.core.rs_scheduler import TwoFileScheduler
 from repro.core.scheduler import schedule_units
 from repro.core.sequence_join import JoinContext, KernelConfig
+from repro.obs.trace import Tracer
 from repro.storage.disk import SimulatedDisk
 from repro.storage.pagefile import PointFile
 
@@ -80,6 +81,31 @@ class TestTwoFileScheduler:
             stats = sched.run()
             assert stats.block_phases > 0
             assert result.pair_set() == expected_pairs(r, s, eps)
+        finally:
+            for d in disks:
+                d.close()
+
+    def test_skipped_pairs_traced(self, rng):
+        """Each interval-skipped unit pair leaves one ``skip`` instant,
+        as in the self-join schedule, so the trace draws the whole R×S
+        unit matrix; untraced runs record none."""
+        eps = 0.2  # block mode with 3-unit R groups skips some pairs
+        r, s = rng.random((200, 2)), rng.random((180, 2))
+        disks, (fr, fs) = make_files(r, s, eps)
+        try:
+            tracer = Tracer()
+            ctx = JoinContext(epsilon=eps, result=JoinResult(),
+                              kernel=KernelConfig(minlen=8), trace=tracer)
+            stats = TwoFileScheduler(fr, fs, ctx, unit_bytes=200,
+                                     buffer_units=4).run()
+            skips = [e for e in tracer.events
+                     if e["ph"] == "i" and e["name"] == "skip"]
+            assert stats.unit_pairs_skipped > 0
+            assert len(skips) == stats.unit_pairs_skipped
+            joined = {(e["args"]["r"], e["args"]["s"])
+                      for e in tracer.spans("unit_pair")}
+            skipped = {(e["args"]["r"], e["args"]["s"]) for e in skips}
+            assert not joined & skipped
         finally:
             for d in disks:
                 d.close()

@@ -1,0 +1,181 @@
+"""The range recursion and the batched gather pass against per-leaf GEMM.
+
+``join_sequences`` runs Figure 6 on index ranges, and the ``batched``
+engine (which ``auto`` sends small Euclidean leaves to) decides its
+leaves one flush at a time with the exact sum of squared differences.
+The per-leaf ``matmul`` engine decides each leaf on its own with the
+same expression, so on every input below the two must agree on the raw
+pair stream (order included), the distances, every ``CPUCounters``
+field and every structural count of the Prometheus dump.  Only the
+per-leaf families may differ: the engine label of
+``ego_leaf_joins_total``, the GEMM counters ``ego_gemm_*`` and the
+flush histograms ``ego_kernel_batch*``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.core.ego_join import ego_self_join_file
+from repro.core.ego_order import ego_sorted
+from repro.core.result import JoinResult
+from repro.core.sequence import Sequence
+from repro.core.sequence_join import (JoinContext, KernelConfig,
+                                      join_sequences)
+from repro.obs.metrics import MetricsRegistry
+from repro.storage.disk import SimulatedDisk
+from repro.storage.stats import CPUCounters
+
+from conftest import brute_truth, make_file
+
+#: Metric families whose values depend on how leaves are evaluated.
+PER_LEAF_FAMILIES = ("ego_gemm_", "ego_kernel_batch")
+
+
+def structural_dump(registry: MetricsRegistry) -> str:
+    """The Prometheus dump without the per-leaf families, with the leaf
+    count summed over engines."""
+    leaves = registry.get("ego_leaf_joins_total")
+    total = sum(v for _k, v in leaves.to_data()["samples"]) if leaves else 0
+    lines = [f"leaf_joins {total}"]
+    for line in registry.to_prometheus_text().splitlines():
+        name = line.split()[2] if line.startswith("#") else line
+        if name.startswith(PER_LEAF_FAMILIES + ("ego_leaf_joins_total",)):
+            continue
+        lines.append(line)
+    return "\n".join(lines)
+
+
+def run(points, eps, other=None, grid_epsilon=None, **kernel):
+    """Join EGO-sorted blocks with ``join_sequences``; everything the
+    comparison looks at."""
+    grid = grid_epsilon or eps
+    registry, cpu = MetricsRegistry(), CPUCounters()
+    result = JoinResult(collect_distances=True)
+    ctx = JoinContext(epsilon=eps, result=result,
+                      kernel=KernelConfig(**kernel), cpu=cpu,
+                      grid_epsilon=grid_epsilon, metrics=registry)
+    ids, pts = ego_sorted(points, grid)
+    seq = Sequence(ids, pts, grid)
+    if other is None:
+        join_sequences(seq, seq, ctx)
+    else:
+        ids_b, pts_b = ego_sorted(other, grid)
+        join_sequences(seq, Sequence(ids_b, pts_b, grid), ctx)
+    ia, ib = result.pairs()
+    return {"stream": list(zip(ia.tolist(), ib.tolist())),
+            "distances": result.distances().tobytes(),
+            "cpu": cpu, "dump": structural_dump(registry),
+            "registry": registry}
+
+
+def assert_same(got, want):
+    assert got["stream"] == want["stream"]
+    assert got["distances"] == want["distances"]
+    assert got["cpu"] == want["cpu"]
+    assert got["dump"] == want["dump"]
+
+
+def boundary_points(rng, n, d, eps, offset):
+    """Points on cell boundaries around ``offset``, one ulp either side
+    of them, or inside a cell."""
+    pts = (np.rint(offset / eps) + rng.integers(0, 12, size=(n, d))) * eps
+    kind = rng.integers(0, 4, size=(n, d))
+    pts = np.where(kind == 1, np.nextafter(pts, np.inf), pts)
+    pts = np.where(kind == 2, np.nextafter(pts, -np.inf), pts)
+    return np.where(kind == 3, pts + rng.uniform(0, eps, size=(n, d)), pts)
+
+
+@pytest.fixture(scope="module")
+def clustered():
+    rng = np.random.default_rng(18)
+    centres = rng.random((6, 5))
+    return np.concatenate([c + rng.normal(0, 0.05, size=(90, 5))
+                           for c in centres])
+
+
+class TestAgainstPerLeafGemm:
+    @pytest.mark.parametrize("engine", ["auto", "batched"])
+    @pytest.mark.parametrize("minlen", [1, 8, 32, 200])
+    def test_self_join(self, clustered, engine, minlen):
+        want = run(clustered, 0.08, engine="matmul", minlen=minlen)
+        got = run(clustered, 0.08, engine=engine, minlen=minlen)
+        assert_same(got, want)
+        assert want["stream"]
+
+    @pytest.mark.parametrize("minlen", [1, 8, 32, 200])
+    def test_rs_join(self, clustered, minlen):
+        other = clustered[::2] + 0.01
+        want = run(clustered, 0.08, other, engine="matmul", minlen=minlen)
+        got = run(clustered, 0.08, other, engine="auto", minlen=minlen)
+        assert_same(got, want)
+        assert want["stream"]
+
+    @pytest.mark.parametrize("other", [False, True])
+    def test_coarser_grid(self, clustered, other):
+        """The store's query grid: cells wider than the join distance."""
+        b = clustered[1::3] if other else None
+        want = run(clustered, 0.05, b, grid_epsilon=0.12, engine="matmul")
+        got = run(clustered, 0.05, b, grid_epsilon=0.12, engine="auto")
+        assert_same(got, want)
+
+    @pytest.mark.parametrize("minlen", [8, 32])
+    def test_boundary_split(self, clustered, minlen):
+        want = run(clustered, 0.08, engine="matmul", minlen=minlen,
+                   split_strategy="boundary")
+        got = run(clustered, 0.08, engine="auto", minlen=minlen,
+                  split_strategy="boundary")
+        assert_same(got, want)
+
+    def test_l1_falls_back_to_vector(self, clustered):
+        want = run(clustered, 0.1, engine="vector", metric="manhattan")
+        got = run(clustered, 0.1, engine="auto", metric="manhattan")
+        assert_same(got, want)
+        leaves = got["registry"].get("ego_leaf_joins_total")
+        assert [k for k, _v in leaves.to_data()["samples"]] == [["vector"]]
+
+    @pytest.mark.parametrize("offset", [-7.5e5, 0.0, 3e7])
+    def test_boundary_coordinates(self, offset):
+        rng = np.random.default_rng(int(abs(offset)) % 1000)
+        eps = 0.0625
+        a = boundary_points(rng, 300, 3, eps, offset)
+        b = boundary_points(rng, 200, 3, eps, offset)
+        for other in (None, b):
+            want = run(a, eps, other, engine="matmul", minlen=8)
+            got = run(a, eps, other, engine="auto", minlen=8)
+            assert_same(got, want)
+        self_join = run(a, eps, engine="auto", minlen=8)
+        assert {(min(i, j), max(i, j)) for i, j in self_join["stream"]} \
+            == brute_truth(a, eps)
+
+    def test_window_keys_do_not_overflow(self):
+        """Cells near 1e15 (ε = 1e-9 on coordinates around 1e6): the
+        packed window keys must not overflow, and the result is exact."""
+        rng = np.random.default_rng(9)
+        eps = 1e-9
+        pts = 1e6 + rng.integers(0, 40, size=(400, 2)) * 0.7e-9
+        want = brute_truth(pts, eps)
+        got = run(pts, eps, engine="batched", minlen=8)
+        assert {(min(i, j), max(i, j)) for i, j in got["stream"]} == want
+        assert len(want) > 100
+        assert_same(got, run(pts, eps, engine="matmul", minlen=8))
+
+
+class TestParallelStream:
+    def test_workers_match_serial(self, clustered):
+        """Serial and ``workers=2`` file joins emit the same raw stream
+        and counts with the gather pass inside the workers."""
+        reports = {}
+        for workers in (1, 2):
+            registry = MetricsRegistry()
+            with SimulatedDisk() as disk:
+                pf = make_file(disk, clustered)
+                rep = ego_self_join_file(pf, 0.08, unit_bytes=2048,
+                                         buffer_units=4, engine="auto",
+                                         workers=workers, metrics=registry)
+            ia, ib = rep.result.pairs()
+            reports[workers] = (list(zip(ia.tolist(), ib.tolist())),
+                                rep.cpu, structural_dump(registry))
+        assert reports[1] == reports[2]
+        assert reports[1][0]

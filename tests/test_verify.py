@@ -248,13 +248,13 @@ class TestAcceptanceMatrix:
 # -- mutation smoke tests ----------------------------------------------------
 
 
-def _excluded_missing_widening(s, t, ctx):
-    """The Lemma-2 bound with the ε widening (the +1) dropped."""
-    if lex_less(s.last_cells, t.first_cells):
-        return True
-    if lex_less(t.last_cells, s.first_cells):
-        return True
-    return False
+def _excluded_missing_widening(sf, sl, tf, tl, common, obs):
+    """The Lemma-2 bound with the ε widening (the +1) dropped.
+
+    The arguments are the first/last cell rows of both sequences as
+    Python lists, which compare lexicographically like ``lex_less``.
+    """
+    return sl < tf or tl < sf
 
 
 class TestMutationSmoke:
