@@ -61,7 +61,7 @@ def run_point(n: int) -> dict:
 
         t0 = time.perf_counter()
         ego = ego_self_join_file(pf, EPSILON, unit_bytes=unit_bytes,
-                                 buffer_units=8, engine="matmul")
+                                 buffer_units=8, engine="auto")
         t_ego = time.perf_counter() - t0
         exact = canonical_set(ego)
 

@@ -6,7 +6,7 @@ be charted across commits.  Each run appends one record::
 
     {"timestamp": ..., "mode": "full"|"tiny", "cores": ...,
      "kernels": [<sweep rows>], "workers": [<worker rows>],
-     "batched_e2e": [<batched-vs-matmul end-to-end rows>]}
+     "batched_e2e": [<auto-vs-vector end-to-end rows>]}
 
 Usage: ``python benchmarks/record_kernels.py [--tiny]``.
 """
@@ -53,10 +53,10 @@ def main():
                          "tiny" if args.tiny else "full",
                          batched_rows=batched_rows)
     for row in batched_rows:
-        verdict = "beats" if row["batched"] < row["matmul"] else "trails"
-        print(f"batched {verdict} matmul at n={row['n']} d={row['d']} "
-              f"minlen={row['minlen']}: {row['batched']:.3f}s vs "
-              f"{row['matmul']:.3f}s")
+        verdict = "beats" if row["auto"] < row["vector"] else "trails"
+        print(f"auto {verdict} vector at n={row['n']} d={row['d']} "
+              f"minlen={row['minlen']}: {row['auto']:.3f}s vs "
+              f"{row['vector']:.3f}s")
     print(f"appended to {path}")
 
 

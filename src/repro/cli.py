@@ -643,10 +643,9 @@ def build_parser() -> argparse.ArgumentParser:
     j.add_argument("--metric", default="euclidean",
                    help="euclidean | manhattan | chebyshev")
     j.add_argument("--engine", default="auto",
-                   choices=["auto", "vector", "matmul", "batched",
-                            "scalar"],
-                   help="leaf distance kernel (auto picks batched or "
-                        "matmul per leaf)")
+                   choices=["auto", "vector", "scalar"],
+                   help="leaf distance kernel (auto: the gather pass on "
+                        "euclidean data, vector otherwise)")
     j.add_argument("--impl", default="ego",
                    choices=["ego", "lsh", "auto"],
                    help="join algorithm: exact external EGO (default), "
@@ -731,8 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
     j2.add_argument("--metric", default="euclidean",
                     help="euclidean | manhattan | chebyshev")
     j2.add_argument("--engine", default="auto",
-                    choices=["auto", "vector", "matmul", "batched",
-                             "scalar"],
+                    choices=["auto", "vector", "scalar"],
                     help="leaf distance kernel")
     j2.add_argument("--trace", default=None, metavar="OUT.json",
                     help="write a Chrome trace_event JSON of the run "

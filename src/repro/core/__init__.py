@@ -10,8 +10,8 @@ from .ego_order import (ego_compare, ego_key, ego_less, ego_sort_order,
                         ego_sorted, epsilon_interval, grid_cells,
                         is_ego_sorted, outside_interval_high,
                         outside_interval_low, validate_epsilon)
-from .kernels import (ENGINES, ScratchBuffers, candidate_windows,
-                      pairs_within_matmul, select_engine)
+from .kernels import (ScratchBuffers, candidate_windows,
+                      pairs_within_matmul)
 from .metrics import (CHEBYSHEV, EUCLIDEAN, MANHATTAN, Metric,
                       get_metric)
 from .parallel import SerialUnitJoiner
@@ -19,7 +19,7 @@ from .result import JoinResult
 from .rs_scheduler import RSScheduleStats, TwoFileScheduler
 from .scheduler import EGOScheduler, ScheduleStats, UnitMeta, lex_less
 from .sequence import Sequence
-from .sequence_join import (DEFAULT_MINLEN, EXCLUSION_CELL_DISTANCE,
+from .sequence_join import (DEFAULT_MINLEN, ENGINES, EXCLUSION_CELL_DISTANCE,
                             JoinContext, KernelConfig, join_point_blocks,
                             join_sequences, simple_join)
 
@@ -69,7 +69,6 @@ __all__ = [
     "outside_interval_low",
     "pairs_within_matmul",
     "pairs_within_scalar",
-    "select_engine",
     "pairs_within_vector",
     "pairwise_sq_distances",
     "simple_join",

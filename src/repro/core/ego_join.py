@@ -46,7 +46,8 @@ from .preprocess import resolve_dimension_order
 from .result import JoinResult
 from .scheduler import EGOScheduler, ScheduleStats
 from .sequence import Sequence
-from .sequence_join import JoinContext, KernelConfig, join_sequences
+from .sequence_join import (JoinContext, KernelConfig, check_engine,
+                            join_sequences)
 from .supervisor import (SupervisedUnitJoiner, SupervisorPolicy,
                          SupervisorStats, replay_stats, require_file_backed)
 
@@ -487,6 +488,12 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
         journal = Journal(os.path.join(checkpoint_dir, "journal.json"))
         if not resume:
             journal.reset()
+        recorded = journal.state.get("config")
+        if recorded is not None:
+            # A checkpoint of a removed engine cannot be resumed: say
+            # so, rather than report a configuration mismatch.
+            check_engine(recorded.get("kernel", {}).get("engine",
+                                                        config.engine))
         journal.check_config({
             "epsilon": float(epsilon), "sorted_epsilon": grid_epsilon,
             "unit_bytes": int(unit_bytes), "buffer_units": int(buffer_units),

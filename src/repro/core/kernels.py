@@ -7,28 +7,29 @@ small leaf is per-call overhead rather than arithmetic, and the
 ``na × nb × d`` difference cube per leaf.  This module provides two
 alternatives that decide the same pairs with the same exact distances:
 
-* :func:`pairs_within_matmul` — one leaf at a time, squared Euclidean
-  distances via the Gram identity ``‖p − q‖² = ‖p‖² + ‖q‖² − 2·(p·q)``,
-  evaluated blockwise with GEMM so peak memory is one ``block × block``
-  tile instead of the full cube.  Borderline accepts (within a rounding
-  slack of the threshold) are re-verified with exact differences, so
-  the reported pair set and distances match the reference engines.
-* :class:`LeafBatch` and :func:`pairs_within_batched` — many small
-  leaves at once.  The recursion records each leaf as index ranges into
-  its two blocks; a flush finds every row's candidate window with one
-  ``searchsorted`` and decides every candidate with the exact sum of
-  squared differences, gathered in fixed-size chunks.  The record is
-  bounded at ``DEFAULT_BATCH_VOLUME`` candidate pairs and the gather's
-  scratch at ``DEFAULT_GATHER_CHUNK × d`` floats per side.
+* :class:`LeafBatch` and :func:`pairs_within_batched` — the Euclidean
+  leaf path of the Figure-6 recursion (engine ``"auto"``).  The
+  recursion records each leaf as index ranges into its two blocks; a
+  flush finds every row's candidate window with one ``searchsorted``
+  and decides every candidate with the exact sum of squared
+  differences, gathered in fixed-size chunks.  The record is bounded
+  at ``DEFAULT_BATCH_VOLUME`` candidate pairs and the gather's scratch
+  at ``DEFAULT_GATHER_CHUNK × d`` floats per side.
+* :func:`pairs_within_matmul` — one block pair at a time, squared
+  Euclidean distances via the Gram identity
+  ``‖p − q‖² = ‖p‖² + ‖q‖² − 2·(p·q)``, evaluated blockwise with GEMM
+  so peak memory is one ``block × block`` tile instead of the full
+  cube.  Borderline accepts (within a rounding slack of the threshold)
+  are re-verified with exact differences, so the reported pair set and
+  distances match the reference engines.  The LSH join verifies its
+  large buckets with it (:mod:`repro.joins.lsh_join`).
 * :func:`candidate_windows` — an EGO-sorted candidate-window prefilter:
   ``searchsorted`` on the grid cells of one monotone dimension bounds
   each point's candidate range to the ±1-cell band that can contain
-  join mates, shrinking the GEMM tiles before any arithmetic happens.
-* :class:`ScratchBuffers` — reusable per-join scratch for the Gram
-  tiles and norms, so steady-state leaf joins allocate nothing
-  proportional to ``block²``.
-* :func:`select_engine` — the ``"auto"`` heuristic mapping leaf shape
-  and metric to the fastest engine.
+  join mates (the rule the gather pass applies to a whole batch).
+* :class:`ScratchBuffers` — reusable scratch for the Gram tiles and
+  norms, so steady-state GEMM calls allocate nothing proportional to
+  ``block²``.
 
 Counter semantics: neither kernel has an early abort, so with
 ``counters`` each charges one distance calculation and ``d`` dimension
@@ -52,12 +53,6 @@ from .metrics import Metric
 #: the candidate mask and the distance tile inside the L2 cache while
 #: still amortising the BLAS call overhead.
 DEFAULT_BLOCK = 256
-
-#: ``na*nb*d`` volume above which "auto" switches from the difference-cube
-#: ``vector`` engine to the GEMM engine.  Calibrated with
-#: ``benchmarks/bench_kernels.py``: the crossover sits near 64×64 points
-#: at d = 8; below it the einsum/broadcast path wins on call overhead.
-AUTO_MATMUL_VOLUME = 32768
 
 #: Flush a :class:`LeafBatch` once its leaves hold this many candidate
 #: pairs (Σ |a|·|b|).  A flush then pays its fixed numpy calls for
@@ -83,46 +78,13 @@ _KEY_PAD = 4
 #: far below any window start, so it never moves one.
 _NO_TRIANGLE = -(1 << 62)
 
-#: Engines a :class:`~repro.core.sequence_join.JoinContext` accepts.
-ENGINES = ("scalar", "vector", "matmul", "batched", "auto")
-
-
-def select_engine(engine: str, na: int, nb: int, dimensions: int,
-                  metric: Optional[Metric] = None,
-                  batching: bool = False) -> str:
-    """Resolve the ``"auto"`` engine choice for one leaf.
-
-    Explicit engine names pass through unchanged (``"matmul"`` with a
-    non-Euclidean metric falls back to ``"vector"`` inside
-    :func:`pairs_within_matmul` — the Gram identity only holds for L2,
-    and ``"batched"`` resolves to ``"vector"`` for the same reason).
-    ``"auto"`` picks GEMM for large Euclidean leaves and the
-    difference-cube engine otherwise; when the caller can accumulate a
-    :class:`LeafBatch` (``batching=True``) the small Euclidean leaves
-    that used to fall back to ``"vector"`` go to ``"batched"`` instead —
-    below the GEMM crossover the bottleneck is per-leaf dispatch, which
-    is exactly what batching amortises.
-    """
-    if engine == "batched":
-        if metric is not None and metric.name != "euclidean":
-            return "vector"
-        return "batched"
-    if engine != "auto":
-        return engine
-    if metric is not None and metric.name != "euclidean":
-        return "vector"
-    if na * nb * dimensions >= AUTO_MATMUL_VOLUME:
-        return "matmul"
-    return "batched" if batching else "vector"
-
-
 class ScratchBuffers:
     """Reusable scratch memory for the tiled GEMM kernel.
 
-    One instance lives on the :class:`JoinContext` of a join run, so the
-    Gram tile and norm buffers are allocated once and reused by every
-    leaf — the kernel's steady-state allocation is only the (small)
-    candidate index arrays it returns.
+    One instance lives for a whole LSH join run, so the Gram tile and
+    norm buffers are allocated once and reused by every bucket — the
+    kernel's steady-state allocation is only the (small) candidate
+    index arrays it returns.
     """
 
     __slots__ = ("block", "_gram", "_norms_a", "_norms_b")
@@ -232,8 +194,7 @@ def pairs_within_matmul(a: np.ndarray, b: np.ndarray, eps_sq: float,
                         windows: Optional[Tuple[np.ndarray,
                                                 np.ndarray]] = None,
                         scratch: Optional[ScratchBuffers] = None,
-                        block: int = DEFAULT_BLOCK,
-                        metrics=None):
+                        block: int = DEFAULT_BLOCK):
     """All index pairs within Euclidean distance, computed with GEMM.
 
     Drop-in replacement for
@@ -245,10 +206,6 @@ def pairs_within_matmul(a: np.ndarray, b: np.ndarray, eps_sq: float,
     ``a`` row's candidates; ``order`` is accepted for interface parity
     (a dense kernel has no abort position, so the evaluation order is
     irrelevant).
-
-    ``metrics`` is an optional :class:`~repro.obs.metrics.MetricsRegistry`
-    counting GEMM tiles and exactly re-verified candidates; ``None``
-    (the default) keeps this module free of any observability work.
 
     Non-Euclidean metrics delegate to the difference-cube engine: the
     Gram identity is specific to L2.
@@ -290,8 +247,6 @@ def pairs_within_matmul(a: np.ndarray, b: np.ndarray, eps_sq: float,
 
     out_a, out_b, out_d = [], [], []
     candidates_evaluated = 0
-    gemm_tiles = 0
-    reverified = 0
     for i0 in range(0, na, block):
         i1 = min(i0 + block, na)
         # The union of this row block's windows: windows are contiguous
@@ -312,7 +267,6 @@ def pairs_within_matmul(a: np.ndarray, b: np.ndarray, eps_sq: float,
             j1 = min(j0 + block, j_end)
             b_blk = b[j0:j1]
             gram = scratch.gram_tile(i1 - i0, j1 - j0)
-            gemm_tiles += 1
             np.matmul(a_blk, b_blk.T, out=gram)
             d2 = (norms_a[i0:i1, None] + norms_b[None, j0:j1]
                   - 2.0 * gram)
@@ -350,7 +304,6 @@ def pairs_within_matmul(a: np.ndarray, b: np.ndarray, eps_sq: float,
             # the final decision (and the reported distance) comes from
             # exact differences of the original (uncentered) rows only.
             diffs = a0[i0:i1][ci] - b0[j0:j1][cj]
-            reverified += len(ci)
             exact = np.einsum("ij,ij->i", diffs, diffs)
             keep = exact <= eps_sq
             if not keep.any():
@@ -362,14 +315,6 @@ def pairs_within_matmul(a: np.ndarray, b: np.ndarray, eps_sq: float,
     if counters is not None:
         counters.distance_calculations += candidates_evaluated
         counters.dimension_evaluations += candidates_evaluated * a.shape[1]
-    if metrics is not None:
-        metrics.counter(
-            "ego_gemm_tiles_total",
-            "GEMM tiles evaluated by the matmul leaf kernel").inc(gemm_tiles)
-        metrics.counter(
-            "ego_gemm_reverified_total",
-            "Borderline GEMM accepts re-verified with exact differences",
-        ).inc(reverified)
     if out_a:
         ia = np.concatenate(out_a)
         ib = np.concatenate(out_b)
@@ -383,19 +328,16 @@ def pairs_within_matmul(a: np.ndarray, b: np.ndarray, eps_sq: float,
     return ia, ib
 
 
-
-
 class LeafBatch:
     """Leaf pairs of one sequence join, recorded as index ranges.
 
-    The batched engine does not evaluate a leaf when the recursion
-    reaches it: it records the leaf's rows ``[a_lo, a_hi)`` of block
-    ``a``, rows ``[b_lo, b_hi)`` of block ``b``, its triangle flag and
-    the dimension its candidate window runs in.  Once :attr:`full` (or
-    when the join returns, or before a per-leaf engine emits),
-    :func:`pairs_within_batched` decides every recorded leaf in one
-    gather pass.  All leaves of a batch index the same two blocks,
-    bound by :meth:`bind`.
+    The ``auto`` engine does not evaluate a Euclidean leaf when the
+    recursion reaches it: it records the leaf's rows ``[a_lo, a_hi)`` of
+    block ``a``, rows ``[b_lo, b_hi)`` of block ``b``, its triangle flag
+    and the dimension its candidate window runs in.  Once :attr:`full`
+    (or when the join returns), :func:`pairs_within_batched` decides
+    every recorded leaf in one gather pass.  All leaves of a batch
+    index the same two blocks, bound by :meth:`bind`.
 
     Memory: a leaf costs three small tuples.  A batch is full at
     ``max_volume`` candidate pairs (Σ |a|·|b| over its leaves), and a
@@ -534,7 +476,8 @@ def pairs_within_batched(batch: LeafBatch, eps_sq: float,
     key overflows int64.  Candidates are then expanded ``batch.chunk``
     at a time and decided by the exact sum of squared differences — the
     ``einsum`` the GEMM kernel re-verifies its accepts with — so pairs
-    and distances are those of :func:`pairs_within_matmul`.
+    and distances are those :func:`pairs_within_matmul` finds leaf by
+    leaf.
 
     Returns ``(ia, ib, sq, offsets)``: row indices into
     ``batch.points_a`` / ``batch.points_b``, the squared distances, and
@@ -627,7 +570,7 @@ def pairs_within_batched(batch: LeafBatch, eps_sq: float,
     if metrics is not None:
         metrics.counter(
             "ego_kernel_batches_total",
-            "LeafBatch flushes evaluated by the batched engine").inc()
+            "LeafBatch flushes decided by the gather pass").inc()
         metrics.histogram(
             "ego_kernel_batch_leaves",
             "Leaf pairs per batched-kernel flush").observe(n_leaves)

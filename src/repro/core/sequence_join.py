@@ -12,9 +12,16 @@ sequences: a node reads the first and last cell rows of its ranges
 (computed once per block, read as Python lists on first use) and
 builds no sub-sequence object, so the join needs no search structure
 at all.  Its memory is one cell row per point, the recursion stack (as
-the paper emphasises in Section 4.1), and — for the ``batched`` engine
-— a leaf buffer bounded at ``DEFAULT_BATCH_VOLUME`` candidate pairs
-(see :class:`~repro.core.kernels.LeafBatch`).
+the paper emphasises in Section 4.1), and — for the ``auto`` engine
+on Euclidean data — a leaf buffer bounded at ``DEFAULT_BATCH_VOLUME``
+candidate pairs (see :class:`~repro.core.kernels.LeafBatch`).
+
+There is one Euclidean leaf path: under ``auto`` every leaf is recorded
+in the batch and decided by the gather pass of
+:func:`~repro.core.kernels.pairs_within_batched`.  ``vector`` and
+``scalar`` evaluate each leaf on its own, and ``auto`` runs ``vector``
+for any other metric.  A join resolves its engine once, so it records
+all of its leaves or none.
 """
 
 from __future__ import annotations
@@ -30,9 +37,9 @@ from ..storage.stats import CPUCounters
 from .distance import (dimension_ordering, natural_ordering,
                        pairs_within_scalar, pairs_within_vector)
 from .ego_order import validate_epsilon
-from .kernels import (ENGINES, LeafBatch, ScratchBuffers, candidate_windows,
-                      pairs_within_batched, pairs_within_matmul,
-                      select_engine)
+from .kernels import LeafBatch, pairs_within_batched
+# Unused here: e2ebench/layers.py wraps these two names in this module.
+from .kernels import candidate_windows, pairs_within_matmul  # noqa: F401
 from .metrics import Metric, get_metric
 from .result import JoinResult
 from .sequence import Sequence
@@ -48,6 +55,21 @@ DEFAULT_MINLEN = 32
 #: (the Figure 6 pseudocode's "> 2" is looser but also safe).
 EXCLUSION_CELL_DISTANCE = 2
 
+#: Engines a :class:`KernelConfig` accepts.
+ENGINES = ("scalar", "vector", "auto")
+
+
+def check_engine(engine: str) -> None:
+    """Raise ValueError unless ``engine`` is one of :data:`ENGINES`.
+
+    Also applied to the engine a checkpoint journal recorded, so a run
+    resumed from a checkpoint of a removed engine fails with this
+    message rather than with a configuration mismatch.
+    """
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; accepted engines: "
+                         f"{', '.join(ENGINES)}")
+
 
 @dataclass(frozen=True)
 class KernelConfig:
@@ -59,15 +81,12 @@ class KernelConfig:
     its way to any of them.  Frozen and picklable.
 
     ``engine`` picks the leaf distance kernel: ``"scalar"`` (the
-    literal Figure-7 loop), ``"vector"`` (difference-cube numpy),
-    ``"matmul"`` (tiled GEMM with candidate windowing, see
-    :mod:`repro.core.kernels`), ``"batched"`` (leaves recorded as index
-    ranges in a :class:`~repro.core.kernels.LeafBatch` and decided by
-    one gather pass per flush — amortises per-leaf dispatch) or
-    ``"auto"`` (per-leaf heuristic choosing between ``batched`` and
-    ``matmul`` by leaf volume and metric; ``batched`` and ``matmul``
-    use ``vector`` for a non-Euclidean metric).  ``minlen`` is the leaf
-    threshold of Section 4.1.  ``metric`` selects the distance
+    literal Figure-7 loop, the oracle's reference), ``"vector"``
+    (difference-cube numpy, one leaf at a time) or ``"auto"`` (every
+    Euclidean leaf recorded as index ranges in a
+    :class:`~repro.core.kernels.LeafBatch` and decided by one gather
+    pass per flush; ``vector`` for any other metric).  ``minlen`` is
+    the leaf threshold of Section 4.1.  ``metric`` selects the distance
     (Euclidean by default; any Minkowski L_p or L_∞ name/power/
     :class:`Metric` is accepted and resolved here — the paper's pruning
     rules hold for the whole family, see :mod:`repro.core.metrics`).
@@ -84,9 +103,7 @@ class KernelConfig:
     split_strategy: str = "half"
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; known: {ENGINES}")
+        check_engine(self.engine)
         if self.minlen < 1:
             raise ValueError(f"minlen must be at least 1, got {self.minlen}")
         if self.split_strategy not in ("half", "boundary"):
@@ -100,6 +117,15 @@ class KernelConfig:
         """Metric passed to the distance engines (None = fast Euclidean)."""
         return None if self.metric.name == "euclidean" else self.metric
 
+    @property
+    def leaf_kernel(self) -> str:
+        """The kernel every leaf of a join runs: ``"batched"`` (the
+        gather pass, ``auto`` on Euclidean data), ``"vector"`` or
+        ``"scalar"``."""
+        if self.engine != "auto":
+            return self.engine
+        return "vector" if self.engine_metric is not None else "batched"
+
 
 @dataclass
 class JoinContext:
@@ -107,7 +133,7 @@ class JoinContext:
 
     ``kernel`` holds the kernel knobs (:class:`KernelConfig`).
     ``threshold`` is the combined-value comparison bound the engines use
-    (ε² for Euclidean).  Batched-engine leaves are recorded in one
+    (ε² for Euclidean).  Gather-pass leaves are recorded in one
     :class:`~repro.core.kernels.LeafBatch` with the default bounds
     (``DEFAULT_BATCH_VOLUME`` candidate pairs per flush,
     ``DEFAULT_GATHER_CHUNK`` candidates per gather step).
@@ -158,19 +184,11 @@ class JoinContext:
         self.trace = ensure_tracer(self.trace)
         self.metrics = ensure_metrics(self.metrics)
         self.obs = _SequenceObs(self.metrics)
-        self._scratch = None
         self._batch = None
 
     @property
-    def scratch(self) -> ScratchBuffers:
-        """Per-run scratch for the GEMM kernel (created on first use)."""
-        if self._scratch is None:
-            self._scratch = ScratchBuffers()
-        return self._scratch
-
-    @property
     def batch(self) -> LeafBatch:
-        """Per-run leaf recorder of the batched engine (created on first use)."""
+        """Per-run leaf recorder of the gather pass (created on first use)."""
         if self._batch is None:
             self._batch = LeafBatch()
         return self._batch
@@ -185,8 +203,7 @@ class _SequenceObs:
     """
 
     __slots__ = ("enabled", "seq_pairs", "prune_interval", "prune_inactive",
-                 "prune_dim", "leaf_joins", "leaf_pairs", "window_rows",
-                 "leaf_volume")
+                 "prune_dim", "leaf_joins", "leaf_pairs", "leaf_volume")
 
     def __init__(self, metrics) -> None:
         self.enabled = metrics.enabled
@@ -205,15 +222,11 @@ class _SequenceObs:
             "Sequence pairs visited by the Figure 6 recursion")
         self.leaf_joins = metrics.counter(
             "ego_leaf_joins_total",
-            "Leaf kernel invocations, by resolved engine",
+            "Leaf kernel invocations, by leaf kernel",
             labelnames=("engine",))
         self.leaf_pairs = metrics.counter(
             "ego_leaf_pairs_total",
             "Result pairs emitted by leaf kernels")
-        self.window_rows = metrics.histogram(
-            "ego_candidate_window_rows",
-            "Candidate-window heights from EGO-sorted windowing",
-            unit="rows")
         self.leaf_volume = metrics.histogram(
             "ego_leaf_volume",
             "Leaf volumes |s|*|t| handed to the distance kernels",
@@ -264,25 +277,6 @@ def _excluded(sf: list, sl: list, tf: list, tl: list, common: int,
     return False
 
 
-def _leaf_windows(s: Sequence, t: Sequence, ctx: JoinContext):
-    """EGO-sorted candidate windows for one leaf pair (or ``None``).
-
-    Within the leaf slice ``t`` every dimension before its active one is
-    cell-constant, so the active dimension's cells are non-decreasing
-    and bound each point's candidate range via searchsorted.
-    """
-    wdim = t.active_dimension()
-    if wdim is None:
-        return None
-    windows = candidate_windows(s.points, t.points, wdim, t.epsilon,
-                                cells_a=s.cells[:, wdim],
-                                cells_b=t.cells[:, wdim])
-    if ctx.obs.enabled:
-        lo, hi = windows
-        ctx.obs.window_rows.observe_many((hi - lo).astype(int).tolist())
-    return windows
-
-
 def _emit(ids_a, ids_b, ia, ib, combined, ctx: JoinContext) -> None:
     """Count and report one batch of result index pairs."""
     ctx.obs.leaf_pairs.inc(len(ia))
@@ -296,26 +290,14 @@ def _emit(ids_a, ids_b, ia, ib, combined, ctx: JoinContext) -> None:
 
 def _per_leaf(s: Sequence, t: Sequence, ctx: JoinContext, engine: str,
               upper_triangle: bool) -> None:
-    """Evaluate one leaf with a per-leaf engine and report its pairs."""
+    """Evaluate one leaf with ``vector`` or ``scalar`` and report its pairs."""
     kernel = ctx.kernel
     metric = kernel.engine_metric
     if kernel.order_dimensions:
         order = dimension_ordering(s, t)
     else:
         order = natural_ordering(s.dimensions)
-    extra = {}
-    if engine == "matmul":
-        finder = pairs_within_matmul
-        extra["scratch"] = ctx.scratch
-        if ctx.metrics.enabled:
-            extra["metrics"] = ctx.metrics
-        windows = _leaf_windows(s, t, ctx)
-        if windows is not None:
-            extra["windows"] = windows
-    elif engine == "vector":
-        finder = pairs_within_vector
-    else:
-        finder = pairs_within_scalar
+    finder = pairs_within_vector if engine == "vector" else pairs_within_scalar
     span_args = ({"engine": engine, "ns": len(s), "nt": len(t)}
                  if ctx.trace.enabled else None)
     with ctx.trace.span("leaf", cat="kernel", args=span_args):
@@ -324,11 +306,11 @@ def _per_leaf(s: Sequence, t: Sequence, ctx: JoinContext, engine: str,
                                       order, counters=ctx.cpu,
                                       upper_triangle=upper_triangle,
                                       return_sq_distances=True,
-                                      metric=metric, **extra)
+                                      metric=metric)
         else:
             ia, ib = finder(s.points, t.points, ctx.threshold, order,
                             counters=ctx.cpu, upper_triangle=upper_triangle,
-                            metric=metric, **extra)
+                            metric=metric)
             combined = None
     if ctx.monitor is not None:
         ctx.monitor.check_leaf(s, t, ia, ib, ctx, upper_triangle)
@@ -355,10 +337,10 @@ class _RangeJoin:
     A sub-sequence is a row range ``[lo, hi)`` of the root sequence
     ``s`` or ``t``.  A node reads the first and last cell rows of its
     two ranges from a :class:`_RowCache`, so it makes no numpy call and
-    allocates no :class:`Sequence`; views are built only for a per-leaf
-    engine and for the invariant monitor.  Leaves the batched engine
-    takes are recorded in the context's :class:`LeafBatch` and decided
-    one flush at a time.
+    allocates no :class:`Sequence`; views are built only for the
+    ``vector``/``scalar`` leaf kernels and for the invariant monitor.
+    Under the gather pass every leaf is recorded in the context's
+    :class:`LeafBatch` and decided one flush at a time.
     """
 
     def __init__(self, s: Sequence, t: Sequence, ctx: JoinContext) -> None:
@@ -372,8 +354,11 @@ class _RangeJoin:
         self.monitor = ctx.monitor
         self.minlen = ctx.kernel.minlen
         self.boundary = ctx.kernel.split_strategy == "boundary"
-        self.batch = ctx.batch
-        self.batch.bind(s.points, s.cells, t.points, t.cells)
+        self.engine = ctx.kernel.leaf_kernel
+        self.batch = None
+        if self.engine == "batched":
+            self.batch = ctx.batch
+            self.batch.bind(s.points, s.cells, t.points, t.cells)
 
     def node(self, a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> None:
         """The Figure 6 recursion body for ``s[a_lo:a_hi] × t[b_lo:b_hi]``."""
@@ -442,30 +427,22 @@ class _RangeJoin:
         ``act_s``/``act_t`` are the ranges' active dimensions (``d``
         when none), as the node computed them.
         """
-        ctx = self.ctx
-        na, nb = a_hi - a_lo, b_hi - b_lo
-        engine = select_engine(ctx.kernel.engine, na, nb, self.dims,
-                               ctx.kernel.engine_metric, batching=True)
-        self.obs.leaf_joins.labels(engine).inc()
-        self.obs.leaf_volume.observe(na * nb)
-        if engine == "batched":
-            self.batch.add(a_lo, a_hi, b_lo, b_hi, upper_triangle,
-                           None if act_t == self.dims else act_t)
-            if self.batch.full:
-                self.flush()
+        self.obs.leaf_joins.labels(self.engine).inc()
+        self.obs.leaf_volume.observe((a_hi - a_lo) * (b_hi - b_lo))
+        if self.batch is None:
+            _per_leaf(self.s.slice(a_lo, a_hi, act_s),
+                      self.t.slice(b_lo, b_hi, act_t), self.ctx,
+                      self.engine, upper_triangle)
             return
-        # A pending batch must drain before a per-leaf engine emits, so
-        # the result stream keeps the leaf-visit order (``auto`` mixes
-        # batched and matmul leaves).
-        self.flush()
-        _per_leaf(self.s.slice(a_lo, a_hi, act_s),
-                  self.t.slice(b_lo, b_hi, act_t), ctx, engine,
-                  upper_triangle)
+        self.batch.add(a_lo, a_hi, b_lo, b_hi, upper_triangle,
+                       None if act_t == self.dims else act_t)
+        if self.batch.full:
+            self.flush()
 
     def flush(self) -> None:
         """Decide the recorded leaves and report their pairs in order."""
         batch = self.batch
-        if not len(batch):
+        if batch is None or not len(batch):
             return
         ctx = self.ctx
         span_args = ({"leaves": len(batch), "volume": batch.volume}
@@ -508,7 +485,7 @@ def join_sequences(s: Sequence, t: Sequence, ctx: JoinContext) -> None:
     comparison is restricted to the upper triangle so each unordered pair
     is reported exactly once.
 
-    Any leaf pairs the batched engine recorded are flushed before
+    Any leaf pairs the gather pass recorded are flushed before
     returning, so callers always observe a complete result.
     """
     join = _RangeJoin(s, t, ctx)

@@ -40,7 +40,7 @@ import numpy as np
 
 from ..core.distance import (natural_ordering, pairs_within_scalar,
                              pairs_within_vector)
-from ..core.kernels import ScratchBuffers, pairs_within_matmul, select_engine
+from ..core.kernels import ScratchBuffers, pairs_within_matmul
 from ..core.result import JoinResult
 from ..index.lsh import (DEFAULT_K, DEFAULT_W_SCALE, PStableHashFamily,
                          sort_by_keys)
@@ -53,10 +53,18 @@ from .base import DiskTracker, JoinReport
 #: Records per buffered write/read while streaming bucket files.
 BUCKET_CHUNK_RECORDS = 4096
 
-#: Engines the verification pass accepts (``batched`` needs the
-#: leaf recorder of the EGO recursion and resolves to the ``matmul``
-#: GEMM kernel here — same pairs and distances).
-LSH_ENGINES = ("scalar", "vector", "matmul", "batched", "auto")
+#: Engines the verification pass accepts.  ``matmul`` decides every
+#: bucket with the GEMM kernel; ``auto`` picks GEMM or ``vector`` per
+#: bucket by :data:`GEMM_BUCKET_VOLUME`.  A bucket is a whole block
+#: with no EGO order inside it, so the recursion's gather pass (the EGO
+#: ``auto`` engine) does not apply here.
+LSH_ENGINES = ("scalar", "vector", "matmul", "auto")
+
+#: ``size·size·d`` volume from which ``auto`` verifies a bucket with
+#: GEMM instead of the difference cube.  Calibrated with
+#: ``benchmarks/bench_kernels.py``: the crossover sits near 64×64 points
+#: at d = 8; below it the einsum/broadcast path wins on call overhead.
+GEMM_BUCKET_VOLUME = 32768
 
 #: Bucket-disk constructors by ``backend`` name.  Only ``"simulated"``
 #: charges the paper's cost model; the other two count accesses but
@@ -101,18 +109,29 @@ class LSHJoinReport(JoinReport):
     lsh: LSHStats = field(default=None)  # filled in by the join
 
 
+def bucket_engine(engine: str, size: int, dimensions: int) -> str:
+    """The kernel that verifies one bucket of ``size`` points.
+
+    ``auto`` resolves by volume (:data:`GEMM_BUCKET_VOLUME`); the other
+    engine names pass through.
+    """
+    if engine != "auto":
+        return engine
+    if size * size * dimensions >= GEMM_BUCKET_VOLUME:
+        return "matmul"
+    return "vector"
+
+
 def _verify_bucket(engine: str, pts: np.ndarray, eps_sq: float,
                    order: np.ndarray, cpu: CPUCounters,
                    scratch: ScratchBuffers
                    ) -> Tuple[np.ndarray, np.ndarray]:
     """Exact upper-triangle pairs of one bucket block."""
-    resolved = select_engine(
-        "matmul" if engine == "batched" else engine,
-        len(pts), len(pts), pts.shape[1])
+    resolved = bucket_engine(engine, len(pts), pts.shape[1])
     if resolved == "scalar":
         return pairs_within_scalar(pts, pts, eps_sq, order, counters=cpu,
                                    upper_triangle=True)
-    if resolved == "matmul" or resolved == "batched":
+    if resolved == "matmul":
         return pairs_within_matmul(pts, pts, eps_sq, order, counters=cpu,
                                    upper_triangle=True, scratch=scratch)
     return pairs_within_vector(pts, pts, eps_sq, order, counters=cpu,
@@ -166,8 +185,7 @@ def lsh_self_join_file(point_file: PointFile, epsilon: float, *,
         Model recall to hit at the worst-case distance ε when ``tables``
         is not given.
     engine:
-        Verification kernel (``scalar``/``vector``/``matmul``/``auto``;
-        ``batched`` resolves to the ``matmul`` GEMM kernel).
+        Verification kernel, one of :data:`LSH_ENGINES`.
     backend:
         Where the per-table bucket files live: a key of
         :data:`BUCKET_DISKS` (``simulated``/``file``/``memory``).

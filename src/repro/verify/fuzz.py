@@ -39,15 +39,14 @@ from .workloads import WORKLOAD_KINDS, generate_workload
 DEFAULT_CONFIGS: Tuple[Tuple[str, Dict[str, object]], ...] = (
     ("ego", {"engine": "scalar"}),
     ("ego", {"engine": "vector", "invariants": True}),
-    ("ego", {"engine": "matmul"}),
-    ("ego", {"engine": "batched"}),
+    ("ego", {"engine": "auto"}),
     ("ego", {"engine": "vector", "split_strategy": "boundary"}),
     ("ego_external", {"storage": "plain", "invariants": True}),
     ("ego_external", {"storage": "plain", "workers": 2}),
     ("ego_external", {"storage": "checksummed"}),
     ("ego_external", {"storage": "crash_resume"}),
     ("ego_external", {"storage": "worker_faults", "workers": 2}),
-    ("ego_external", {"engine": "batched", "storage": "crash_resume"}),
+    ("ego_external", {"engine": "auto", "storage": "crash_resume"}),
     ("ego_rs_files", {}),
     ("ego_store", {"mode": "fresh"}),
     ("ego_store", {"mode": "churn"}),
@@ -321,7 +320,7 @@ def run_fuzz(seed: int = 0, budget_s: float = 60.0,
 
 def acceptance_matrix(points: np.ndarray, epsilon: float,
                       engines: Sequence[str] = ("scalar", "vector",
-                                                "matmul", "batched"),
+                                                "auto"),
                       workers: Sequence[int] = (1, 4),
                       storages: Sequence[str] = ("plain", "checksummed",
                                                  "crash_resume")):

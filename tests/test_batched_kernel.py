@@ -1,5 +1,5 @@
-"""Tests for the batched leaf engine and the precision bugfixes that
-shipped with the GEMM kernels.
+"""Tests for the gather pass (the ``auto`` engine's Euclidean leaf path)
+and the precision bugfixes that shipped with the GEMM kernels.
 
 Three areas:
 
@@ -13,9 +13,9 @@ Three areas:
   ε² and forces every windowed candidate through exact
   re-verification; the centered kernel keeps the re-verified count
   proportional to the accepts.
-* the ``"batched"`` engine — :class:`LeafBatch` (leaves recorded as
-  index ranges) and :func:`pairs_within_batched` (one gather pass per
-  flush) units, pair-stream identity with the per-leaf engines
+* the gather pass — :class:`LeafBatch` (leaves recorded as index
+  ranges) and :func:`pairs_within_batched` (one gather pass per flush)
+  units, pair-stream identity with the per-leaf engines
   (including across flush and chunk boundaries), oracle/metamorphic
   sweeps and the batch metrics.
 """
@@ -33,9 +33,7 @@ from repro.core.ego_join import ego_join, ego_self_join
 from repro.core.ego_order import floor_cells, grid_cells
 from repro.core.kernels import (DEFAULT_BATCH_VOLUME, DEFAULT_GATHER_CHUNK,
                                 LeafBatch, ScratchBuffers, candidate_windows,
-                                pairs_within_batched, pairs_within_matmul,
-                                select_engine)
-from repro.core.metrics import get_metric
+                                pairs_within_batched, pairs_within_matmul)
 from repro.core.result import JoinResult
 from repro.core.sequence import Sequence
 from repro.core.sequence_join import (JoinContext, KernelConfig,
@@ -166,16 +164,30 @@ class TestCenteredSlackRegression:
             == set(zip(ma.tolist(), mb.tolist()))
 
     @pytest.mark.parametrize("offset", [1e6, 1e8])
-    def test_reverification_stays_bounded_far_from_origin(self, offset):
+    def test_reverification_stays_bounded_far_from_origin(self, offset,
+                                                           monkeypatch):
         """Pre-fix, the raw-norm slack at these offsets exceeds ε², so
         *every* candidate is re-verified (n·(n−1)/2 here); centered, the
-        re-verified count tracks the accepts."""
+        re-verified count tracks the accepts.
+
+        The kernel takes row norms with ``einsum(..., out=...)`` and
+        re-verifies with a plain ``einsum`` of differences, so the rows
+        of the latter calls are the re-verified candidates."""
         pts, eps = self._cluster(offset)
         order = natural_ordering(pts.shape[1])
-        reg = MetricsRegistry()
+        einsum, rows = np.einsum, []
+
+        def counting_einsum(*operands, **kwargs):
+            if "out" not in kwargs:
+                rows.append(len(operands[1]))
+            return einsum(*operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counting_einsum)
         ia, _ib = pairs_within_matmul(pts, pts, eps * eps, order,
-                                      upper_triangle=True, metrics=reg)
-        reverified = reg.get("ego_gemm_reverified_total").value
+                                      upper_triangle=True)
+        monkeypatch.undo()
+        reverified = sum(rows)
+        assert reverified >= len(ia)
         n = len(pts)
         all_candidates = n * (n - 1) // 2
         assert reverified <= 4 * max(len(ia), 1) + 64
@@ -394,27 +406,45 @@ class TestBatchedKernel:
                                                         (1, 0), (1, 1)]
 
 
+def leaf_kernels(pts, eps, **kernel):
+    """Labels of ``ego_leaf_joins_total`` after one self-join, and the
+    context (to see whether it ever built a leaf batch)."""
+    from repro.core.ego_order import ego_sorted
+    reg = MetricsRegistry()
+    ctx = JoinContext(epsilon=eps, result=JoinResult(),
+                      kernel=KernelConfig(**kernel), metrics=reg)
+    ids, spts = ego_sorted(pts, eps)
+    seq = Sequence(ids, spts, eps)
+    join_sequences(seq, seq, ctx)
+    samples = reg.get("ego_leaf_joins_total").to_data()["samples"]
+    return [k for k, v in samples if v], ctx
+
+
 class TestBatchedEngineSelection:
-    def test_explicit_batched_passes_through(self):
-        assert select_engine("batched", 8, 8, 2) == "batched"
-        assert select_engine("batched", 512, 512, 32) == "batched"
+    def test_auto_small_leaf_batches_when_batching(self, rng):
+        """``auto`` resolves once per join: every Euclidean leaf, of any
+        size (200×200 at d = 5 is past the old per-leaf GEMM volume),
+        goes to the gather pass."""
+        pts = rng.random((400, 5))
+        for minlen in (1, 200):
+            labels, _ctx = leaf_kernels(pts, 0.2, engine="auto",
+                                        minlen=minlen)
+            assert labels == [["batched"]]
 
-    def test_batched_non_euclidean_falls_back(self):
-        m = get_metric("manhattan")
-        assert select_engine("batched", 8, 8, 2, m) == "vector"
-
-    def test_auto_small_leaf_batches_when_batching(self):
-        assert select_engine("auto", 8, 8, 4, batching=True) == "batched"
-        assert select_engine("auto", 8, 8, 4, batching=False) == "vector"
-
-    def test_auto_large_leaf_still_matmul(self):
-        assert select_engine("auto", 256, 256, 16, batching=True) \
-            == "matmul"
+    def test_batched_non_euclidean_falls_back(self, rng):
+        """On another metric ``auto`` runs ``vector`` for every leaf and
+        never builds a leaf batch."""
+        labels, ctx = leaf_kernels(rng.random((300, 3)), 0.2,
+                                   engine="auto", metric="manhattan")
+        assert labels == [["vector"]]
+        assert ctx._batch is None
 
     def test_context_accepts_batched_and_knobs(self):
+        """``auto`` on Euclidean data runs every leaf through the
+        context's batch, built with the default bounds."""
         ctx = JoinContext(epsilon=0.1, result=JoinResult(),
-                          kernel=KernelConfig(engine="batched"))
-        assert ctx.kernel.engine == "batched"
+                          kernel=KernelConfig(engine="auto"))
+        assert ctx.kernel.leaf_kernel == "batched"
         assert ctx.batch.max_volume == DEFAULT_BATCH_VOLUME
         assert ctx.batch.chunk == DEFAULT_GATHER_CHUNK
 
@@ -431,7 +461,7 @@ class TestBatchedEngineEndToEnd:
         pts = rng.random((300, 4)) + offset
         eps = 0.15
         ref = ego_self_join(pts, eps, engine="vector")
-        got = ego_self_join(pts, eps, engine="batched")
+        got = ego_self_join(pts, eps, engine="auto")
         assert stream_pairs(got) == stream_pairs(ref)
 
     def test_stream_identical_with_tiny_batches(self, rng):
@@ -444,55 +474,45 @@ class TestBatchedEngineEndToEnd:
         ids, spts = ego_sorted(pts, eps)
         for volume, chunk in ((64, 3), (1, 1), (10**6, 10**6)):
             ctx = JoinContext(epsilon=eps, result=JoinResult(),
-                              kernel=KernelConfig(engine="batched"))
+                              kernel=KernelConfig(engine="auto"))
             ctx._batch = LeafBatch(max_volume=volume, chunk=chunk)
             seq = Sequence(ids, spts, eps)
             join_sequences(seq, seq, ctx)
             assert stream_pairs(ctx.result) == ref
 
-    def test_auto_mixes_batched_and_matmul(self, rng):
-        """auto drains the pending batch before a matmul leaf emits, so
-        the mixed stream still equals the vector stream."""
-        pts = rng.random((400, 6))
-        eps = 0.2
-        ref = ego_self_join(pts, eps, engine="vector", minlen=48)
-        got = ego_self_join(pts, eps, engine="auto", minlen=48)
-        assert stream_pairs(got) == stream_pairs(ref)
-
     def test_rs_join_matches_vector(self, rng):
         r = rng.random((180, 3))
         s = rng.random((150, 3))
         ref = ego_join(r, s, 0.2, engine="vector")
-        got = ego_join(r, s, 0.2, engine="batched")
+        got = ego_join(r, s, 0.2, engine="auto")
         assert stream_pairs(got) == stream_pairs(ref)
 
     def test_collect_distances_matches_matmul(self, rng):
         pts = rng.random((200, 4))
         res_b = JoinResult(collect_distances=True)
-        res_m = JoinResult(collect_distances=True)
-        ego_self_join(pts, 0.25, engine="batched", result=res_b)
-        ego_self_join(pts, 0.25, engine="matmul", result=res_m)
-
-        def dist_map(res):
-            ia, ib = res.pairs()
-            keys = [(min(i, j), max(i, j))
-                    for i, j in zip(ia.tolist(), ib.tolist())]
-            return dict(zip(keys, res.distances().tolist()))
-
-        assert dist_map(res_b) == dist_map(res_m)
+        ego_self_join(pts, 0.25, engine="auto", result=res_b)
+        ra, rb, sq = pairs_within_matmul(pts, pts, 0.25 ** 2,
+                                         natural_ordering(4),
+                                         upper_triangle=True,
+                                         return_sq_distances=True)
+        ia, ib = res_b.pairs()
+        keys = [(min(i, j), max(i, j))
+                for i, j in zip(ia.tolist(), ib.tolist())]
+        want = dict(zip(zip(ra.tolist(), rb.tolist()), np.sqrt(sq).tolist()))
+        assert dict(zip(keys, res_b.distances().tolist())) == want
 
     def test_non_euclidean_falls_back(self, rng):
         pts = rng.random((120, 3))
         ref = ego_self_join(pts, 0.2, engine="vector",
                             metric="manhattan").canonical_pair_set()
-        got = ego_self_join(pts, 0.2, engine="batched",
+        got = ego_self_join(pts, 0.2, engine="auto",
                             metric="manhattan").canonical_pair_set()
         assert got == ref
 
     def test_invariants_monitor_sees_batched_leaves(self, rng):
         pts = rng.random((150, 3))
         ref = ego_self_join(pts, 0.2, engine="vector").canonical_pair_set()
-        got = ego_self_join(pts, 0.2, engine="batched",
+        got = ego_self_join(pts, 0.2, engine="auto",
                             invariants=True).canonical_pair_set()
         assert got == ref
 
@@ -502,7 +522,7 @@ class TestBatchedEngineEndToEnd:
         pts = rng.random((40, 2))
         eps = 0.3
         ctx = JoinContext(epsilon=eps, result=JoinResult(),
-                          kernel=KernelConfig(engine="batched"))
+                          kernel=KernelConfig(engine="auto"))
         from repro.core.ego_order import ego_sorted
         ids, spts = ego_sorted(pts, eps)
         seq = Sequence(ids, spts, eps)
@@ -517,7 +537,7 @@ class TestBatchedEngineEndToEnd:
         reg = MetricsRegistry()
         res = JoinResult()
         ctx = JoinContext(epsilon=0.15, result=res,
-                          kernel=KernelConfig(engine="batched"), metrics=reg)
+                          kernel=KernelConfig(engine="auto"), metrics=reg)
         from repro.core.ego_order import ego_sorted
         ids, spts = ego_sorted(pts, 0.15)
         seq = Sequence(ids, spts, 0.15)
@@ -535,13 +555,13 @@ class TestBatchedVerification:
     def test_oracle_row_matches_brute(self, rng):
         pts = rng.random((120, 3))
         ref = run_impl("brute", pts, 0.2)
-        got = run_impl("ego", pts, 0.2, engine="batched")
+        got = run_impl("ego", pts, 0.2, engine="auto")
         np.testing.assert_array_equal(got, ref)
 
     def test_metamorphic_relations_hold(self, rng):
         pts = rng.random((80, 3))
         for report in run_relations("ego", pts, 0.25, seed=4,
-                                    engine="batched"):
+                                    engine="auto"):
             assert report.ok, report.describe()
 
     @pytest.mark.parametrize("storage", ["plain", "crash_resume",
@@ -550,6 +570,6 @@ class TestBatchedVerification:
         pts = rng.random((90, 3))
         ref = run_impl("ego", pts, 0.2)
         workers = 2 if storage == "worker_faults" else 1
-        got = run_impl("ego_external", pts, 0.2, engine="batched",
+        got = run_impl("ego_external", pts, 0.2, engine="auto",
                        storage=storage, workers=workers)
         np.testing.assert_array_equal(got, ref)

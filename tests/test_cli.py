@@ -56,8 +56,9 @@ class TestJoin:
         assert "pairs:" in err
 
     def test_join_batched_engine_with_knobs(self, data_file, capsys):
+        """``--engine auto`` runs the batched gather pass."""
         assert main(["join", data_file, "--epsilon", "0.2",
-                     "--engine", "batched", "--count-only"]) == 0
+                     "--engine", "auto", "--count-only"]) == 0
         batched = [ln for ln in capsys.readouterr().err.splitlines()
                    if "pairs:" in ln]
         assert main(["join", data_file, "--epsilon", "0.2",
@@ -77,6 +78,36 @@ class TestJoin:
                      "--resume"]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "different configuration" in err
+
+    @pytest.mark.parametrize("command", ["join", "join-two"])
+    def test_removed_engine_names_refused(self, data_file, command, capsys):
+        files = [data_file] * (2 if command == "join-two" else 1)
+        for engine in ("matmul", "batched"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, *files, "--epsilon", "0.2",
+                      "--engine", engine])
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
+
+    def test_resume_of_removed_engine_checkpoint_exits_2(
+            self, data_file, tmp_path, capsys):
+        """A checkpoint an older version wrote with ``--engine matmul``
+        cannot be resumed: the error names the accepted engines."""
+        import json
+        ck = tmp_path / "ck"
+        assert main(["join", data_file, "--epsilon", "0.2",
+                     "--count-only", "--checkpoint", str(ck)]) == 0
+        journal = ck / "journal.json"
+        state = json.loads(journal.read_text())
+        state["config"]["kernel"]["engine"] = "matmul"
+        journal.write_text(json.dumps(state))
+        capsys.readouterr()
+        assert main(["join", data_file, "--epsilon", "0.2",
+                     "--count-only", "--checkpoint", str(ck),
+                     "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert "error: unknown engine 'matmul'" in err
+        assert "scalar, vector, auto" in err and "Traceback" not in err
 
     def test_join_prints_pairs(self, data_file, capsys):
         assert main(["join", data_file, "--epsilon", "0.3",

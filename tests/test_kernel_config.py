@@ -31,7 +31,7 @@ from conftest import make_file
 EPS = 0.08
 
 #: One non-default value per KernelConfig field.
-NON_DEFAULT = {"engine": "matmul", "minlen": 4, "metric": "chebyshev",
+NON_DEFAULT = {"engine": "auto", "minlen": 4, "metric": "chebyshev",
                "order_dimensions": False, "split_strategy": "boundary"}
 
 
@@ -45,6 +45,13 @@ class TestKernelConfig:
     def test_covers_every_knob(self):
         names = [f.name for f in dataclasses.fields(KernelConfig)]
         assert sorted(names) == sorted(NON_DEFAULT)
+
+    @pytest.mark.parametrize("engine", ["matmul", "batched", "gpu"])
+    def test_removed_engine_names_refused(self, engine):
+        with pytest.raises(ValueError) as exc:
+            KernelConfig(engine=engine)
+        assert str(exc.value) == (f"unknown engine {engine!r}; accepted "
+                                  f"engines: scalar, vector, auto")
 
     def test_metric_resolved_once(self):
         config = KernelConfig(metric="chebyshev")

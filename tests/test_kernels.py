@@ -1,5 +1,5 @@
-"""Tests for the high-throughput leaf kernels (GEMM engine, windowing,
-scratch buffers, engine selection)."""
+"""Tests for the high-throughput leaf kernels (GEMM kernel, windowing,
+scratch buffers) and the engines a join accepts."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 from repro.core.distance import natural_ordering, pairs_within_scalar
 from repro.core.ego_join import ego_self_join
 from repro.core.ego_order import ego_sorted
-from repro.core.kernels import (AUTO_MATMUL_VOLUME, ScratchBuffers,
-                                candidate_windows, pairs_within_matmul,
-                                select_engine)
+from repro.core.kernels import (ScratchBuffers, candidate_windows,
+                                pairs_within_matmul)
 from repro.core.metrics import get_metric
 from repro.core.sequence import Sequence
-from repro.core.sequence_join import JoinContext, KernelConfig
+from repro.core.sequence_join import ENGINES, JoinContext, KernelConfig
+from repro.joins.lsh_join import GEMM_BUCKET_VOLUME, bucket_engine
 from repro.core.result import JoinResult
 from repro.storage.stats import CPUCounters
 
@@ -165,27 +165,36 @@ class TestCandidateWindows:
 
 
 class TestEngineSelection:
+    """The two engine resolutions left: a join's leaf kernel (once per
+    join, by metric) and the LSH bucket verify's volume rule."""
+
     def test_explicit_engines_pass_through(self):
         for eng in ("scalar", "vector", "matmul"):
-            assert select_engine(eng, 1000, 1000, 32) == eng
+            assert bucket_engine(eng, 1000, 32) == eng
+        for eng in ("scalar", "vector"):
+            assert KernelConfig(engine=eng).leaf_kernel == eng
 
     def test_auto_small_leaf_uses_vector(self):
-        assert select_engine("auto", 8, 8, 4) == "vector"
+        assert bucket_engine("auto", 8, 4) == "vector"
+        # A join's leaves all take the gather pass, whatever their size.
+        assert KernelConfig(engine="auto", minlen=8).leaf_kernel == "batched"
 
     def test_auto_large_leaf_uses_matmul(self):
-        assert select_engine("auto", 256, 256, 16) == "matmul"
+        assert bucket_engine("auto", 256, 16) == "matmul"
 
     def test_auto_non_euclidean_uses_vector(self):
         m = get_metric("manhattan")
-        assert select_engine("auto", 256, 256, 16, m) == "vector"
+        assert KernelConfig(engine="auto", metric=m).leaf_kernel == "vector"
 
     def test_threshold_is_the_knob(self):
-        na = nb = d = 32
-        assert na * nb * d >= AUTO_MATMUL_VOLUME
-        assert select_engine("auto", na, nb, d) == "matmul"
+        na = d = 32
+        assert na * na * d == GEMM_BUCKET_VOLUME
+        assert bucket_engine("auto", na, d) == "matmul"
+        assert bucket_engine("auto", na - 1, d) == "vector"
 
     def test_context_accepts_new_engines(self):
-        for eng in ("matmul", "auto"):
+        assert ENGINES == ("scalar", "vector", "auto")
+        for eng in ENGINES:
             ctx = JoinContext(epsilon=0.1, result=JoinResult(),
                               kernel=KernelConfig(engine=eng))
             assert ctx.kernel.engine == eng
@@ -199,7 +208,7 @@ class TestEnginesEndToEnd:
     @given(st.integers(min_value=0, max_value=120),
            st.integers(min_value=1, max_value=5),
            st.floats(min_value=0.05, max_value=0.6),
-           st.sampled_from(["matmul", "batched", "auto"]),
+           st.sampled_from(["scalar", "auto"]),
            st.sampled_from(METRICS),
            st.integers(min_value=1, max_value=64),
            st.integers(0, 10**6))
@@ -219,20 +228,10 @@ class TestEnginesEndToEnd:
         pts = np.vstack([base, base[:10]])  # exact duplicates
         eps = 0.2
         ref = brute_truth(pts, eps)
-        for eng in ("matmul", "batched", "auto"):
+        for eng in ("scalar", "auto"):
             got = ego_self_join(pts, eps, engine=eng,
                                 minlen=16).canonical_pair_set()
             assert got == ref
-
-    def test_scratch_buffers_are_reused(self, rng):
-        ctx = JoinContext(epsilon=0.1, result=JoinResult(),
-                          kernel=KernelConfig(engine="matmul"))
-        first = ctx.scratch
-        assert ctx.scratch is first
-        tile = first.gram_tile(16, 16)
-        assert tile.shape == (16, 16)
-        again = first.gram_tile(16, 16)
-        assert again.base is tile.base
 
     def test_collect_distances_end_to_end(self, rng):
         pts = rng.random((200, 4))
@@ -240,7 +239,7 @@ class TestEnginesEndToEnd:
         res_v = JoinResult(collect_distances=True)
         res_m = JoinResult(collect_distances=True)
         ego_self_join(pts, eps, engine="vector", result=res_v)
-        ego_self_join(pts, eps, engine="matmul", minlen=64, result=res_m)
+        ego_self_join(pts, eps, engine="auto", minlen=64, result=res_m)
 
         def dist_map(res):
             ia, ib = res.pairs()

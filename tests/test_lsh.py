@@ -22,7 +22,7 @@ from repro.data.loader import save_points
 from repro.index.lsh import (DEFAULT_K, DEFAULT_W_SCALE, MAX_TABLES,
                              PStableHashFamily, collision_probability,
                              sort_by_keys)
-from repro.joins.lsh_join import (BUCKET_DISKS, lsh_self_join,
+from repro.joins.lsh_join import (BUCKET_DISKS, LSH_ENGINES, lsh_self_join,
                                   lsh_self_join_file, write_bucket_file)
 from repro.storage.disk import SimulatedDisk
 from repro.storage.pagefile import PointFile
@@ -237,11 +237,15 @@ class TestLSHJoin:
             (engine, backend): pair_digest(canonical_pairs(
                 lsh_self_join(pts, EPS, seed=4, engine=engine,
                               backend=backend).result))
-            for engine in ("scalar", "vector", "matmul", "batched",
-                           "auto")
+            for engine in LSH_ENGINES
             for backend in ("simulated", "file", "memory")
         }
         assert len(set(digests.values())) == 1
+
+    def test_removed_batched_alias_refused(self, rng):
+        assert LSH_ENGINES == ("scalar", "vector", "matmul", "auto")
+        with pytest.raises(ValueError, match="unknown engine 'batched'"):
+            lsh_self_join(rng.random((20, 3)), EPS, engine="batched")
 
     def test_monotone_in_tables(self, rng):
         pts = rng.random((200, 4))

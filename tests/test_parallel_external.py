@@ -73,9 +73,9 @@ class TestParallelMatchesSerial:
         assert bytes_s == bytes_p
         assert journal_s == journal_p
 
-    def test_parallel_with_matmul_engine(self, dataset):
+    def test_parallel_with_auto_engine(self, dataset):
         serial = run_join(dataset, engine="vector")
-        parallel = run_join(dataset, workers=2, engine="matmul",
+        parallel = run_join(dataset, workers=2, engine="auto",
                             minlen=64)
         assert serial.result.canonical_pair_set() \
             == parallel.result.canonical_pair_set()

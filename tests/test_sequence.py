@@ -224,7 +224,7 @@ class TestPrecomputedCellsProperty:
         epsilon = 0.7 * width
         want = brute_truth(pts, epsilon)
         ids, spts = ego_sorted(pts, width)
-        for engine in ("vector", "matmul", "batched", "auto"):
+        for engine in ("vector", "auto"):
             for split in ("half", "boundary"):
                 result = JoinResult()
                 kernel = KernelConfig(engine=engine, minlen=4,

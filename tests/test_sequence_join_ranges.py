@@ -1,15 +1,16 @@
-"""The range recursion and the batched gather pass against per-leaf GEMM.
+"""The range recursion and its gather pass against per-leaf GEMM.
 
-``join_sequences`` runs Figure 6 on index ranges, and the ``batched``
-engine (which ``auto`` sends small Euclidean leaves to) decides its
-leaves one flush at a time with the exact sum of squared differences.
-The per-leaf ``matmul`` engine decides each leaf on its own with the
-same expression, so on every input below the two must agree on the raw
-pair stream (order included), the distances, every ``CPUCounters``
-field and every structural count of the Prometheus dump.  Only the
-per-leaf families may differ: the engine label of
-``ego_leaf_joins_total``, the GEMM counters ``ego_gemm_*`` and the
-flush histograms ``ego_kernel_batch*``.
+``join_sequences`` runs Figure 6 on index ranges, and the ``auto``
+engine decides every Euclidean leaf one flush at a time with the exact
+sum of squared differences.  The reference re-decides each leaf on its
+own: a recording invariant monitor hands every leaf the recursion
+reaches to ``pairs_within_matmul``, which re-verifies its accepts with
+the same expression.  On every input below the two must agree leaf by
+leaf on the index arrays (order included) and on the work counters;
+the reported distances must be the ``einsum`` of differences
+recomputed per pair; and the ``vector`` engine must find the same pair
+set through the same recursion (every structural count of the
+Prometheus dump).
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.distance import natural_ordering
 from repro.core.ego_join import ego_self_join_file
 from repro.core.ego_order import ego_sorted
+from repro.core.kernels import candidate_windows, pairs_within_matmul
 from repro.core.result import JoinResult
 from repro.core.sequence import Sequence
 from repro.core.sequence_join import (JoinContext, KernelConfig,
@@ -26,16 +29,44 @@ from repro.core.sequence_join import (JoinContext, KernelConfig,
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.disk import SimulatedDisk
 from repro.storage.stats import CPUCounters
+from repro.verify.invariants import InvariantMonitor
 
 from conftest import brute_truth, make_file
 
 #: Metric families whose values depend on how leaves are evaluated.
-PER_LEAF_FAMILIES = ("ego_gemm_", "ego_kernel_batch")
+PER_LEAF_FAMILIES = ("ego_candidate_window_rows", "ego_kernel_batch")
+
+
+class GemmReference(InvariantMonitor):
+    """Records each leaf's emitted pairs next to ``pairs_within_matmul``'s.
+
+    The reference windows each leaf in its active dimension, as the
+    gather pass does, and charges its own counters, so the two must
+    also agree on the distance calculations.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.got, self.want = [], []
+        self.cpu = CPUCounters()
+
+    def check_leaf(self, s, t, ia, ib, ctx, upper_triangle) -> None:
+        extra = {}
+        wdim = t.active_dimension()
+        if wdim is not None:
+            extra["windows"] = candidate_windows(
+                s.points, t.points, wdim, t.epsilon,
+                cells_a=s.cells[:, wdim], cells_b=t.cells[:, wdim])
+        ra, rb = pairs_within_matmul(
+            s.points, t.points, ctx.threshold, natural_ordering(s.dimensions),
+            counters=self.cpu, upper_triangle=upper_triangle, **extra)
+        self.got.append((np.asarray(ia).tolist(), np.asarray(ib).tolist()))
+        self.want.append((ra.tolist(), rb.tolist()))
 
 
 def structural_dump(registry: MetricsRegistry) -> str:
     """The Prometheus dump without the per-leaf families, with the leaf
-    count summed over engines."""
+    count summed over leaf kernels."""
     leaves = registry.get("ego_leaf_joins_total")
     total = sum(v for _k, v in leaves.to_data()["samples"]) if leaves else 0
     lines = [f"leaf_joins {total}"]
@@ -47,7 +78,7 @@ def structural_dump(registry: MetricsRegistry) -> str:
     return "\n".join(lines)
 
 
-def run(points, eps, other=None, grid_epsilon=None, **kernel):
+def run(points, eps, other=None, grid_epsilon=None, monitor=None, **kernel):
     """Join EGO-sorted blocks with ``join_sequences``; everything the
     comparison looks at."""
     grid = grid_epsilon or eps
@@ -55,7 +86,8 @@ def run(points, eps, other=None, grid_epsilon=None, **kernel):
     result = JoinResult(collect_distances=True)
     ctx = JoinContext(epsilon=eps, result=result,
                       kernel=KernelConfig(**kernel), cpu=cpu,
-                      grid_epsilon=grid_epsilon, metrics=registry)
+                      grid_epsilon=grid_epsilon, metrics=registry,
+                      monitor=monitor)
     ids, pts = ego_sorted(points, grid)
     seq = Sequence(ids, pts, grid)
     if other is None:
@@ -70,11 +102,31 @@ def run(points, eps, other=None, grid_epsilon=None, **kernel):
             "registry": registry}
 
 
-def assert_same(got, want):
-    assert got["stream"] == want["stream"]
-    assert got["distances"] == want["distances"]
-    assert got["cpu"] == want["cpu"]
+def check_auto(points, eps, other=None, engine="auto", **kwargs):
+    """Run ``engine`` (``auto``) under the GEMM reference and ``vector``
+    beside it; assert every agreement the module docstring lists."""
+    ref = GemmReference()
+    got = run(points, eps, other, engine=engine, monitor=ref, **kwargs)
+    assert got["stream"]
+    assert ref.got == ref.want
+    assert sum(len(a) for a, _b in ref.got) == len(got["stream"])
+    assert got["cpu"].distance_calculations == ref.cpu.distance_calculations
+    assert got["cpu"].dimension_evaluations == ref.cpu.dimension_evaluations
+
+    ia, ib = (np.array(c, dtype=np.intp) for c in zip(*got["stream"]))
+    b = points if other is None else other
+    diffs = points[ia] - b[ib]
+    assert got["distances"] == np.sqrt(
+        np.einsum("ij,ij->i", diffs, diffs)).tobytes()
+
+    want = run(points, eps, other, engine="vector", **kwargs)
+    assert set(got["stream"]) == set(want["stream"])
     assert got["dump"] == want["dump"]
+    for field in ("sequence_pairs", "sequence_exclusions"):
+        assert getattr(got["cpu"], field) == getattr(want["cpu"], field)
+    leaves = got["registry"].get("ego_leaf_joins_total")
+    assert [k for k, _v in leaves.to_data()["samples"]] == [["batched"]]
+    return got
 
 
 def boundary_points(rng, n, d, eps, offset):
@@ -96,42 +148,32 @@ def clustered():
 
 
 class TestAgainstPerLeafGemm:
-    @pytest.mark.parametrize("engine", ["auto", "batched"])
+    @pytest.mark.parametrize("engine", ["auto"])
     @pytest.mark.parametrize("minlen", [1, 8, 32, 200])
     def test_self_join(self, clustered, engine, minlen):
-        want = run(clustered, 0.08, engine="matmul", minlen=minlen)
-        got = run(clustered, 0.08, engine=engine, minlen=minlen)
-        assert_same(got, want)
-        assert want["stream"]
+        check_auto(clustered, 0.08, engine=engine, minlen=minlen)
 
     @pytest.mark.parametrize("minlen", [1, 8, 32, 200])
     def test_rs_join(self, clustered, minlen):
-        other = clustered[::2] + 0.01
-        want = run(clustered, 0.08, other, engine="matmul", minlen=minlen)
-        got = run(clustered, 0.08, other, engine="auto", minlen=minlen)
-        assert_same(got, want)
-        assert want["stream"]
+        check_auto(clustered, 0.08, clustered[::2] + 0.01, minlen=minlen)
 
     @pytest.mark.parametrize("other", [False, True])
     def test_coarser_grid(self, clustered, other):
         """The store's query grid: cells wider than the join distance."""
         b = clustered[1::3] if other else None
-        want = run(clustered, 0.05, b, grid_epsilon=0.12, engine="matmul")
-        got = run(clustered, 0.05, b, grid_epsilon=0.12, engine="auto")
-        assert_same(got, want)
+        check_auto(clustered, 0.05, b, grid_epsilon=0.12)
 
     @pytest.mark.parametrize("minlen", [8, 32])
     def test_boundary_split(self, clustered, minlen):
-        want = run(clustered, 0.08, engine="matmul", minlen=minlen,
-                   split_strategy="boundary")
-        got = run(clustered, 0.08, engine="auto", minlen=minlen,
-                  split_strategy="boundary")
-        assert_same(got, want)
+        check_auto(clustered, 0.08, minlen=minlen, split_strategy="boundary")
 
     def test_l1_falls_back_to_vector(self, clustered):
         want = run(clustered, 0.1, engine="vector", metric="manhattan")
         got = run(clustered, 0.1, engine="auto", metric="manhattan")
-        assert_same(got, want)
+        assert got["stream"] == want["stream"]
+        assert got["distances"] == want["distances"]
+        assert got["cpu"] == want["cpu"]
+        assert got["dump"] == want["dump"]
         leaves = got["registry"].get("ego_leaf_joins_total")
         assert [k for k, _v in leaves.to_data()["samples"]] == [["vector"]]
 
@@ -141,11 +183,8 @@ class TestAgainstPerLeafGemm:
         eps = 0.0625
         a = boundary_points(rng, 300, 3, eps, offset)
         b = boundary_points(rng, 200, 3, eps, offset)
-        for other in (None, b):
-            want = run(a, eps, other, engine="matmul", minlen=8)
-            got = run(a, eps, other, engine="auto", minlen=8)
-            assert_same(got, want)
-        self_join = run(a, eps, engine="auto", minlen=8)
+        check_auto(a, eps, b, minlen=8)
+        self_join = check_auto(a, eps, minlen=8)
         assert {(min(i, j), max(i, j)) for i, j in self_join["stream"]} \
             == brute_truth(a, eps)
 
@@ -156,10 +195,9 @@ class TestAgainstPerLeafGemm:
         eps = 1e-9
         pts = 1e6 + rng.integers(0, 40, size=(400, 2)) * 0.7e-9
         want = brute_truth(pts, eps)
-        got = run(pts, eps, engine="batched", minlen=8)
+        got = check_auto(pts, eps, minlen=8)
         assert {(min(i, j), max(i, j)) for i, j in got["stream"]} == want
         assert len(want) > 100
-        assert_same(got, run(pts, eps, engine="matmul", minlen=8))
 
 
 class TestParallelStream:

@@ -365,6 +365,18 @@ class TestJournal:
         rec2 = EGOStore.recover(jpath)
         assert rec2.state_digest() == rec1.state_digest()
 
+    def test_recover_of_removed_engine_rejected(self, tmp_path, rng):
+        """A journal written with an engine that no longer exists fails
+        with the accepted names, not a traceback from deep inside."""
+        jpath = str(tmp_path / "store.journal")
+        EGOStore(EPS, journal=jpath).insert(rng.random((10, 2)))
+        jr = Journal(jpath)
+        jr.state["store_meta"]["engine"] = "batched"
+        jr.flush()
+        with pytest.raises(ValueError, match="unknown engine 'batched'; "
+                           "accepted engines: scalar, vector, auto"):
+            EGOStore.recover(jpath)
+
     def test_recover_without_meta_rejected(self, tmp_path):
         jpath = str(tmp_path / "plain.journal")
         Journal(jpath).flush()

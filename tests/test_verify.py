@@ -51,7 +51,7 @@ EPS = 0.25
 FAST_CONFIGS = (
     ("ego", {"engine": "scalar"}),
     ("ego", {"engine": "vector"}),
-    ("ego", {"engine": "matmul"}),
+    ("ego", {"engine": "auto"}),
     ("grid_hash", {}),
     ("spatial_hash", {}),
 )
@@ -201,7 +201,7 @@ class TestOracle:
 
 
 class TestExternalMatrix:
-    @pytest.mark.parametrize("engine", ["scalar", "vector", "matmul"])
+    @pytest.mark.parametrize("engine", ["scalar", "vector", "auto"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_self_join_file_matches_in_memory(self, engine, workers):
         wl = generate_workload("clusters", 90, 3, EPS, seed=11)
@@ -211,7 +211,7 @@ class TestExternalMatrix:
         diff = diff_pairs(expected, observed)
         assert diff.ok, f"{engine}/w{workers}: {diff.summary()}"
 
-    @pytest.mark.parametrize("engine", ["scalar", "vector", "matmul"])
+    @pytest.mark.parametrize("engine", ["scalar", "vector", "auto"])
     def test_rs_files_matches_self_join(self, engine):
         wl = generate_workload("boundary", 80, 3, EPS, seed=12)
         expected = run_impl("ego", wl.points, EPS)
@@ -240,8 +240,8 @@ class TestAcceptanceMatrix:
         ok, digests = acceptance_matrix(wl.points, 0.2, workers=(1, 4))
         assert ok, "\n".join(f"{d[:16]}  {label}"
                              for label, d in sorted(digests.items()))
-        # Reference + 4 engines × 2 worker counts × 3 storage modes.
-        assert len(digests) == 1 + 4 * 2 * 3
+        # Reference + 3 engines × 2 worker counts × 3 storage modes.
+        assert len(digests) == 1 + 3 * 2 * 3
         assert len(set(digests.values())) == 1
 
 
