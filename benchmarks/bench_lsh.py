@@ -17,6 +17,14 @@ merely charted: on the high-d/large-ε uniform workload the LSH join is
 * measured recall ≥ 0.9 against the EGO run's own exact result, and
 * precision exactly 1.0 (zero pairs outside the exact result).
 
+The claim has a lower size limit.  At d = 16 and ε = 0.7 the crossover
+is near n = 2000: below it the LSH join's fixed costs (hashing, bucket
+files, per-table passes) outweigh what it saves, and the two joins run
+about level (0.6–1.1× at n = 1500 and 2000 over repeated runs); by
+n = 3000 LSH is clearly ahead (about 1.7×).  So the tiny run measures
+n = 3000 against a 1.2× floor, and the full run n = 3000 and 6000
+against 2.0×.
+
 Usage: ``python benchmarks/bench_lsh.py [--tiny]`` appends one record
 to ``results/BENCH_lsh.json`` (record_kernels.py style).
 """
@@ -90,13 +98,13 @@ def run_point(n: int) -> dict:
 
 
 def run_suite(tiny: bool = False):
-    sizes = [1500] if tiny else [3000, 6000]
+    sizes = [3000] if tiny else [3000, 6000]
     return [run_point(n) for n in sizes]
 
 
 def check_rows(rows, tiny: bool):
-    # Constant overheads dominate the tiny CI smoke, hence the lower bar;
-    # the full run must show a clear win.
+    # One size just past the crossover gets the lower bar; the full
+    # run must show a clear win.
     floor = 1.2 if tiny else 2.0
     for r in rows:
         assert r["extra_pairs"] == 0, (

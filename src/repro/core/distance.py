@@ -28,33 +28,33 @@ import numpy as np
 
 from ..storage.stats import CPUCounters
 from .metrics import Metric
-from .sequence import Sequence
 
 
-def dimension_ordering(s: Sequence, t: Sequence) -> np.ndarray:
+def dimension_ordering(s_first, t_first, s_active: int,
+                       t_active: int) -> np.ndarray:
     """Evaluation order of dimensions for joining sequences ``s`` and ``t``.
 
-    Returns a permutation of ``0..d-1`` sorted by decreasing distinguishing
+    ``s_first``/``t_first`` are the grid cell rows of the sequences'
+    first points and ``s_active``/``t_active`` their active dimensions
+    (Definition 2), ``d`` (the row length) meaning none is active; the
+    Figure-6 recursion already holds all four at a leaf.  Returns a
+    permutation of ``0..d-1`` sorted by decreasing distinguishing
     potential as described in Section 4.2.  Within each category the
-    natural dimension order is kept, which makes the result deterministic.
+    natural dimension order is kept, which makes the result
+    deterministic.
     """
-    d = s.dimensions
-    common_inactive = min(s.inactive_count(), t.inactive_count())
+    d = len(s_first)
     neighboring = []
     aligned = []
-    for i in range(common_inactive):
-        if s.first_cells[i] == t.first_cells[i]:
+    for i in range(min(s_active, t_active)):
+        if s_first[i] == t_first[i]:
             aligned.append(i)
         else:
             neighboring.append(i)
-    active = []
-    for seq in (s, t):
-        a = seq.active_dimension()
-        if a is not None and a not in active:
-            active.append(a)
+    active = sorted({a for a in (s_active, t_active) if a < d})
     classified = set(neighboring) | set(aligned) | set(active)
     unspecified = [i for i in range(d) if i not in classified]
-    return np.array(neighboring + unspecified + sorted(active) + aligned,
+    return np.array(neighboring + unspecified + active + aligned,
                     dtype=np.intp)
 
 

@@ -576,8 +576,7 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
                 join_io_time_s=0.0,
                 faults=fault_plan.injected if fault_plan else None,
                 resumed=True, result_path=result_path, total_pairs=total,
-                supervisor=(replay_stats(events, supervisor_policy)
-                            if events else None),
+                supervisor=replay_stats(events) if events else None,
                 worker_faults=(worker_fault_plan.injected
                                if worker_fault_plan else None))
 

@@ -288,35 +288,6 @@ def _emit(ids_a, ids_b, ia, ib, combined, ctx: JoinContext) -> None:
             ctx.result.add_batch(ids_a[ia], ids_b[ib])
 
 
-def _per_leaf(s: Sequence, t: Sequence, ctx: JoinContext, engine: str,
-              upper_triangle: bool) -> None:
-    """Evaluate one leaf with ``vector`` or ``scalar`` and report its pairs."""
-    kernel = ctx.kernel
-    metric = kernel.engine_metric
-    if kernel.order_dimensions:
-        order = dimension_ordering(s, t)
-    else:
-        order = natural_ordering(s.dimensions)
-    finder = pairs_within_vector if engine == "vector" else pairs_within_scalar
-    span_args = ({"engine": engine, "ns": len(s), "nt": len(t)}
-                 if ctx.trace.enabled else None)
-    with ctx.trace.span("leaf", cat="kernel", args=span_args):
-        if ctx.result.collect_distances:
-            ia, ib, combined = finder(s.points, t.points, ctx.threshold,
-                                      order, counters=ctx.cpu,
-                                      upper_triangle=upper_triangle,
-                                      return_sq_distances=True,
-                                      metric=metric)
-        else:
-            ia, ib = finder(s.points, t.points, ctx.threshold, order,
-                            counters=ctx.cpu, upper_triangle=upper_triangle,
-                            metric=metric)
-            combined = None
-    if ctx.monitor is not None:
-        ctx.monitor.check_leaf(s, t, ia, ib, ctx, upper_triangle)
-    _emit(s.ids, t.ids, ia, ib, combined, ctx)
-
-
 class _RowCache(dict):
     """A block's cell rows as Python int lists, each read on first use."""
 
@@ -335,12 +306,13 @@ class _RangeJoin:
     """One ``join_sequences`` call: Figure 6 on index ranges.
 
     A sub-sequence is a row range ``[lo, hi)`` of the root sequence
-    ``s`` or ``t``.  A node reads the first and last cell rows of its
-    two ranges from a :class:`_RowCache`, so it makes no numpy call and
-    allocates no :class:`Sequence`; views are built only for the
-    ``vector``/``scalar`` leaf kernels and for the invariant monitor.
-    Under the gather pass every leaf is recorded in the context's
-    :class:`LeafBatch` and decided one flush at a time.
+    ``s`` or ``t``, and nothing else: a node reads the first and last
+    cell rows of its two ranges from a :class:`_RowCache` and derives
+    the active dimensions (:func:`_active`), the pruning, the boundary
+    split and the Section 4.2 dimension order from them.  A
+    ``vector``/``scalar`` leaf is evaluated on the ranges' rows of the
+    root arrays; under the gather pass every leaf is recorded in the
+    context's :class:`LeafBatch` and decided one flush at a time.
     """
 
     def __init__(self, s: Sequence, t: Sequence, ctx: JoinContext) -> None:
@@ -374,8 +346,8 @@ class _RangeJoin:
             if self.monitor is not None:
                 # Pruning soundness (Section 3.3 / Lemma 2): the excluded
                 # sequence pair must genuinely contain no pair within ε.
-                self.monitor.check_prune(self.s.slice(a_lo, a_hi),
-                                         self.t.slice(b_lo, b_hi), self.ctx)
+                self.monitor.check_prune(self.s, a_lo, a_hi,
+                                         self.t, b_lo, b_hi, self.ctx)
             return
 
         self_pair = self.same and a_lo == b_lo and a_hi == b_hi
@@ -385,40 +357,55 @@ class _RangeJoin:
             self.leaf(a_lo, a_hi, b_lo, b_hi, self_pair, act_s, act_t)
             return
         if self_pair:
-            mid = self.split(self.s, a_lo, a_hi)
+            mid = self.split(self.s, a_lo, a_hi, act_s)
             self.node(a_lo, mid, a_lo, mid)
             self.node(a_lo, mid, mid, a_hi)
             self.node(mid, a_hi, mid, a_hi)
             return
         if s_splittable and t_splittable:
-            sm = self.split(self.s, a_lo, a_hi)
-            tm = self.split(self.t, b_lo, b_hi)
+            sm = self.split(self.s, a_lo, a_hi, act_s)
+            tm = self.split(self.t, b_lo, b_hi, act_t)
             self.node(a_lo, sm, b_lo, tm)
             self.node(a_lo, sm, tm, b_hi)
             self.node(sm, a_hi, b_lo, tm)
             self.node(sm, a_hi, tm, b_hi)
         elif s_splittable:
-            sm = self.split(self.s, a_lo, a_hi)
+            sm = self.split(self.s, a_lo, a_hi, act_s)
             self.node(a_lo, sm, b_lo, b_hi)
             self.node(sm, a_hi, b_lo, b_hi)
         else:
-            tm = self.split(self.t, b_lo, b_hi)
+            tm = self.split(self.t, b_lo, b_hi, act_t)
             self.node(a_lo, a_hi, b_lo, tm)
             self.node(a_lo, a_hi, tm, b_hi)
 
-    def split(self, root: Sequence, lo: int, hi: int) -> int:
-        """Split index of ``root[lo:hi]`` per the split strategy.
+    def split(self, root: Sequence, lo: int, hi: int, active: int) -> int:
+        """Split index of ``root[lo:hi]`` (at least two rows) per the
+        split strategy; ``active`` is the range's active dimension.
 
-        Boundary splits fall back to halving when the nearest cell
-        boundary is too lopsided (outside the middle 3/4), which bounds
-        the recursion depth at O(log n) like plain halving.
+        ``half`` is the paper's halving.  ``boundary`` (§4's
+        recursion-scheme optimization) cuts at the active-dimension cell
+        boundary nearest the middle: the dimensions before the active
+        one are cell-constant, so its cells are non-decreasing along the
+        range, and a cut at a cell change makes the halves cell-confined
+        one dimension sooner, strengthening the inactive-dimension
+        pruning.  It falls back to halving when no dimension is active,
+        when there is no interior boundary, or when the nearest one is
+        too lopsided (outside the middle 3/4), which bounds the
+        recursion depth at O(log n) like plain halving.
         """
         n = hi - lo
-        if self.boundary:
-            point = root.slice(lo, hi).boundary_split_point()
-            if n // 8 <= point <= n - n // 8:
-                return lo + point
-        return lo + (n + 1) // 2
+        mid = lo + (n + 1) // 2
+        if self.boundary and active < self.dims:
+            cells = root.cells[lo:hi, active]
+            c_mid = cells[mid - lo]
+            cuts = [lo + int(np.searchsorted(cells, c_mid, side=side))
+                    for side in ("left", "right")]
+            cuts = [x for x in cuts if lo < x < hi]
+            if cuts:
+                cut = min(cuts, key=lambda x: abs(x - mid))
+                if n // 8 <= cut - lo <= n - n // 8:
+                    return cut
+        return mid
 
     def leaf(self, a_lo: int, a_hi: int, b_lo: int, b_hi: int,
              upper_triangle: bool, act_s: int, act_t: int) -> None:
@@ -430,14 +417,43 @@ class _RangeJoin:
         self.obs.leaf_joins.labels(self.engine).inc()
         self.obs.leaf_volume.observe((a_hi - a_lo) * (b_hi - b_lo))
         if self.batch is None:
-            _per_leaf(self.s.slice(a_lo, a_hi, act_s),
-                      self.t.slice(b_lo, b_hi, act_t), self.ctx,
-                      self.engine, upper_triangle)
+            self.evaluate(a_lo, a_hi, b_lo, b_hi, upper_triangle,
+                          act_s, act_t)
             return
         self.batch.add(a_lo, a_hi, b_lo, b_hi, upper_triangle,
                        None if act_t == self.dims else act_t)
         if self.batch.full:
             self.flush()
+
+    def evaluate(self, a_lo: int, a_hi: int, b_lo: int, b_hi: int,
+                 upper_triangle: bool, act_s: int, act_t: int) -> None:
+        """Evaluate one leaf with ``vector`` or ``scalar`` on the ranges'
+        rows of the root arrays and report its pairs."""
+        ctx = self.ctx
+        kernel = ctx.kernel
+        if kernel.order_dimensions:
+            order = dimension_ordering(self.rows_s[a_lo], self.rows_t[b_lo],
+                                       act_s, act_t)
+        else:
+            order = natural_ordering(self.dims)
+        finder = (pairs_within_vector if self.engine == "vector"
+                  else pairs_within_scalar)
+        a, b = self.s.points[a_lo:a_hi], self.t.points[b_lo:b_hi]
+        span_args = ({"engine": self.engine, "ns": len(a), "nt": len(b)}
+                     if ctx.trace.enabled else None)
+        collect = ctx.result.collect_distances
+        with ctx.trace.span("leaf", cat="kernel", args=span_args):
+            found = finder(a, b, ctx.threshold, order, counters=ctx.cpu,
+                           upper_triangle=upper_triangle,
+                           return_sq_distances=collect,
+                           metric=kernel.engine_metric)
+        ia, ib = found[0], found[1]
+        combined = found[2] if collect else None
+        if self.monitor is not None:
+            self.monitor.check_leaf(self.s, a_lo, a_hi, self.t, b_lo, b_hi,
+                                    ia, ib, ctx, upper_triangle)
+        _emit(self.s.ids[a_lo:a_hi], self.t.ids[b_lo:b_hi], ia, ib,
+              combined, ctx)
 
     def flush(self) -> None:
         """Decide the recorded leaves and report their pairs in order."""
@@ -456,7 +472,7 @@ class _RangeJoin:
                     batch.leaves):
                 o0, o1 = offsets[k], offsets[k + 1]
                 self.monitor.check_leaf(
-                    self.s.slice(a_lo, a_hi), self.t.slice(b_lo, b_hi),
+                    self.s, a_lo, a_hi, self.t, b_lo, b_hi,
                     ia[o0:o1] - a_lo, ib[o0:o1] - b_lo, ctx, bool(upper))
         batch.clear()
         _emit(self.s.ids, self.t.ids, ia, ib,
@@ -501,7 +517,7 @@ def join_point_blocks(ids_a: np.ndarray, points_a: np.ndarray,
     ``same_block=True`` marks the self-join of one block with itself; the
     arrays for ``a`` and ``b`` must then be the same objects.  Each
     block's grid cells are computed once here, by its root
-    :class:`Sequence`; the recursion only slices them.
+    :class:`Sequence`; the recursion reads index ranges of them.
     """
     if len(ids_a) == 0 or len(ids_b) == 0:
         return

@@ -118,6 +118,16 @@ class PoolFailureError(SupervisorError):
     """The worker pool kept failing and degradation was disabled."""
 
 
+#: Backoff before retry ``k`` of a unit pair is
+#: ``BACKOFF_BASE_S · BACKOFF_FACTOR^(k-1) · (0.5 + u)`` with ``u`` a
+#: stable hash of ``(BACKOFF_SEED, key, k)`` — deterministic jitter, no
+#: RNG state.  A real sleep is capped at ``MAX_SLEEP_S``.
+BACKOFF_BASE_S = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_SEED = 0
+MAX_SLEEP_S = 1.0
+
+
 @dataclass
 class SupervisorPolicy:
     """Tunable fault-tolerance policy of a :class:`SupervisedUnitJoiner`.
@@ -129,23 +139,17 @@ class SupervisorPolicy:
     only — nothing derived from it is recorded.  ``None`` disables hang
     detection (a genuinely hung worker then blocks forever).
 
-    ``backoff`` before retry ``k`` of a task is
-    ``backoff_base_s · backoff_factor^(k-1) · (0.5 + u)`` with ``u``
-    a stable hash of ``(backoff_seed, key, k)`` — deterministic jitter,
-    no RNG state.  The *simulated* total is always recorded;
-    ``real_sleep`` controls whether the parent also sleeps it (capped at
-    ``max_sleep_s``), which production wants and tests turn off.
+    The *simulated* backoff total (:func:`backoff_for`) is always
+    recorded; ``real_sleep`` controls whether the parent also sleeps it
+    (capped at :data:`MAX_SLEEP_S`), which production wants and tests
+    turn off.
     """
 
     task_timeout: Optional[float] = None
     max_task_retries: int = 2
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_seed: int = 0
     max_pool_recycles: int = 3
     degrade: bool = True
     real_sleep: bool = True
-    max_sleep_s: float = 1.0
 
     def __post_init__(self) -> None:
         if self.task_timeout is not None and self.task_timeout <= 0.0:
@@ -160,17 +164,13 @@ class SupervisorPolicy:
             raise ValueError(
                 f"max_pool_recycles must be >= 0, "
                 f"got {self.max_pool_recycles}")
-        if self.backoff_base_s < 0.0 or self.backoff_factor < 1.0:
-            raise ValueError("backoff_base_s must be >= 0 and "
-                             "backoff_factor >= 1")
 
 
-def backoff_for(policy: SupervisorPolicy, key: Tuple[int, int],
-                attempt: int) -> float:
+def backoff_for(key: Tuple[int, int], attempt: int) -> float:
     """Deterministic backoff (simulated seconds) before retry ``attempt``."""
     attempt = max(1, int(attempt))
-    base = policy.backoff_base_s * policy.backoff_factor ** (attempt - 1)
-    jitter = stable_fraction(policy.backoff_seed, "backoff",
+    base = BACKOFF_BASE_S * BACKOFF_FACTOR ** (attempt - 1)
+    jitter = stable_fraction(BACKOFF_SEED, "backoff",
                              key[0], key[1], attempt)
     return base * (0.5 + jitter)
 
@@ -212,14 +212,14 @@ class SupervisorStats:
         """Total blamed-task failures the run recovered from."""
         return self.retries
 
-    def apply_event(self, kind: str, key: Tuple[int, int], attempt: int,
-                    policy: SupervisorPolicy) -> None:
+    def apply_event(self, kind: str, key: Tuple[int, int],
+                    attempt: int) -> None:
         """Fold one journaled decision event into the counters."""
         if kind in RETRY_KINDS:
             self.retries += 1
             setattr(self, _RETRY_STAT[kind],
                     getattr(self, _RETRY_STAT[kind]) + 1)
-            self.backoff_simulated_s += backoff_for(policy, key, attempt)
+            self.backoff_simulated_s += backoff_for(key, attempt)
         elif kind == "pool_recycle":
             self.pool_recycles += 1
         elif kind == "quarantine":
@@ -232,12 +232,12 @@ class SupervisorStats:
             raise ValueError(f"unknown supervisor event kind {kind!r}")
 
 
-def replay_stats(events: Iterable[Tuple[str, int, int, int]],
-                 policy: SupervisorPolicy) -> SupervisorStats:
+def replay_stats(
+        events: Iterable[Tuple[str, int, int, int]]) -> SupervisorStats:
     """Reconstruct :class:`SupervisorStats` from journaled events."""
     stats = SupervisorStats()
     for kind, a, b, attempt in events:
-        stats.apply_event(kind, (a, b), attempt, policy)
+        stats.apply_event(kind, (a, b), attempt)
     return stats
 
 
@@ -567,7 +567,7 @@ class SupervisedUnitJoiner:
     def _record(self, kind: str, key: Tuple[int, int], attempt: int,
                 replay: bool = False) -> None:
         """Apply one decision: stats, metrics, journal, mode flips."""
-        self.stats.apply_event(kind, key, attempt, self.policy)
+        self.stats.apply_event(kind, key, attempt)
         self._metric_events().labels(kind).inc()
         if kind == "degrade":
             self._degraded = True
@@ -591,9 +591,8 @@ class SupervisedUnitJoiner:
             task.quarantined = True
             task.decisions += (("quarantine", task.attempt),)
             return
-        if self.policy.real_sleep and self.policy.backoff_base_s > 0.0:
-            time.sleep(min(backoff_for(self.policy, task.key, task.attempt),
-                           self.policy.max_sleep_s))
+        if self.policy.real_sleep:
+            time.sleep(min(backoff_for(task.key, task.attempt), MAX_SLEEP_S))
 
     def _pending(self, task: _Task) -> bool:
         """Still to be run on the pool (not merged, done or quarantined)."""

@@ -161,30 +161,37 @@ class InvariantMonitor:
             return contrib.max(axis=-1)
         return contrib.sum(axis=-1)
 
-    def check_prune(self, s, t, ctx) -> None:
-        """A pruned sequence pair must contain no pair within ε."""
-        if len(s) * len(t) > self.check_limit:
+    def check_prune(self, s, a_lo: int, a_hi: int, t, b_lo: int,
+                    b_hi: int, ctx) -> None:
+        """A pruned sequence pair ``s[a_lo:a_hi] × t[b_lo:b_hi]`` of the
+        root sequences ``s`` and ``t`` must contain no pair within ε."""
+        if (a_hi - a_lo) * (b_hi - b_lo) > self.check_limit:
             self.skipped_checks += 1
             return
         self.prune_checks += 1
-        combined = self._combined(s.points, t.points, ctx.kernel.metric)
+        combined = self._combined(s.points[a_lo:a_hi], t.points[b_lo:b_hi],
+                                  ctx.kernel.metric)
         hits = int((combined <= ctx.threshold).sum())
         if hits:
             i, j = np.unravel_index(int(np.argmin(combined)),
                                     combined.shape)
             raise InvariantViolation(
                 f"pruning dropped {hits} join pair(s): sequence pair of "
-                f"lengths {len(s)}×{len(t)} was excluded but ids "
-                f"({int(s.ids[i])}, {int(t.ids[j])}) are within ε")
+                f"lengths {a_hi - a_lo}×{b_hi - b_lo} was excluded but ids "
+                f"({int(s.ids[a_lo + i])}, {int(t.ids[b_lo + j])}) are "
+                f"within ε")
 
-    def check_leaf(self, s, t, ia: np.ndarray, ib: np.ndarray, ctx,
+    def check_leaf(self, s, a_lo: int, a_hi: int, t, b_lo: int, b_hi: int,
+                   ia: np.ndarray, ib: np.ndarray, ctx,
                    upper_triangle: bool) -> None:
-        """A leaf kernel must emit exactly the within-ε index pairs."""
-        if len(s) * len(t) > self.check_limit:
+        """A leaf kernel must emit exactly the within-ε index pairs of
+        ``s[a_lo:a_hi] × t[b_lo:b_hi]`` (indices relative to the leaf)."""
+        if (a_hi - a_lo) * (b_hi - b_lo) > self.check_limit:
             self.skipped_checks += 1
             return
         self.leaf_checks += 1
-        combined = self._combined(s.points, t.points, ctx.kernel.metric)
+        combined = self._combined(s.points[a_lo:a_hi], t.points[b_lo:b_hi],
+                                  ctx.kernel.metric)
         mask = combined <= ctx.threshold
         if upper_triangle:
             mask &= np.triu(np.ones_like(mask, dtype=bool), k=1)
@@ -193,8 +200,8 @@ class InvariantMonitor:
         if want != got:
             raise InvariantViolation(
                 f"leaf kernel ({ctx.kernel.engine}) emitted a wrong pair set on "
-                f"a {len(s)}×{len(t)} leaf: {len(want - got)} missing, "
-                f"{len(got - want)} spurious")
+                f"a {a_hi - a_lo}×{b_hi - b_lo} leaf: {len(want - got)} "
+                f"missing, {len(got - want)} spurious")
 
     # -- reporting -----------------------------------------------------------
 

@@ -7,14 +7,29 @@ from hypothesis import given, settings, strategies as st
 from repro.core.distance import (dimension_ordering, distance_below_eps,
                                  natural_ordering, pairs_within_scalar,
                                  pairs_within_vector, pairwise_sq_distances)
+from repro.core.ego_join import ego_self_join
 from repro.core.ego_order import ego_sorted
 from repro.core.sequence import Sequence
+from repro.core.sequence_join import _active
+from repro.data.synthetic import cad_like
 from repro.storage.stats import CPUCounters
+from repro.verify.workloads import generate_workload
 
 
 def seq_of(points, epsilon):
     ids, pts = ego_sorted(np.asarray(points, dtype=float), epsilon)
     return Sequence(ids, pts, epsilon)
+
+
+def active_of(seq):
+    """Active dimension of a whole sequence (``d`` when none)."""
+    return _active(seq.cells[0].tolist(), seq.cells[-1].tolist())
+
+
+def ordering(s, t):
+    """``dimension_ordering`` of two whole sequences."""
+    return dimension_ordering(s.cells[0].tolist(), t.cells[0].tolist(),
+                              active_of(s), active_of(t))
 
 
 class TestDistanceBelowEps:
@@ -121,9 +136,9 @@ class TestDimensionOrdering:
         eps = 1.0
         s = seq_of([[0.2, 0.2, 0.5], [0.8, 0.8, 0.6]], eps)
         t = seq_of([[0.3, 1.2, 0.5], [0.7, 1.8, 0.4]], eps)
-        assert s.active_dimension() is None
-        assert t.active_dimension() is None
-        order = dimension_ordering(s, t)
+        assert active_of(s) == 3
+        assert active_of(t) == 3
+        order = ordering(s, t)
         assert order[0] == 1                       # neighboring inactive
         assert set(order[1:].tolist()) == {0, 2}   # aligned inactive last
 
@@ -131,7 +146,7 @@ class TestDimensionOrdering:
         eps = 0.25
         s = seq_of(rng.random((8, 6)), eps)
         t = seq_of(rng.random((8, 6)), eps)
-        order = dimension_ordering(s, t)
+        order = ordering(s, t)
         assert sorted(order.tolist()) == list(range(6))
 
     def test_active_before_aligned(self):
@@ -139,8 +154,8 @@ class TestDimensionOrdering:
         # d0 aligned-inactive for both; s has active d1.
         s = seq_of([[0.2, 0.2], [0.8, 1.8]], eps)
         t = seq_of([[0.3, 0.1], [0.7, 0.2]], eps)
-        assert s.active_dimension() == 1
-        order = dimension_ordering(s, t)
+        assert active_of(s) == 1
+        order = ordering(s, t)
         assert order.tolist() == [1, 0]
 
     def test_unspecified_before_active(self):
@@ -148,12 +163,39 @@ class TestDimensionOrdering:
         # 3-d: d0 active for both; d1, d2 unspecified.
         s = seq_of([[0.5, 0.5, 0.5], [1.5, 0.6, 0.7]], eps)
         t = seq_of([[0.6, 0.1, 0.2], [1.6, 0.3, 0.2]], eps)
-        assert s.active_dimension() == 0
-        order = dimension_ordering(s, t)
+        assert active_of(s) == 0
+        order = ordering(s, t)
         assert order.tolist() == [1, 2, 0]
 
     def test_natural_ordering(self):
         assert natural_ordering(4).tolist() == [0, 1, 2, 3]
+
+
+#: Section 4.2's abort counts, pinned: ``(distance_calculations,
+#: dimension_evaluations, sequence_pairs, sequence_exclusions)`` of an
+#: in-memory self-join with the dimension ordering on.  A wrong order
+#: moves ``dimension_evaluations`` first.
+PINNED_ABORT_COUNTS = [
+    ("cad", 0.25, 32, "vector", "half", (2481467, 12033897, 6622, 352)),
+    ("cad", 0.25, 32, "vector", "boundary", (2407942, 10135989, 9442, 50)),
+    ("skewed", 0.15, 8, "scalar", "boundary", (256950, 454453, 17065, 2154)),
+]
+
+
+class TestDimensionOrderingCounts:
+    @pytest.mark.parametrize("data,eps,minlen,engine,split,want",
+                             PINNED_ABORT_COUNTS)
+    def test_pinned_abort_counts(self, data, eps, minlen, engine, split,
+                                 want):
+        if data == "cad":
+            pts = cad_like(3000, 16, seed=3)
+        else:
+            pts = generate_workload("skewed", 1500, 8, 0.15, 2).points
+        cpu = CPUCounters()
+        ego_self_join(pts, eps, cpu=cpu, minlen=minlen, engine=engine,
+                      split_strategy=split, order_dimensions=True)
+        assert (cpu.distance_calculations, cpu.dimension_evaluations,
+                cpu.sequence_pairs, cpu.sequence_exclusions) == want
 
 
 class TestPairwiseSqDistances:

@@ -10,7 +10,9 @@ from repro.core.preprocess import (resolve_dimension_order,
                                    spread_dimension_order,
                                    variance_dimension_order)
 from repro.core.sequence import Sequence
-from repro.core.sequence_join import KernelConfig
+from repro.core.result import JoinResult
+from repro.core.sequence_join import (JoinContext, KernelConfig, _active,
+                                      _RangeJoin)
 from repro.storage.stats import CPUCounters
 
 from conftest import brute_truth
@@ -89,31 +91,36 @@ class TestSortDimsJoin:
         assert a == b
 
 
+def boundary_split(seq):
+    """``_RangeJoin.split`` of a whole sequence under the boundary split."""
+    ctx = JoinContext(epsilon=seq.epsilon, result=JoinResult(),
+                      kernel=KernelConfig(split_strategy="boundary"))
+    active = _active(seq.cells[0].tolist(), seq.cells[-1].tolist())
+    return _RangeJoin(seq, seq, ctx).split(seq, 0, len(seq), active)
+
+
 class TestBoundarySplit:
     def test_split_point_is_cell_boundary(self, rng):
         eps = 0.1
         ids, pts = ego_sorted(rng.random((200, 1)), eps)
-        seq = Sequence(ids, pts, eps)
-        point = seq.boundary_split_point()
-        if 0 < point < len(seq):
-            left_cell = int(np.floor(pts[point - 1, 0] / eps))
-            right_cell = int(np.floor(pts[point, 0] / eps))
-            assert left_cell != right_cell
+        point = boundary_split(Sequence(ids, pts, eps))
+        assert 0 < point < len(pts)
+        left_cell = int(np.floor(pts[point - 1, 0] / eps))
+        right_cell = int(np.floor(pts[point, 0] / eps))
+        assert left_cell != right_cell
 
     def test_no_active_dimension_falls_back_to_middle(self):
         pts = np.full((10, 2), 0.5)
         seq = Sequence(np.arange(10), pts, 1.0)
-        assert seq.boundary_split_point() == 5
+        assert boundary_split(seq) == 5
 
-    def test_split_at_validates(self, rng):
-        ids, pts = ego_sorted(rng.random((10, 2)), 0.5)
-        seq = Sequence(ids, pts, 0.5)
-        with pytest.raises(ValueError):
-            seq.split_at(0)
-        with pytest.raises(ValueError):
-            seq.split_at(10)
-        a, b = seq.split_at(4)
-        assert len(a) == 4 and len(b) == 6
+    def test_lopsided_boundary_falls_back_to_middle(self):
+        # The only cell change is at row 15 of 16, outside the middle
+        # 3/4, so the split halves instead.
+        pts = np.full((16, 1), 0.5)
+        pts[-1] = 1.5
+        seq = Sequence(np.arange(16), pts, 1.0)
+        assert boundary_split(seq) == 8
 
     @pytest.mark.parametrize("minlen", [2, 16, 64])
     def test_boundary_join_matches_brute(self, rng, minlen):

@@ -1,4 +1,4 @@
-"""Tests for Sequence and active/inactive dimensions (Definition 2)."""
+"""Tests for the root Sequence and active/inactive dimensions (Definition 2)."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from repro.core.kernels import candidate_windows
 from repro.core.result import JoinResult
 from repro.core.sequence import Sequence
 from repro.core.sequence_join import (JoinContext, KernelConfig,
-                                      join_sequences)
+                                      _active, _RangeJoin, join_sequences)
 
 from conftest import brute_truth
 
@@ -18,6 +18,18 @@ def seq_of(points, epsilon):
     """EGO-sort points and wrap them in a Sequence."""
     ids, pts = ego_sorted(np.asarray(points, dtype=float), epsilon)
     return Sequence(ids, pts, epsilon)
+
+
+def active_of(cells):
+    """Definition 2 on a range's cell rows (``d`` when none is active)."""
+    return _active(cells[0].tolist(), cells[-1].tolist())
+
+
+def range_join(seq, split_strategy):
+    """A range join of ``seq`` with itself under ``split_strategy``."""
+    ctx = JoinContext(epsilon=seq.epsilon, result=JoinResult(),
+                      kernel=KernelConfig(split_strategy=split_strategy))
+    return _RangeJoin(seq, seq, ctx)
 
 
 class TestConstruction:
@@ -37,77 +49,48 @@ class TestConstruction:
         s = seq_of([[0.1, 0.2], [0.9, 0.8]], 1.0)
         assert len(s) == 2
         assert s.dimensions == 2
-        np.testing.assert_allclose(s.first_point, [0.1, 0.2])
-        np.testing.assert_allclose(s.last_point, [0.9, 0.8])
 
 
 class TestActiveDimension:
     def test_all_in_one_cell_no_active(self):
         s = seq_of([[0.1, 0.1], [0.5, 0.9], [0.9, 0.3]], 1.0)
-        assert s.active_dimension() is None
-        assert s.inactive_count() == 2
+        assert active_of(s.cells) == 2
 
     def test_first_dimension_active(self):
         s = seq_of([[0.5, 0.5], [1.5, 0.5]], 1.0)
-        assert s.active_dimension() == 0
-        assert s.inactive_count() == 0
+        assert active_of(s.cells) == 0
 
     def test_second_dimension_active(self):
         """First dim same cell, second differs: Figure 5's situation."""
         s = seq_of([[0.5, 0.2, 0.9], [0.6, 1.7, 0.1]], 1.0)
-        assert s.active_dimension() == 1
-        assert s.inactive_count() == 1
+        assert active_of(s.cells) == 1
 
     def test_single_point_all_inactive(self):
         s = seq_of([[3.3, 4.4]], 1.0)
-        assert s.active_dimension() is None
+        assert active_of(s.cells) == 2
 
     def test_active_dim_from_first_and_last_only(self):
         """Definition 2 looks only at p_1 and p_k."""
         pts = [[0.1, 0.1], [0.2, 5.0], [0.3, 9.9]]
         s = seq_of(pts, 10.0)  # all in cell (0, 0) at eps=10
-        assert s.active_dimension() is None
+        assert active_of(s.cells) == 2
 
     def test_cells_cached(self):
         s = seq_of([[0.5, 1.5], [2.5, 0.5]], 1.0)
-        assert s.first_cells.tolist() == [0, 1]
-        assert s.last_cells.tolist() == [2, 0]
+        assert s.cells[0].tolist() == [0, 1]
+        assert s.cells[-1].tolist() == [2, 0]
 
 
 class TestHalving:
     def test_halves_partition_the_sequence(self, rng):
         s = seq_of(rng.random((11, 2)), 0.3)
-        f, g = s.first_half(), s.second_half()
-        assert len(f) == 6 and len(g) == 5
-        np.testing.assert_allclose(np.vstack([f.points, g.points]),
-                                   s.points)
-
-    def test_halves_are_views(self, rng):
-        s = seq_of(rng.random((8, 2)), 0.3)
-        f = s.first_half()
-        assert f.points.base is not None
+        join = range_join(s, "half")
+        assert join.split(s, 0, 11, active_of(s.cells)) == 6
+        assert join.split(s, 2, 11, active_of(s.cells[2:])) == 7
 
     def test_two_point_split(self):
         s = seq_of([[0.1, 0.1], [0.9, 0.9]], 1.0)
-        f, g = s.first_half(), s.second_half()
-        assert len(f) == 1 and len(g) == 1
-
-    def test_slice_bounds(self, rng):
-        s = seq_of(rng.random((10, 3)), 0.5)
-        sub = s.slice(2, 7)
-        assert len(sub) == 5
-        np.testing.assert_allclose(sub.points, s.points[2:7])
-
-    def test_slices_carry_cell_views(self, rng):
-        s = seq_of(rng.random((10, 3)), 0.5)
-        sub = s.slice(2, 7).first_half()
-        assert np.shares_memory(sub.cells, s.cells)
-        assert sub.cells.tolist() == grid_cells(s.points[2:5], 0.5).tolist()
-
-    def test_empty_slice_rejected(self, rng):
-        s = seq_of(rng.random((4, 2)), 0.5)
-        with pytest.raises(ValueError):
-            s.slice(2, 2)
+        assert range_join(s, "half").split(s, 0, 2, active_of(s.cells)) == 1
 
 
 class TestCells:
@@ -147,7 +130,7 @@ def _boundary_points(rng, n, d, width, offset):
 
 
 def _reference_split_point(points, width, active):
-    """``boundary_split_point`` from per-point ``grid_cells``."""
+    """The boundary split of a range, from per-point ``grid_cells``."""
     n = len(points)
     mid = (n + 1) // 2
     if active is None or n < 2:
@@ -157,21 +140,25 @@ def _reference_split_point(points, width, active):
     cut = [int(np.searchsorted(cells, c_mid, side=side))
            for side in ("left", "right")]
     cut = [x for x in cut if 0 < x < n]
-    return min(cut, key=lambda x: abs(x - mid)) if cut else mid
+    if not cut:
+        return mid
+    point = min(cut, key=lambda x: abs(x - mid))
+    return point if n // 8 <= point <= n - n // 8 else mid
 
 
-def _recursion_slices(seq):
-    """Every slice a half or boundary split recursion can reach."""
-    todo, seen = [seq], []
+def _recursion_ranges(join, n):
+    """Every range a half or boundary split recursion can reach."""
+    todo, seen = [(0, n)], []
     while todo:
-        s = todo.pop()
-        seen.append(s)
-        if len(s) < 2:
+        lo, hi = todo.pop()
+        seen.append((lo, hi))
+        if hi - lo < 2:
             continue
-        todo += [s.first_half(), s.second_half()]
-        point = s.boundary_split_point()
-        if point != (len(s) + 1) // 2:
-            todo += list(s.split_at(point))
+        mid = lo + (hi - lo + 1) // 2
+        todo += [(lo, mid), (mid, hi)]
+        point = join.split(join.s, lo, hi, active_of(join.s.cells[lo:hi]))
+        if point != mid:
+            todo += [(lo, point), (point, hi)]
     return seen
 
 
@@ -184,27 +171,30 @@ class TestPrecomputedCellsProperty:
         rng = np.random.default_rng(seed)
         ids, pts = ego_sorted(_boundary_points(rng, n, d, width, offset),
                               width)
-        slices = _recursion_slices(Sequence(ids, pts, width))
-        for s in slices:
-            first = grid_cells(s.points[0], width)
-            last = grid_cells(s.points[-1], width)
-            assert s.first_cells.tolist() == first.tolist()
-            assert s.last_cells.tolist() == last.tolist()
-            diff = np.nonzero(first != last)[0]
+        seq = Sequence(ids, pts, width)
+        join = range_join(seq, "boundary")
+        ranges = _recursion_ranges(join, n)
+        for lo, hi in ranges:
+            rows = seq.cells[lo:hi]
+            want = np.array([grid_cells(p, width) for p in pts[lo:hi]])
+            assert rows.tolist() == want.tolist()
+            diff = np.nonzero(want[0] != want[-1])[0]
             active = int(diff[0]) if len(diff) else None
-            assert s.active_dimension() == active
-            assert s.boundary_split_point() == _reference_split_point(
-                s.points, width, active)
-        for s, t in zip(slices, slices[1:] + slices[:1]):
-            wdim = t.active_dimension()
-            if wdim is None:
+            assert active_of(rows) == (d if active is None else active)
+            if hi - lo >= 2:
+                assert join.split(seq, lo, hi, active_of(rows)) == \
+                    lo + _reference_split_point(pts[lo:hi], width, active)
+        for (a_lo, a_hi), (b_lo, b_hi) in zip(ranges,
+                                              ranges[1:] + ranges[:1]):
+            wdim = active_of(seq.cells[b_lo:b_hi])
+            if wdim == d:
                 continue
-            got = candidate_windows(s.points, t.points, wdim, width,
-                                    cells_a=s.cells[:, wdim],
-                                    cells_b=t.cells[:, wdim])
-            cells_a = floor_cells(s.points[:, wdim], width)
-            cells_b = np.array([grid_cells(p, width)[wdim]
-                                for p in t.points])
+            a, b = pts[a_lo:a_hi], pts[b_lo:b_hi]
+            got = candidate_windows(a, b, wdim, width,
+                                    cells_a=seq.cells[a_lo:a_hi, wdim],
+                                    cells_b=seq.cells[b_lo:b_hi, wdim])
+            cells_a = floor_cells(a[:, wdim], width)
+            cells_b = np.array([grid_cells(p, width)[wdim] for p in b])
             want = (np.searchsorted(cells_b, cells_a - 1, side="left"),
                     np.searchsorted(cells_b, cells_a + 1, side="right"))
             assert got[0].tolist() == want[0].tolist()
@@ -236,6 +226,12 @@ class TestPrecomputedCellsProperty:
                 assert result.canonical_pair_set() == want, (engine, split)
 
 
+def sub(s, lo, hi):
+    """A root Sequence over rows ``[lo, hi)`` of ``s``'s arrays."""
+    return Sequence(s.ids[lo:hi], s.points[lo:hi], s.epsilon,
+                    s.cells[lo:hi])
+
+
 class TestSameStorage:
     def test_identical_sequence_objects(self, rng):
         ids, pts = ego_sorted(rng.random((6, 2)), 0.5)
@@ -245,12 +241,12 @@ class TestSameStorage:
 
     def test_same_slice_of_same_array(self, rng):
         s = seq_of(rng.random((10, 2)), 0.5)
-        assert s.slice(2, 6).same_storage(s.slice(2, 6))
+        assert sub(s, 2, 6).same_storage(sub(s, 2, 6))
 
     def test_different_slices_differ(self, rng):
         s = seq_of(rng.random((10, 2)), 0.5)
-        assert not s.slice(0, 5).same_storage(s.slice(5, 10))
-        assert not s.slice(0, 5).same_storage(s.slice(0, 6))
+        assert not sub(s, 0, 5).same_storage(sub(s, 5, 10))
+        assert not sub(s, 0, 5).same_storage(sub(s, 0, 6))
 
     def test_copies_differ(self, rng):
         ids, pts = ego_sorted(rng.random((4, 2)), 0.5)

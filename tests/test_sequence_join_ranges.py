@@ -24,7 +24,7 @@ from repro.core.ego_order import ego_sorted
 from repro.core.kernels import candidate_windows, pairs_within_matmul
 from repro.core.result import JoinResult
 from repro.core.sequence import Sequence
-from repro.core.sequence_join import (JoinContext, KernelConfig,
+from repro.core.sequence_join import (JoinContext, KernelConfig, _active,
                                       join_sequences)
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.disk import SimulatedDisk
@@ -50,15 +50,18 @@ class GemmReference(InvariantMonitor):
         self.got, self.want = [], []
         self.cpu = CPUCounters()
 
-    def check_leaf(self, s, t, ia, ib, ctx, upper_triangle) -> None:
+    def check_leaf(self, s, a_lo, a_hi, t, b_lo, b_hi, ia, ib, ctx,
+                   upper_triangle) -> None:
         extra = {}
-        wdim = t.active_dimension()
-        if wdim is not None:
+        a, b = s.points[a_lo:a_hi], t.points[b_lo:b_hi]
+        cells_a, cells_b = s.cells[a_lo:a_hi], t.cells[b_lo:b_hi]
+        wdim = _active(cells_b[0].tolist(), cells_b[-1].tolist())
+        if wdim < t.dimensions:
             extra["windows"] = candidate_windows(
-                s.points, t.points, wdim, t.epsilon,
-                cells_a=s.cells[:, wdim], cells_b=t.cells[:, wdim])
+                a, b, wdim, t.epsilon,
+                cells_a=cells_a[:, wdim], cells_b=cells_b[:, wdim])
         ra, rb = pairs_within_matmul(
-            s.points, t.points, ctx.threshold, natural_ordering(s.dimensions),
+            a, b, ctx.threshold, natural_ordering(s.dimensions),
             counters=self.cpu, upper_triangle=upper_triangle, **extra)
         self.got.append((np.asarray(ia).tolist(), np.asarray(ib).tolist()))
         self.want.append((ra.tolist(), rb.tolist()))
