@@ -20,8 +20,8 @@ from .rs_scheduler import RSScheduleStats, TwoFileScheduler
 from .scheduler import EGOScheduler, ScheduleStats, UnitMeta, lex_less
 from .sequence import Sequence
 from .sequence_join import (DEFAULT_MINLEN, ENGINES, EXCLUSION_CELL_DISTANCE,
-                            JoinContext, KernelConfig, join_point_blocks,
-                            join_sequences, simple_join)
+                            JoinContext, KernelConfig, join_sequences,
+                            simple_join)
 
 __all__ = [
     "DEFAULT_MINLEN",
@@ -60,7 +60,6 @@ __all__ = [
     "epsilon_interval",
     "grid_cells",
     "is_ego_sorted",
-    "join_point_blocks",
     "join_sequences",
     "lex_less",
     "natural_ordering",

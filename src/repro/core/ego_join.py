@@ -426,8 +426,8 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
         Observability recorders (:mod:`repro.obs`).  ``trace`` — a
         :class:`~repro.obs.trace.Tracer` collecting the span hierarchy
         (``external_self_join`` → ``sort``/``schedule`` → ``load`` /
-        ``unit_pair`` → ``sequence_join`` → ``leaf``, plus a ``skip``
-        instant per interval-skipped unit pair) for Chrome
+        ``unit_pair`` → ``leaf``, plus a ``skip`` instant per
+        interval-skipped unit pair) for Chrome
         ``trace_event`` export; the ``pipeline``-category spans
         (``external_self_join``, ``sort``, ``schedule``) are the run's
         per-phase wall times.  ``metrics`` — a

@@ -11,6 +11,11 @@ executor (:class:`SerialUnitJoiner`).  The process pool that runs unit
 pairs in parallel, with its fault-tolerance ladder, is
 :class:`~repro.core.supervisor.SupervisedUnitJoiner`; it joins through
 the same spec, so every mode returns byte-identical batches.
+
+Every mode receives a unit pair as two loaded
+:class:`~repro.core.sequence.Sequence` objects, whose cells were
+computed once when the unit was read; the same object twice is the
+self-join of one unit.
 """
 
 from __future__ import annotations
@@ -18,11 +23,13 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass
 from typing import Callable, Optional, Tuple
 
-import numpy as np
-
 from ..storage.stats import CPUCounters
+# Looked up on the module at call time: ``e2ebench/layers.py`` wraps
+# ``join_sequences`` in ``repro.core.sequence_join`` to time the joins.
+from . import sequence_join
 from .result import JoinResult
-from .sequence_join import JoinContext, KernelConfig, join_point_blocks
+from .sequence import Sequence
+from .sequence_join import JoinContext, KernelConfig
 
 
 @dataclass(frozen=True)
@@ -48,12 +55,11 @@ class UnitJoinSpec:
         return cls(ctx.kernel, ctx.epsilon, ctx.grid_epsilon,
                    ctx.result.collect_distances, ctx.metrics.enabled)
 
-    def run(self, ids_a: np.ndarray, pts_a: np.ndarray,
-            ids_b: Optional[np.ndarray], pts_b: Optional[np.ndarray],
-            metrics=None, invariants: bool = False):
+    def run(self, seq_a: Sequence, seq_b: Sequence, metrics=None,
+            invariants: bool = False):
         """Join one loaded unit pair into a fresh result.
 
-        ``ids_b is None`` marks the self-join of one unit with itself.
+        ``seq_b is seq_a`` marks the self-join of one unit with itself.
         Returns the pair batch ``(ids_a, ids_b, distances)`` in the
         deterministic recursion order of the serial join, and the CPU
         counters as a tuple.  ``metrics`` is the registry the join
@@ -67,11 +73,7 @@ class UnitJoinSpec:
                           kernel=self.kernel, cpu=cpu,
                           grid_epsilon=self.grid_epsilon,
                           invariants=invariants, metrics=metrics)
-        if ids_b is None:
-            join_point_blocks(ids_a, pts_a, ids_a, pts_a, ctx,
-                              same_block=True)
-        else:
-            join_point_blocks(ids_a, pts_a, ids_b, pts_b, ctx)
+        sequence_join.join_sequences(seq_a, seq_b, ctx)
         out_a, out_b = result.pairs()
         dists = result.distances() if result.collect_distances else None
         return (out_a, out_b, dists), astuple(cpu)
@@ -89,16 +91,11 @@ class SerialUnitJoiner:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def submit(self, ids_a: np.ndarray, pts_a: np.ndarray,
-               ids_b: Optional[np.ndarray], pts_b: Optional[np.ndarray],
+    def submit(self, seq_a: Sequence, seq_b: Sequence,
                on_complete: Optional[Callable[[], None]] = None,
                key: Optional[Tuple[int, int]] = None) -> None:
-        """Join one unit pair immediately (``ids_b is None`` = self-pair)."""
-        if ids_b is None:
-            join_point_blocks(ids_a, pts_a, ids_a, pts_a, self.ctx,
-                              same_block=True)
-        else:
-            join_point_blocks(ids_a, pts_a, ids_b, pts_b, self.ctx)
+        """Join one unit pair immediately (``seq_b is seq_a`` = self-pair)."""
+        sequence_join.join_sequences(seq_a, seq_b, self.ctx)
         if on_complete is not None:
             on_complete()
 

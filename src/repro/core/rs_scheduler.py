@@ -35,11 +35,8 @@ from ..storage.buffer import BufferPool
 from ..storage.pagefile import PointFile
 from .ego_order import grid_cells, lex_less
 from .scheduler import UnitMeta, schedule_units
-from .sequence_join import JoinContext
 from .sequence import Sequence
-from .sequence_join import join_sequences
-
-UnitData = Tuple[np.ndarray, np.ndarray]
+from .sequence_join import JoinContext, join_sequences
 
 
 @dataclass
@@ -63,7 +60,10 @@ class TwoFileScheduler:
     """Schedules unit loads for an external R ⋈ S similarity join.
 
     Both inputs must already be sorted in epsilon grid order.  Result
-    pairs are emitted as ``(r_id, s_id)``.
+    pairs are emitted as ``(r_id, s_id)``.  Each physical load reads a
+    unit into a :class:`~repro.core.sequence.Sequence` at
+    ``ctx.grid_epsilon``, so a unit's cells are computed once per load
+    and the buffer pools hold them beside its points.
     """
 
     def __init__(self, file_r: PointFile, file_s: PointFile,
@@ -109,30 +109,32 @@ class TwoFileScheduler:
             labelnames=("outcome",))
         self._m_pair_joined = pairs.labels("joined")
         self._m_pair_skipped = pairs.labels("skipped")
-        self._pool_r: BufferPool[int, UnitData] = BufferPool(
+        self._pool_r: BufferPool[int, Sequence] = BufferPool(
             1, self._load_r)
-        self._pool_s: BufferPool[int, UnitData] = BufferPool(
+        self._pool_s: BufferPool[int, Sequence] = BufferPool(
             max(1, buffer_units - 1), self._load_s)
 
     # -- loading -----------------------------------------------------------
 
-    def _load_r(self, ordinal: int) -> UnitData:
+    def _load_r(self, ordinal: int) -> Sequence:
         self.stats.r_loads += 1
         self._m_read_r.inc()
         span_args = ({"side": "r", "unit": ordinal}
                      if self._tracer.enabled else None)
         with self._tracer.span("load", cat="io", args=span_args):
-            return self.file_r.read_unit(int(self.units_r[ordinal]),
-                                         self.unit_bytes)
+            return Sequence(*self.file_r.read_unit(
+                int(self.units_r[ordinal]), self.unit_bytes),
+                self.ctx.grid_epsilon)
 
-    def _load_s(self, ordinal: int) -> UnitData:
+    def _load_s(self, ordinal: int) -> Sequence:
         self.stats.s_loads += 1
         self._m_read_s.inc()
         span_args = ({"side": "s", "unit": ordinal}
                      if self._tracer.enabled else None)
         with self._tracer.span("load", cat="io", args=span_args):
-            return self.file_s.read_unit(int(self.units_s[ordinal]),
-                                         self.unit_bytes)
+            return Sequence(*self.file_s.read_unit(
+                int(self.units_s[ordinal]), self.unit_bytes),
+                self.ctx.grid_epsilon)
 
     def _collect_meta(self, point_file: PointFile,
                       unit_ids: np.ndarray) -> List[UnitMeta]:
@@ -179,18 +181,14 @@ class TwoFileScheduler:
                 self._tracer.instant("skip", args={"r": r_unit,
                                                    "s": s_unit})
             return
-        ids_r, pts_r = self._pool_r.get(r_unit)
-        ids_s, pts_s = self._pool_s.get(s_unit)
-        if len(ids_r) == 0 or len(ids_s) == 0:
-            return
+        seq_r = self._pool_r.get(r_unit)
+        seq_s = self._pool_s.get(s_unit)
         self.stats.unit_pairs_joined += 1
         self._m_pair_joined.inc()
         span_args = ({"r": r_unit, "s": s_unit}
                      if self._tracer.enabled else None)
         with self._tracer.span("unit_pair", args=span_args):
-            join_sequences(Sequence(ids_r, pts_r, self.ctx.grid_epsilon),
-                           Sequence(ids_s, pts_s, self.ctx.grid_epsilon),
-                           self.ctx)
+            join_sequences(seq_r, seq_s, self.ctx)
 
     # -- the schedule ---------------------------------------------------------
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -40,10 +40,13 @@ from ..obs.metrics import ensure_metrics
 from ..obs.trace import ensure_tracer
 from ..storage.buffer import BufferPool
 from ..storage.pagefile import PointFile
-from .ego_order import grid_cells, lex_less
+from .ego_order import lex_less
+# Imported for its name only: the layer-attribution benchmark
+# (``e2ebench/layers.py``) wraps the cell functions where each module
+# looks them up.
+from .ego_order import grid_cells  # noqa: F401
+from .sequence import Sequence
 from .sequence_join import JoinContext
-
-UnitData = Tuple[np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -52,6 +55,15 @@ class UnitMeta:
 
     first_cells: np.ndarray
     last_cells: np.ndarray
+
+    @classmethod
+    def of(cls, seq: Sequence) -> "UnitMeta":
+        """Bounds of a loaded unit, read from its first and last cell rows.
+
+        The two rows are copied, so the metadata does not keep the
+        unit's cell array alive after the buffer drops the unit.
+        """
+        return cls(*seq.cells[[0, -1]])
 
     @property
     def last_plus_eps_cells(self) -> np.ndarray:
@@ -125,8 +137,10 @@ class EGOScheduler:
     point_file:
         The EGO-sorted input file.
     ctx:
-        Join parameters; unit pairs are joined with
-        :func:`~repro.core.sequence_join.join_point_blocks`.
+        Join parameters; each unit is read into a
+        :class:`~repro.core.sequence.Sequence` at ``ctx.grid_epsilon``
+        once per physical load, and unit pairs are joined with
+        :func:`~repro.core.sequence_join.join_sequences`.
     unit_bytes:
         I/O unit size in bytes.
     buffer_units:
@@ -219,7 +233,7 @@ class EGOScheduler:
             "ego_pressure_shrinks_total",
             "Buffer shrinks forced by storage pressure")
         self._mode = "gallop"
-        self.pool: BufferPool[int, UnitData] = BufferPool(
+        self.pool: BufferPool[int, Sequence] = BufferPool(
             buffer_units, self._load_unit,
             observer=(self.monitor.buffer_observer()
                       if self.monitor is not None else None),
@@ -229,17 +243,16 @@ class EGOScheduler:
 
     # -- unit loading and metadata ------------------------------------------
 
-    def _load_unit(self, ordinal: int) -> UnitData:
+    def _load_unit(self, ordinal: int) -> Sequence:
         span_args = ({"unit": ordinal, "mode": self._mode}
                      if self._tracer.enabled else None)
         with self._tracer.span("load", cat="io", args=span_args):
-            ids, points = self.point_file.read_unit(
-                int(self.unit_ids[ordinal]), self.unit_bytes)
-        if ordinal not in self.meta and len(points):
-            cells = grid_cells(points[[0, -1]], self.ctx.grid_epsilon)
-            self.meta[ordinal] = UnitMeta(first_cells=cells[0],
-                                          last_cells=cells[1])
-        return ids, points
+            seq = Sequence(*self.point_file.read_unit(
+                int(self.unit_ids[ordinal]), self.unit_bytes),
+                self.ctx.grid_epsilon)
+        if ordinal not in self.meta:
+            self.meta[ordinal] = UnitMeta.of(seq)
+        return seq
 
     def _needed(self, unit: int, frontier: int) -> bool:
         """Lemma-2 test: can ``unit`` contain mates of ``frontier`` or later?
@@ -289,22 +302,16 @@ class EGOScheduler:
         on_complete = None
         if self.pair_complete is not None:
             on_complete = partial(self.pair_complete, a, b)
-        ids_a, pts_a = self.pool.peek(a).value
+        seq_a = self.pool.peek(a).value
+        seq_b = seq_a if a == b else self.pool.peek(b).value
         span_args = ({"a": min(a, b), "b": max(a, b)}
                      if self._tracer.enabled else None)
         # With a parallel joiner the span covers only the submission;
         # the compute happens in worker processes when the schedule
         # drains, and workers do not trace.
         with self._tracer.span("unit_pair", args=span_args):
-            if a == b:
-                self.unit_joiner.submit(ids_a, pts_a, None, None,
-                                        on_complete,
-                                        key=(a, a))
-            else:
-                ids_b, pts_b = self.pool.peek(b).value
-                self.unit_joiner.submit(ids_a, pts_a, ids_b, pts_b,
-                                        on_complete,
-                                        key=(min(a, b), max(a, b)))
+            self.unit_joiner.submit(seq_a, seq_b, on_complete,
+                                    key=(min(a, b), max(a, b)))
 
     # -- the schedule ---------------------------------------------------------
 

@@ -64,13 +64,3 @@ class Sequence:
     def dimensions(self) -> int:
         """Dimensionality of the points."""
         return self.points.shape[1]
-
-    def same_storage(self, other: "Sequence") -> bool:
-        """True when both sequences are the identical array slice.
-
-        Used to detect the self-join of a sequence with itself, where the
-        recursion must avoid generating both (a, b) and (b, a).
-        """
-        my_ptr = self.points.__array_interface__["data"][0]
-        other_ptr = other.points.__array_interface__["data"][0]
-        return my_ptr == other_ptr and self.points.shape == other.points.shape

@@ -312,14 +312,15 @@ class _RangeJoin:
     split and the Section 4.2 dimension order from them.  A
     ``vector``/``scalar`` leaf is evaluated on the ranges' rows of the
     root arrays; under the gather pass every leaf is recorded in the
-    context's :class:`LeafBatch` and decided one flush at a time.
+    context's :class:`LeafBatch` and decided one flush at a time.  The
+    join is a self-join exactly when ``t is s``.
     """
 
     def __init__(self, s: Sequence, t: Sequence, ctx: JoinContext) -> None:
         self.s, self.t, self.ctx = s, t, ctx
-        self.same = s.same_storage(t)
+        self.same = t is s
         self.rows_s = _RowCache(s.cells)
-        self.rows_t = self.rows_s if t is s else _RowCache(t.cells)
+        self.rows_t = self.rows_s if self.same else _RowCache(t.cells)
         self.dims = s.dimensions
         self.cpu = ctx.cpu
         self.obs = ctx.obs
@@ -483,7 +484,7 @@ def simple_join(s: Sequence, t: Sequence, ctx: JoinContext,
                 upper_triangle: bool = False) -> None:
     """Leaf case: compare the remaining points directly (Figure 7).
 
-    With ``upper_triangle`` the sequences are the identical slice and
+    With ``upper_triangle`` the two are one sequence (``t is s``) and
     only pairs ``(i, j)`` with ``i < j`` are produced.
     """
     join = _RangeJoin(s, t, ctx)
@@ -496,10 +497,12 @@ def simple_join(s: Sequence, t: Sequence, ctx: JoinContext,
 def join_sequences(s: Sequence, t: Sequence, ctx: JoinContext) -> None:
     """Figure 6: recursive divide-and-conquer join of two sequences.
 
-    When ``s`` and ``t`` are the identical slice (a sequence joined with
-    itself), the mirrored recursion quadrant is skipped and the leaf
-    comparison is restricted to the upper triangle so each unordered pair
-    is reported exactly once.
+    ``t is s`` is the self-join of one sequence: the mirrored recursion
+    quadrant is skipped and the leaf comparison is restricted to the
+    upper triangle, so each unordered pair is reported exactly once.
+    Two distinct ``Sequence`` objects are joined as two sets, even over
+    the same arrays: each point then pairs with itself, and every pair
+    is reported in both orders.
 
     Any leaf pairs the gather pass recorded are flushed before
     returning, so callers always observe a complete result.
@@ -507,26 +510,3 @@ def join_sequences(s: Sequence, t: Sequence, ctx: JoinContext) -> None:
     join = _RangeJoin(s, t, ctx)
     join.node(0, len(s), 0, len(t))
     join.flush()
-
-
-def join_point_blocks(ids_a: np.ndarray, points_a: np.ndarray,
-                      ids_b: np.ndarray, points_b: np.ndarray,
-                      ctx: JoinContext, same_block: bool = False) -> None:
-    """Join two EGO-sorted point blocks (e.g. two loaded I/O units).
-
-    ``same_block=True`` marks the self-join of one block with itself; the
-    arrays for ``a`` and ``b`` must then be the same objects.  Each
-    block's grid cells are computed once here, by its root
-    :class:`Sequence`; the recursion reads index ranges of them.
-    """
-    if len(ids_a) == 0 or len(ids_b) == 0:
-        return
-    span_args = ({"na": len(ids_a), "nb": len(ids_b), "self": same_block}
-                 if ctx.trace.enabled else None)
-    with ctx.trace.span("sequence_join", args=span_args):
-        seq_a = Sequence(ids_a, points_a, ctx.grid_epsilon)
-        if same_block:
-            join_sequences(seq_a, seq_a, ctx)
-        else:
-            seq_b = Sequence(ids_b, points_b, ctx.grid_epsilon)
-            join_sequences(seq_a, seq_b, ctx)

@@ -7,7 +7,9 @@ only *records* each one as an ordered event ``(seq, a, b)``.  When the
 schedule drains, the events are cut into contiguous unit-range shards
 (:func:`~repro.core.shard.plan_shards`, one cost-balanced target per
 worker), each shard runs as one task on a process pool, and the workers
-read their units straight from the sorted file — no arrays are shipped.
+read their units straight from the sorted file into
+:class:`~repro.core.sequence.Sequence` objects at the run's grid ε — no
+arrays are shipped.
 Results are merged strictly in schedule order, so the pair stream,
 durable pair file, journal and metrics are byte-identical to the serial
 join.
@@ -83,9 +85,9 @@ from ..storage.pagefile import PointFile
 from ..storage.records import RecordCodec
 from ..storage.disk import SimulatedDisk
 from ..storage.stats import CPUCounters
-from .ego_order import grid_cells
 from .parallel import UnitJoinSpec
 from .scheduler import UnitMeta, schedule_units
+from .sequence import Sequence
 from .sequence_join import JoinContext
 from .shard import ShardSpec, UnitPairEvent, plan_shards
 
@@ -273,6 +275,10 @@ def _result_digest(batch: Optional[tuple]) -> int:
 class _UnitReader:
     """Schedule units read straight from the sorted file.
 
+    Each physical read builds the unit's
+    :class:`~repro.core.sequence.Sequence` at ``source["grid_epsilon"]``,
+    so its cells are computed once per load, as in the parent.
+
     Reads go to the backing file directly, bypassing the parent's disk
     stack (and its simulated accounting, which stays the serial run's)
     but not its integrity: when the parent keeps page CRCs, every page
@@ -291,22 +297,21 @@ class _UnitReader:
                                source["count"], source["data_start"])
         self._unit_ids = source["unit_ids"]
         self._unit_bytes = source["unit_bytes"]
-        self._pool: BufferPool[int, tuple] = BufferPool(
+        self._grid_epsilon = source["grid_epsilon"]
+        self._pool: BufferPool[int, Sequence] = BufferPool(
             source["buffer_units"], self._load)
 
-    def _load(self, ordinal: int):
-        return self._file.read_unit(int(self._unit_ids[ordinal]),
-                                    self._unit_bytes)
+    def _load(self, ordinal: int) -> Sequence:
+        return Sequence(*self._file.read_unit(int(self._unit_ids[ordinal]),
+                                              self._unit_bytes),
+                        self._grid_epsilon)
 
-    def pair(self, a: int, b: int):
-        """``(ids_a, pts_a, ids_b, pts_b)``; ``b``'s arrays are None for
-        a self pair, as :meth:`~repro.core.parallel.UnitJoinSpec.run`
+    def pair(self, a: int, b: int) -> Tuple[Sequence, Sequence]:
+        """The loaded units ``(seq_a, seq_b)``; one object twice for a
+        self pair, as :meth:`~repro.core.parallel.UnitJoinSpec.run`
         expects."""
-        ids_a, pts_a = self._pool.get(a)
-        if a == b:
-            return ids_a, pts_a, None, None
-        ids_b, pts_b = self._pool.get(b)
-        return ids_a, pts_a, ids_b, pts_b
+        seq_a = self._pool.get(a)
+        return seq_a, seq_a if a == b else self._pool.get(b)
 
     def close(self) -> None:
         self._file.disk.close()
@@ -352,14 +357,14 @@ def _run_shard(slot: int, events: List[Tuple[int, int, int, int]]):
             time.sleep(plan.stall_seconds)
         # Storage errors (CorruptPageError) escape the task: they are
         # data faults, raised by the join exactly as in the serial run.
-        arrays = reader.pair(a, b)
+        pair = reader.pair(a, b)
         try:
             if fault == "error":
                 raise InjectedTaskError(
                     f"injected task error for unit pair {key} "
                     f"attempt {attempt}")
             metrics = MetricsRegistry() if spec.collect_metrics else None
-            (out_a, out_b, dists), cpu = spec.run(*arrays, metrics=metrics)
+            (out_a, out_b, dists), cpu = spec.run(*pair, metrics=metrics)
         except Exception:
             outcomes.append((seq, None))
         else:
@@ -488,9 +493,10 @@ class SupervisedUnitJoiner:
         self._m_degraded = None  # metrics dump must match the serial one
         self._spec = UnitJoinSpec.of(ctx)
         self._tasks: List[_Task] = []
-        # Record count and first/last point of every submitted unit:
-        # the shard planner's cost model and ε-cell boundaries.
-        self._units: Dict[int, Tuple[int, np.ndarray]] = {}
+        # Record count and cell bounds of every submitted unit: the
+        # shard planner's cost model and ε-cell boundaries.
+        self._records: Dict[int, int] = {}
+        self._meta: Dict[int, UnitMeta] = {}
         self._next_emit = 0
         self._pool: Optional[ProcessPoolExecutor] = None
         self._source: Optional[dict] = None
@@ -601,22 +607,23 @@ class SupervisedUnitJoiner:
 
     # -- submission ---------------------------------------------------------
 
-    def submit(self, ids_a: np.ndarray, pts_a: np.ndarray,
-               ids_b: Optional[np.ndarray], pts_b: Optional[np.ndarray],
+    def submit(self, seq_a: Sequence, seq_b: Sequence,
                on_complete: Optional[Callable[[], None]] = None,
                key: Optional[Tuple[int, int]] = None) -> None:
         """Record one unit pair; it is joined when the schedule drains.
 
         ``key`` is the pair's unit ordinals ``(a, b)`` with ``a ≤ b``
-        (the scheduler passes the lower ordinal's arrays first); it keys
-        the worker's reads, fault decisions, backoff jitter and the
-        journal's decision log.  The arrays are not kept: only each
-        unit's record count and end points, for the shard planner.
+        (the scheduler passes the lower ordinal's sequence first); it
+        keys the worker's reads, fault decisions, backoff jitter and the
+        journal's decision log.  The sequences are not kept: only each
+        unit's record count and first/last cell rows, for the shard
+        planner.
         """
         a, b = int(key[0]), int(key[1])
-        for unit, pts in ((a, pts_a), (b, pts_b)):
-            if pts is not None and unit not in self._units:
-                self._units[unit] = (len(pts), pts[[0, -1]])
+        for unit, seq in ((a, seq_a), (b, seq_b)):
+            if unit not in self._meta:
+                self._records[unit] = len(seq)
+                self._meta[unit] = UnitMeta.of(seq)
         self._tasks.append(_Task(len(self._tasks), (a, b), on_complete))
 
     @property
@@ -652,16 +659,10 @@ class SupervisedUnitJoiner:
                         "dimensions": pf.dimensions, "count": pf.count,
                         "unit_ids": unit_ids, "unit_bytes": self.unit_bytes,
                         "buffer_units": self.buffer_units,
+                        "grid_epsilon": self.ctx.grid_epsilon,
                         "pages": page_checksums(pf.disk)}
-        units = sorted(self._units)
-        ends = grid_cells(np.concatenate([self._units[u][1] for u in units]),
-                          self.ctx.grid_epsilon)
-        meta = {u: UnitMeta(first_cells=ends[2 * i],
-                            last_cells=ends[2 * i + 1])
-                for i, u in enumerate(units)}
-        records = {u: self._units[u][0] for u in units}
         specs = plan_shards(len(unit_ids), self.events[self._next_emit:],
-                            records, self.workers, meta)
+                            self._records, self.workers, self._meta)
         return [s for s in specs if s.events]
 
     def _dispatch(self) -> None:
@@ -803,7 +804,7 @@ class SupervisedUnitJoiner:
             self._next_emit += 1
             self._merge(task, out)
 
-    def _run_task_inline(self, task: _Task, arrays, invariants: bool):
+    def _run_task_inline(self, task: _Task, pair, invariants: bool):
         """Join one unit pair in the parent, shaped like a worker result."""
         if self.worker_plan is not None \
                 and self.worker_plan.decide(task.key, task.attempt) \
@@ -817,7 +818,7 @@ class SupervisedUnitJoiner:
         # Metrics are recorded straight into the parent registry (we
         # are at the head of the merge order, so the ordering matches
         # the serial joiner); no snapshot to merge.
-        batch, cpu = self._spec.run(*arrays, metrics=self.ctx.metrics,
+        batch, cpu = self._spec.run(*pair, metrics=self.ctx.metrics,
                                     invariants=invariants)
         return batch, cpu, None
 
@@ -831,16 +832,16 @@ class SupervisedUnitJoiner:
         """
         if self._reader is None:
             self._reader = _UnitReader(self._source)
-        arrays = self._reader.pair(*task.key)
+        pair = self._reader.pair(*task.key)
         while True:
             if task.quarantined:
                 try:
-                    return self._run_task_inline(task, arrays,
+                    return self._run_task_inline(task, pair,
                                                  invariants=True)
                 except Exception as exc:
                     raise TaskPoisonedError(task.key, exc) from exc
             try:
-                out = self._run_task_inline(task, arrays, invariants=False)
+                out = self._run_task_inline(task, pair, invariants=False)
             except Exception:
                 self._bump(task, "error")
                 continue

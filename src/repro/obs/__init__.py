@@ -7,7 +7,7 @@ nothing:
 
 * :mod:`.trace` — the one record of when and where a run spent its
   time: a hierarchical span tracer (sort → schedule → load/unit_pair →
-  sequence_join → leaf) emitting Chrome ``trace_event`` JSON for
+  leaf) emitting Chrome ``trace_event`` JSON for
   ``chrome://tracing``; its ``pipeline`` spans are the per-phase wall
   times;
 * :mod:`.metrics` — typed counters / gauges / histograms with

@@ -9,11 +9,10 @@ or Perfetto.  The pipeline emits one span hierarchy per phase::
     │   ├── run_generation
     │   └── merge_pass
     └── schedule
-        ├── load          (one per physical unit read)
+        ├── load          (one per physical unit read, cells included)
         ├── skip          (instant: a unit pair the ε-interval rules out)
-        └── unit_pair
-            └── sequence_join
-                └── leaf  (one per leaf kernel call)
+        └── unit_pair     (the Figure-6 join of two loaded units)
+            └── leaf      (one per leaf kernel call)
 
 The ``pipeline``-category spans (the root, ``sort``, ``schedule``) are
 the run's per-phase wall times; :meth:`Tracer.wall_seconds` sums them

@@ -90,8 +90,7 @@ class TestChromeTraceSchema:
         tracer, _registry, report = traced_run
         names = {e["name"] for e in tracer.spans()}
         assert {"external_self_join", "sort", "run_generation",
-                "schedule", "load", "unit_pair", "sequence_join",
-                "leaf"} <= names
+                "schedule", "load", "unit_pair", "leaf"} <= names
         root = tracer.spans("external_self_join")
         assert len(root) == 1
         # The root span covers every other span.

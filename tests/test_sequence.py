@@ -226,30 +226,28 @@ class TestPrecomputedCellsProperty:
                 assert result.canonical_pair_set() == want, (engine, split)
 
 
-def sub(s, lo, hi):
-    """A root Sequence over rows ``[lo, hi)`` of ``s``'s arrays."""
-    return Sequence(s.ids[lo:hi], s.points[lo:hi], s.epsilon,
-                    s.cells[lo:hi])
+class TestSelfPair:
+    @pytest.mark.parametrize("engine", ["scalar", "vector", "auto"])
+    def test_self_pair_is_one_object(self, rng, engine):
+        """``join_sequences(seq, seq)`` reports each unordered pair once;
+        two distinct objects over the same arrays join as two sets."""
+        eps = 0.3
+        raw = rng.random((60, 2))
+        ids, pts = ego_sorted(raw, eps)
 
+        def join(s, t):
+            result = JoinResult()
+            join_sequences(s, t, JoinContext(
+                epsilon=eps, result=result,
+                kernel=KernelConfig(engine=engine, minlen=4)))
+            a, b = result.pairs()
+            return sorted(zip(a.tolist(), b.tolist()))
 
-class TestSameStorage:
-    def test_identical_sequence_objects(self, rng):
-        ids, pts = ego_sorted(rng.random((6, 2)), 0.5)
-        a = Sequence(ids, pts, 0.5)
-        b = Sequence(ids, pts, 0.5)
-        assert a.same_storage(b)
-
-    def test_same_slice_of_same_array(self, rng):
-        s = seq_of(rng.random((10, 2)), 0.5)
-        assert sub(s, 2, 6).same_storage(sub(s, 2, 6))
-
-    def test_different_slices_differ(self, rng):
-        s = seq_of(rng.random((10, 2)), 0.5)
-        assert not sub(s, 0, 5).same_storage(sub(s, 5, 10))
-        assert not sub(s, 0, 5).same_storage(sub(s, 0, 6))
-
-    def test_copies_differ(self, rng):
-        ids, pts = ego_sorted(rng.random((4, 2)), 0.5)
-        a = Sequence(ids, pts, 0.5)
-        b = Sequence(ids.copy(), pts.copy(), 0.5)
-        assert not a.same_storage(b)
+        truth = brute_truth(raw, eps)
+        assert truth
+        seq = Sequence(ids, pts, eps)
+        assert sorted((min(p), max(p)) for p in join(seq, seq)) == \
+            sorted(truth)
+        assert join(seq, Sequence(ids, pts, eps)) == sorted(
+            [(i, i) for i in range(len(raw))]
+            + [(a, b) for a, b in truth] + [(b, a) for a, b in truth])

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.ego_join import ego_self_join_file
+from repro.core.ego_join import ego_join_files, ego_self_join_file
 from repro.core.ego_order import ego_sorted
 from repro.core.result import JoinResult
 from repro.core.sequence import Sequence
 from repro.core.sequence_join import (JoinContext, KernelConfig,
-                                      join_point_blocks, join_sequences,
-                                      simple_join)
+                                      join_sequences, simple_join)
 from repro.data.synthetic import cad_like
 from repro.storage.disk import SimulatedDisk
 from repro.storage.pagefile import PointFile
@@ -168,40 +167,28 @@ class TestSimpleJoinAndBlocks:
         a, b = result.pairs()
         assert (a != b).all()
 
-    def test_join_point_blocks_empty(self):
-        ctx = JoinContext(epsilon=1.0, result=JoinResult())
-        join_point_blocks(np.empty(0, dtype=np.int64), np.empty((0, 2)),
-                          np.empty(0, dtype=np.int64), np.empty((0, 2)),
-                          ctx)
-        assert ctx.result.count == 0
-
-    def test_join_point_blocks_same_block(self, rng):
-        eps = 0.4
-        ids, pts = ego_sorted(rng.random((30, 2)), eps)
-        ctx = JoinContext(epsilon=eps, result=JoinResult(),
-                          kernel=KernelConfig(minlen=4))
-        join_point_blocks(ids, pts, ids, pts, ctx, same_block=True)
-        truth = brute_truth(pts[np.argsort(ids)], eps)
-        assert ctx.result.canonical_pair_set() == truth
-
 
 class TestCellComputationCalls:
-    """Regression guard: grid cells are computed once per joined block.
+    """Regression guard: a unit's grid cells are computed once per load.
 
-    A block's cells are sliced along with its sequence, so the number of
-    cell computations of a whole external join no longer grows with the
-    recursion depth (``minlen``): it is bounded by one per side of each
-    joined unit pair plus one per unit load (the scheduler's first/last
-    cell metadata).
+    Each physical load reads its unit into a :class:`Sequence`, which
+    computes the unit's cells; the scheduler's unit metadata, the
+    unit-pair joiner and the recursion only read those rows.  So a
+    whole external join makes exactly one cell computation per unit
+    load, whatever the recursion depth (``minlen``) and however many
+    unit pairs each loaded unit joins.
     """
 
-    #: Every name the join phase looks a cell function up by.
+    #: Every name the join phase looks a cell function up by.  The sort
+    #: (``repro.core.ego_join``) and the R join S metadata pass
+    #: (``repro.core.rs_scheduler``) compute their own cells and are
+    #: not counted.
     PATCHED = (("repro.core.sequence", "floor_cells"),
                ("repro.core.sequence", "grid_cells"),
                ("repro.core.kernels", "floor_cells"),
                ("repro.core.scheduler", "grid_cells"))
 
-    def _join(self, monkeypatch, minlen):
+    def _count(self, monkeypatch, join):
         calls = [0]
 
         def counting(fn):
@@ -213,22 +200,45 @@ class TestCellComputationCalls:
         for module_name, name in self.PATCHED:
             module = importlib.import_module(module_name)
             monkeypatch.setattr(module, name, counting(getattr(module, name)))
-        pts = cad_like(800, 8, seed=4)
-        with SimulatedDisk() as disk:
-            make_file(disk, pts)
-            report = ego_self_join_file(PointFile.open(disk), 0.15,
-                                        unit_bytes=4096, buffer_units=4,
-                                        minlen=minlen, engine="auto",
-                                        materialize=False)
-        monkeypatch.undo()
+        try:
+            report = join()
+        finally:
+            monkeypatch.undo()
         return calls[0], report
 
+    def _self_join(self, monkeypatch, minlen):
+        def join():
+            with SimulatedDisk() as disk:
+                make_file(disk, cad_like(800, 8, seed=4))
+                return ego_self_join_file(PointFile.open(disk), 0.15,
+                                          unit_bytes=4096, buffer_units=4,
+                                          minlen=minlen, engine="auto",
+                                          materialize=False)
+        return self._count(monkeypatch, join)
+
     def test_calls_do_not_grow_with_recursion_depth(self, monkeypatch):
-        deep, deep_report = self._join(monkeypatch, minlen=4)
-        shallow, shallow_report = self._join(monkeypatch, minlen=64)
+        deep, deep_report = self._self_join(monkeypatch, minlen=4)
+        shallow, shallow_report = self._self_join(monkeypatch, minlen=64)
         assert deep_report.result.count == shallow_report.result.count > 0
         assert deep_report.cpu.sequence_pairs > \
             shallow_report.cpu.sequence_pairs
-        assert deep == shallow > 0
         sched = deep_report.schedule_stats
-        assert deep <= 2 * sched.unit_pairs_joined + sched.total_unit_loads
+        assert sched.unit_pairs_joined > sched.total_unit_loads
+        assert deep == shallow == sched.total_unit_loads
+
+    def test_rs_join_computes_cells_once_per_load(self, monkeypatch):
+        def join():
+            with SimulatedDisk() as disk_r, SimulatedDisk() as disk_s:
+                make_file(disk_r, cad_like(600, 8, seed=5))
+                make_file(disk_s, cad_like(500, 8, seed=6))
+                return ego_join_files(PointFile.open(disk_r),
+                                      PointFile.open(disk_s), 0.15,
+                                      unit_bytes=2048, buffer_units=3,
+                                      minlen=8, engine="auto",
+                                      materialize=False)
+        calls, report = self._count(monkeypatch, join)
+        stats = report.schedule_stats
+        assert report.result.count > 0
+        assert stats.meta_reads > 0
+        assert stats.unit_pairs_joined > stats.total_unit_loads
+        assert calls == stats.r_loads + stats.s_loads

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.ego_join import ego_self_join_file
 from repro.core.result import JoinResult
+from repro.core.sequence import Sequence
 from repro.core.sequence_join import JoinContext
 from repro.core.shard import (OVERSIZE_FACTOR, UnitPairEvent, event_cost,
                               plan_shards)
@@ -163,10 +164,11 @@ class TestPlanner:
         # joins nothing until the schedule drains.
         ctx = JoinContext(epsilon=EPS, result=JoinResult())
         ids, pts = np.arange(2), np.zeros((2, 4))
+        seq, other = Sequence(ids, pts, EPS), Sequence(ids, pts, EPS)
         with SimulatedDisk() as disk, SupervisedUnitJoiner(
                 ctx, 2, make_file(disk, pts), 4096, 2) as joiner:
-            joiner.submit(ids, pts, None, None, key=(3, 3))
-            joiner.submit(ids, pts, ids, pts, key=(2, 5))
+            joiner.submit(seq, seq, key=(3, 3))
+            joiner.submit(seq, other, key=(2, 5))
             assert [(ev.seq, ev.a, ev.b) for ev in joiner.events] == \
                 [(0, 3, 3), (1, 2, 5)]
         assert ctx.result.count == 0

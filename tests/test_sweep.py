@@ -44,6 +44,22 @@ class TestPresortedFileJoin:
         assert report.sort_io_time_s == 0.0
         assert report.sort_stats.records_sorted == 0
 
+    @pytest.mark.parametrize("eps", [0.05, 0.2, 0.4])
+    def test_smaller_epsilon_on_presorted_file_with_workers(self,
+                                                          sorted_setup, eps):
+        """Workers read their units at the file's grid ε, not the join ε:
+        the ``workers=2`` pair stream is the serial one, byte for byte."""
+        _pts, eps_sort, sorted_file = sorted_setup
+        streams = [
+            ego_self_join_file(sorted_file, eps, unit_bytes=800,
+                               buffer_units=4, assume_sorted=True,
+                               sorted_epsilon=eps_sort,
+                               workers=workers).result.pairs()
+            for workers in (1, 2)]
+        assert len(streams[0][0]) > 0
+        assert [a.tobytes() for a in streams[1]] == \
+            [a.tobytes() for a in streams[0]]
+
     @pytest.mark.parametrize("factor", [1.5, 2, 3])
     def test_larger_epsilon_resorts(self, sorted_setup, factor):
         """ε above the sort ε re-sorts — no coarser grid keeps the order.
