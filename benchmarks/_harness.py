@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.analysis.costmodel import (ego_total_time, join_total_time,
                                       nested_loop_estimate)
+from repro.analysis.optimizer import budget_geometry
 from repro.analysis.reporting import format_table, speedup_summary
 from repro.core.ego_join import ExternalJoinReport, ego_self_join_file
 from repro.data.loader import make_point_file
@@ -58,13 +59,10 @@ class BudgetedSetup:
     @classmethod
     def for_dataset(cls, n: int, dimensions: int,
                     fraction: float = BUFFER_FRACTION) -> "BudgetedSetup":
-        rec = record_size(dimensions)
-        budget_bytes = max(4 * rec, int(n * rec * fraction))
-        # The I/O unit size is chosen so roughly eight units fit in the
-        # buffer — the separate-I/O-optimisation knob of Section 4.1.
-        unit_bytes = max(16 * rec, budget_bytes // 8)
-        buffer_units = max(2, budget_bytes // unit_bytes)
-        pool_pages = max(2, budget_bytes // (RTREE_PAGE_RECORDS * rec))
+        budget_bytes, unit_bytes, buffer_units = budget_geometry(
+            n, dimensions, fraction)
+        pool_pages = max(2, budget_bytes
+                         // (RTREE_PAGE_RECORDS * record_size(dimensions)))
         return cls(n=n, dimensions=dimensions, budget_bytes=budget_bytes,
                    unit_bytes=unit_bytes, buffer_units=buffer_units,
                    pool_pages=pool_pages)

@@ -16,20 +16,18 @@ Run:  python examples/scaling_study.py
 
 from repro import uniform
 from repro.analysis.costmodel import ego_total_time
+from repro.analysis.optimizer import budget_geometry
 from repro.analysis.reporting import format_table
 from repro.core.ego_join import ego_self_join_file
 from repro.data.loader import make_point_file
 
 DIMENSIONS = 8
 EPSILON = 0.25
-RECORD_BYTES = 8 * (DIMENSIONS + 1)
 
 
 def run(points, buffer_fraction):
-    budget = max(4 * RECORD_BYTES,
-                 int(len(points) * RECORD_BYTES * buffer_fraction))
-    unit_bytes = max(16 * RECORD_BYTES, budget // 8)
-    buffer_units = max(2, budget // unit_bytes)
+    _budget, unit_bytes, buffer_units = budget_geometry(
+        len(points), DIMENSIONS, buffer_fraction)
     disk, pf = make_point_file(points)
     try:
         return ego_self_join_file(pf, EPSILON, unit_bytes=unit_bytes,

@@ -23,6 +23,7 @@ from repro import uniform
 from repro.core.result import JoinResult
 from repro.core.scheduler import EGOScheduler
 from repro.core.sequence_join import JoinContext, KernelConfig
+from repro.core.units import SortedUnits
 from repro.core.ego_order import ego_sorted
 from repro.data.loader import make_point_file
 from repro.obs import Tracer
@@ -39,7 +40,8 @@ def traced_run(points, buffer_units):
         ctx = JoinContext(epsilon=EPSILON,
                           result=JoinResult(materialize=False),
                           kernel=KernelConfig(minlen=16), trace=tracer)
-        sched = EGOScheduler(pf, ctx, UNIT_BYTES, buffer_units)
+        sched = EGOScheduler(SortedUnits(pf, UNIT_BYTES, EPSILON), ctx,
+                             buffer_units)
         stats = sched.run()
         return tracer, stats, sched.num_units
     finally:

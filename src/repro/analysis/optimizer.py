@@ -39,11 +39,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ..core.ego_join import ego_self_join
+from ..core.ego_join import ego_self_join, sort_memory_records
 from ..core.result import JoinResult
 from ..storage.disk import DiskModel
 from ..storage.records import record_size
@@ -100,12 +100,15 @@ def backward_fraction(epsilon: float, data_extent: float = 1.0) -> float:
 
 def estimate_ego_join(n: int, dimensions: int, epsilon: float,
                       unit_bytes: int, buffer_units: int,
-                      sort_memory_records: Optional[int] = None,
                       disk_model: Optional[DiskModel] = None,
                       cpu_model: CPUModel = DEFAULT_CPU_MODEL,
                       sort_fanin: int = 16,
                       data_extent: float = 1.0) -> EgoCostEstimate:
-    """Predict the cost of an external EGO self-join configuration."""
+    """Predict the cost of an external EGO self-join configuration.
+
+    The sort is modelled in the pipeline's own working memory
+    (:func:`~repro.core.ego_join.sort_memory_records`).
+    """
     if n < 0 or dimensions <= 0 or epsilon <= 0:
         raise ValueError("invalid dataset parameters")
     if unit_bytes <= 0 or buffer_units < 2:
@@ -114,9 +117,7 @@ def estimate_ego_join(n: int, dimensions: int, epsilon: float,
     rec = record_size(dimensions)
     db_bytes = n * rec
     units = max(1, math.ceil(db_bytes / unit_bytes)) if n else 0
-    per_unit = max(1, unit_bytes // rec)
-    if sort_memory_records is None:
-        sort_memory_records = max(2, buffer_units * per_unit)
+    sort_memory = sort_memory_records(rec, unit_bytes, buffer_units)
 
     # The schedule's working window is one-sided: pairs are formed when
     # the later unit loads, so only the ε *backward* reach matters.
@@ -133,7 +134,7 @@ def estimate_ego_join(n: int, dimensions: int, epsilon: float,
 
     # Sorting: run generation reads+writes the data once; each merge
     # pass reads and writes it again.
-    sort_runs = max(1, math.ceil(n / sort_memory_records)) if n else 0
+    sort_runs = max(1, math.ceil(n / sort_memory)) if n else 0
     sort_passes = 1
     runs = sort_runs
     while runs > sort_fanin:
@@ -142,7 +143,7 @@ def estimate_ego_join(n: int, dimensions: int, epsilon: float,
     sort_bytes = 2 * db_bytes * (1 + sort_passes)
     # Merge seeks: each source-buffer refill is a random access.
     fanin = min(sort_fanin, max(2, sort_runs))
-    refill_bytes = max(rec, (sort_memory_records // (fanin + 1)) * rec)
+    refill_bytes = max(rec, (sort_memory // (fanin + 1)) * rec)
     sort_seeks = sort_passes * math.ceil(db_bytes / refill_bytes) if n else 0
 
     # Join I/O: unit loads stream in long consecutive runs (gallop scan,
@@ -316,6 +317,21 @@ def calibrate_cpu(points_sample: np.ndarray, epsilon: float, n_target: int,
                   result=JoinResult(materialize=False))
     sample_cpu_s = cpu_model.cpu_time(cpu, pts.shape[1])
     return sample_cpu_s * (n_target / n_sample) ** 2
+
+
+def budget_geometry(n: int, dimensions: int,
+                    fraction: float) -> Tuple[int, int, int]:
+    """Buffer and I/O-unit geometry for a memory budget of ``fraction``
+    of an ``n``-record database.
+
+    Returns ``(budget_bytes, unit_bytes, buffer_units)``: a budget of at
+    least 4 records; units of at least 16 records, sized so about eight
+    fit the budget (the I/O knob of Section 4.1); at least 2 frames.
+    """
+    rec = record_size(dimensions)
+    budget_bytes = max(4 * rec, int(n * rec * fraction))
+    unit_bytes = max(16 * rec, budget_bytes // 8)
+    return budget_bytes, unit_bytes, max(2, budget_bytes // unit_bytes)
 
 
 def choose_unit_size(n: int, dimensions: int, epsilon: float,

@@ -31,7 +31,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .analysis.optimizer import choose_unit_size, estimate_ego_join
+from .analysis.optimizer import (budget_geometry, choose_unit_size,
+                                 estimate_ego_join)
 from .analysis.reporting import format_table, robustness_summary
 from .apps.dbscan import dbscan
 from .apps.outliers import distance_based_outliers
@@ -44,15 +45,6 @@ from .storage.disk import SimulatedDisk
 from .storage.faults import FaultPlan, SimulatedCrash, WorkerFaultPlan
 from .storage.integrity import CorruptPageError, RetryPolicy
 from .storage.pagefile import PointFile
-from .storage.records import record_size
-
-
-def _budget_geometry(n: int, dimensions: int, fraction: float):
-    rec = record_size(dimensions)
-    budget = max(4 * rec, int(n * rec * fraction))
-    unit_bytes = max(16 * rec, budget // 8)
-    buffer_units = max(2, budget // unit_bytes)
-    return unit_bytes, buffer_units
 
 
 def cmd_generate(args) -> int:
@@ -247,7 +239,7 @@ def cmd_join(args) -> int:
     tracer, registry = _build_obs(args)
     with SimulatedDisk(path=args.file) as disk:
         pf = PointFile.open(disk)
-        unit_bytes, buffer_units = _budget_geometry(
+        _budget, unit_bytes, buffer_units = budget_geometry(
             pf.count, pf.dimensions, args.buffer_fraction)
         impl = args.impl
         if impl == "auto":
@@ -373,7 +365,7 @@ def cmd_join_two(args) -> int:
             SimulatedDisk(path=args.file_s) as disk_s:
         fr = PointFile.open(disk_r)
         fs = PointFile.open(disk_s)
-        unit_bytes, buffer_units = _budget_geometry(
+        _budget, unit_bytes, buffer_units = budget_geometry(
             fr.count + fs.count, fr.dimensions, args.buffer_fraction)
         report = ego_join_files(fr, fs, args.epsilon,
                                 unit_bytes=unit_bytes,

@@ -8,7 +8,7 @@ from .ego_join import (ExternalJoinReport, ExternalRSJoinReport, ego_join,
                        ego_self_join_file)
 from .ego_order import (ego_compare, ego_key, ego_less, ego_sort_order,
                         ego_sorted, epsilon_interval, grid_cells,
-                        is_ego_sorted, outside_interval_high,
+                        is_ego_sorted, lex_less, outside_interval_high,
                         outside_interval_low, validate_epsilon)
 from .kernels import (ScratchBuffers, candidate_windows,
                       pairs_within_matmul)
@@ -17,11 +17,12 @@ from .metrics import (CHEBYSHEV, EUCLIDEAN, MANHATTAN, Metric,
 from .parallel import SerialUnitJoiner
 from .result import JoinResult
 from .rs_scheduler import RSScheduleStats, TwoFileScheduler
-from .scheduler import EGOScheduler, ScheduleStats, UnitMeta, lex_less
+from .scheduler import EGOScheduler, ScheduleStats
 from .sequence import Sequence
 from .sequence_join import (DEFAULT_MINLEN, ENGINES, EXCLUSION_CELL_DISTANCE,
                             JoinContext, KernelConfig, join_sequences,
                             simple_join)
+from .units import SortedUnits, UnitMeta
 
 __all__ = [
     "DEFAULT_MINLEN",
@@ -44,6 +45,7 @@ __all__ = [
     "JoinResult",
     "ScheduleStats",
     "Sequence",
+    "SortedUnits",
     "UnitMeta",
     "dimension_ordering",
     "distance_below_eps",

@@ -49,7 +49,8 @@ from .sequence import Sequence
 from .sequence_join import (JoinContext, KernelConfig, check_engine,
                             join_sequences)
 from .supervisor import (SupervisedUnitJoiner, SupervisorPolicy,
-                         SupervisorStats, replay_stats, require_file_backed)
+                         SupervisorStats, replay_stats)
+from .units import SortedUnits, require_file_backed
 
 
 def ego_self_join(points: np.ndarray, epsilon: float,
@@ -191,6 +192,13 @@ def _record_io_metrics(registry, io: IOCounters,
                    unit="s").set(simulated_io_time_s)
 
 
+def sort_memory_records(record_bytes: int, unit_bytes: int,
+                        buffer_units: int) -> int:
+    """Working memory of the external sort, in records: the join's
+    budget of ``buffer_units`` units worth of records."""
+    return max(2, buffer_units * max(1, unit_bytes // record_bytes))
+
+
 def ego_key_function(epsilon: float):
     """Key function for the external sort: the ε-grid cell coordinates.
 
@@ -224,7 +232,6 @@ class ExternalRSJoinReport:
 
 def ego_join_files(file_r: PointFile, file_s: PointFile, epsilon: float,
                    unit_bytes: int, buffer_units: int,
-                   sort_memory_records: Optional[int] = None,
                    materialize: bool = True,
                    invariants: bool = False,
                    trace=None, metrics=None,
@@ -239,7 +246,8 @@ def ego_join_files(file_r: PointFile, file_s: PointFile, epsilon: float,
     sides, reflexive and mirrored pairs are included (two-set
     semantics, like :func:`ego_join`).
 
-    ``**kernel`` are the
+    The sort works in the join's memory budget, ``buffer_units`` units
+    worth of records.  ``**kernel`` are the
     :class:`~repro.core.sequence_join.KernelConfig` knobs.  ``trace`` /
     ``metrics`` attach the observability recorders of :mod:`repro.obs`
     (see :func:`ego_self_join_file`); the trace's root span is
@@ -255,11 +263,8 @@ def ego_join_files(file_r: PointFile, file_s: PointFile, epsilon: float,
         raise ValueError(
             f"dimension mismatch: {file_r.dimensions} vs "
             f"{file_s.dimensions}")
-    codec = file_r.codec
-    if sort_memory_records is None:
-        per_unit = max(1, unit_bytes // codec.record_bytes)
-        sort_memory_records = max(2, buffer_units * per_unit)
-
+    sort_memory = sort_memory_records(file_r.record_bytes, unit_bytes,
+                                      buffer_units)
     key = ego_key_function(epsilon)
     disks = [SimulatedDisk() for _ in range(3)]
     sorted_r_disk, sorted_s_disk, scratch = disks
@@ -273,10 +278,10 @@ def ego_join_files(file_r: PointFile, file_s: PointFile, epsilon: float,
                         sorted_s_disk, scratch).begin()
         with tracer.span("sort", cat="pipeline"):
             sorted_r, sort_r = external_sort(file_r, sorted_r_disk, scratch,
-                                             key, sort_memory_records,
+                                             key, sort_memory,
                                              trace=tracer, metrics=registry)
             sorted_s, sort_s = external_sort(file_s, sorted_s_disk, scratch,
-                                             key, sort_memory_records,
+                                             key, sort_memory,
                                              trace=tracer, metrics=registry)
         sort_io_time = scope.time_delta()
 
@@ -287,8 +292,10 @@ def ego_join_files(file_r: PointFile, file_s: PointFile, epsilon: float,
                           trace=tracer, metrics=registry)
         join_before = (sorted_r_disk.scope_time_s
                        + sorted_s_disk.scope_time_s)
-        scheduler = TwoFileScheduler(sorted_r, sorted_s, ctx, unit_bytes,
-                                     buffer_units)
+        scheduler = TwoFileScheduler(
+            SortedUnits(sorted_r, unit_bytes, ctx.grid_epsilon),
+            SortedUnits(sorted_s, unit_bytes, ctx.grid_epsilon),
+            ctx, buffer_units)
         with tracer.span("schedule", cat="pipeline"):
             schedule_stats = scheduler.run()
         join_io_time = (sorted_r_disk.scope_time_s
@@ -309,9 +316,6 @@ def ego_join_files(file_r: PointFile, file_s: PointFile, epsilon: float,
 
 def ego_self_join_file(input_file: PointFile, epsilon: float,
                        unit_bytes: int, buffer_units: int,
-                       sort_memory_records: Optional[int] = None,
-                       sorted_disk: Optional[SimulatedDisk] = None,
-                       scratch_disk: Optional[SimulatedDisk] = None,
                        allow_crabstep: bool = True,
                        materialize: bool = True,
                        assume_sorted: bool = False,
@@ -337,14 +341,11 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
         while the sort generates its runs.
     unit_bytes, buffer_units:
         I/O unit size and the number of unit frames the join may buffer.
-    sort_memory_records:
-        Working memory of the external sort, in records.  Defaults to the
-        same budget the join phase gets (``buffer_units`` units worth of
-        records), so both phases respect one memory limit.
-    sorted_disk, scratch_disk:
-        Disks for the sorted output and the sort runs; anonymous
-        temporary disks are created (and closed) when omitted, or
-        file-backed disks under ``checkpoint_dir`` when checkpointing.
+        The external sort works in the same budget (``buffer_units``
+        units worth of records), so both phases respect one memory
+        limit.  The sorted output and the sort runs go to anonymous
+        temporary disks, or to file-backed disks under
+        ``checkpoint_dir`` when checkpointing.
     allow_crabstep:
         Forwarded to the scheduler; ``False`` reproduces gallop-mode
         thrashing (Figure 3b).
@@ -396,8 +397,7 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
         schedule order, so the result stream — including a
         checkpointed run's durable pair file and journal — is
         byte-identical to the serial run.  The sorted file must
-        therefore be an OS file: a caller-supplied ``sorted_disk``, or
-        the input with ``assume_sorted``, on a
+        therefore be an OS file: the input with ``assume_sorted`` on a
         :class:`~repro.storage.disk.MemoryDisk` is refused with
         :class:`ValueError` before anything runs.  Each shard's whole
         result set is held in memory — in its worker, then in the
@@ -450,10 +450,8 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
         supervisor_policy = SupervisorPolicy()
     tracer = ensure_tracer(trace)
     registry = ensure_metrics(metrics)
-    codec = input_file.codec
-    if sort_memory_records is None:
-        per_unit = max(1, unit_bytes // codec.record_bytes)
-        sort_memory_records = max(2, buffer_units * per_unit)
+    sort_memory = sort_memory_records(input_file.record_bytes, unit_bytes,
+                                      buffer_units)
     if resume and checkpoint_dir is None:
         raise ValueError("resume=True requires checkpoint_dir")
 
@@ -475,12 +473,10 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
             # did exactly that).  Fall back to re-sorting at ε.
             assume_sorted = False
 
-    if workers > 1:
-        # Workers read the sorted file's OS file; refuse before sorting.
-        if assume_sorted:
-            require_file_backed(input_file.disk)
-        elif sorted_disk is not None:
-            require_file_backed(sorted_disk)
+    if workers > 1 and assume_sorted:
+        # Workers read the sorted file's OS file; refuse before anything
+        # runs.  The pipeline's own sorted file is always an OS file.
+        require_file_backed(input_file.disk)
 
     journal: Optional[Journal] = None
     if checkpoint_dir is not None:
@@ -497,7 +493,7 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
         journal.check_config({
             "epsilon": float(epsilon), "sorted_epsilon": grid_epsilon,
             "unit_bytes": int(unit_bytes), "buffer_units": int(buffer_units),
-            "sort_memory_records": int(sort_memory_records),
+            "sort_memory_records": int(sort_memory),
             "count": input_file.count, "dimensions": input_file.dimensions,
             "kernel": asdict(config)})
 
@@ -512,26 +508,20 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
     root_span = tracer.span("external_self_join", cat="pipeline")
     root_span.__enter__()
     try:
-        if sorted_disk is None and not assume_sorted:
-            if checkpoint_dir is not None:
-                sorted_disk = SimulatedDisk(
-                    path=os.path.join(checkpoint_dir, "sorted.pts"))
-            else:
-                sorted_disk = SimulatedDisk()
-            own_disks.append(sorted_disk)
-        if scratch_disk is None and not assume_sorted:
-            if checkpoint_dir is not None:
-                scratch_disk = SimulatedDisk(
-                    path=os.path.join(checkpoint_dir, "scratch.bin"))
-            else:
-                scratch_disk = SimulatedDisk()
-            own_disks.append(scratch_disk)
+        sorted_disk = scratch_disk = None
+        if not assume_sorted:
+            for name in ("sorted.pts", "scratch.bin"):
+                own_disks.append(
+                    SimulatedDisk(path=os.path.join(checkpoint_dir, name))
+                    if checkpoint_dir is not None else SimulatedDisk())
+            sorted_disk, scratch_disk = own_disks
 
         robust = (fault_plan is not None or checksums
                   or retry is not None)
         input_disk = wrap(input_file.disk) if robust else input_file.disk
         if robust:
-            input_file = PointFile(input_disk, codec, input_file.count,
+            input_file = PointFile(input_disk, input_file.codec,
+                                   input_file.count,
                                    data_start=input_file.data_start)
         sidecars = checkpoint_dir is not None
         sorted_io = (wrap(sorted_disk, sidecar=sidecars)
@@ -596,7 +586,7 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
             with tracer.span("sort", cat="pipeline"):
                 sorted_file, sort_stats = external_sort(
                     input_file, sorted_io, scratch_io,
-                    ego_key_function(epsilon), sort_memory_records,
+                    ego_key_function(epsilon), sort_memory,
                     journal=journal, trace=tracer, metrics=registry)
             sort_io_time = io_scope.time_delta()
 
@@ -619,6 +609,7 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
                 collector.flush()
                 journal.record_unit_pair(a, b, pair_file.count)
 
+        units = SortedUnits(sorted_file, unit_bytes, grid_epsilon)
         join_time_before = sorted_disk_obj.scope_time_s
         supervisor_stats = None
         if workers > 1:
@@ -631,7 +622,7 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
                 if resume:
                     replay_events = journal.replay_supervisor_events()
             unit_joiner = SupervisedUnitJoiner(
-                ctx, workers, sorted_file, unit_bytes, buffer_units,
+                ctx, workers, units, buffer_units,
                 policy=supervisor_policy,
                 worker_plan=worker_fault_plan,
                 decision_hook=decision_hook,
@@ -643,8 +634,7 @@ def ego_self_join_file(input_file: PointFile, epsilon: float,
         # The context manager shuts the pool down on *every* exit path —
         # a fault escaping the schedule must not leak worker processes.
         with unit_joiner:
-            scheduler = EGOScheduler(sorted_file, ctx, unit_bytes,
-                                     buffer_units,
+            scheduler = EGOScheduler(units, ctx, buffer_units,
                                      allow_crabstep=allow_crabstep,
                                      pair_done=pair_done,
                                      pair_complete=pair_complete,

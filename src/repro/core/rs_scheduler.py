@@ -18,25 +18,23 @@ Two modes, mirroring gallop and crabstep:
   combined S window is streamed through the last frame, charging
   ``|S window|`` loads per R group instead of per R unit.
 
-A metadata pass over S (one sequential scan of the unit boundary
-records) precedes the schedule so window bounds are known in advance.
+A metadata pass over both files (one sequential scan of the unit
+boundary records) precedes the schedule so window bounds are known in
+advance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
-
-import numpy as np
+from functools import partial
+from typing import Tuple
 
 from ..obs.metrics import ensure_metrics
 from ..obs.trace import ensure_tracer
 from ..storage.buffer import BufferPool
-from ..storage.pagefile import PointFile
-from .ego_order import grid_cells, lex_less
-from .scheduler import UnitMeta, schedule_units
 from .sequence import Sequence
 from .sequence_join import JoinContext, join_sequences
+from .units import SortedUnits
 
 
 @dataclass
@@ -59,36 +57,32 @@ class RSScheduleStats:
 class TwoFileScheduler:
     """Schedules unit loads for an external R ⋈ S similarity join.
 
-    Both inputs must already be sorted in epsilon grid order.  Result
-    pairs are emitted as ``(r_id, s_id)``.  Each physical load reads a
-    unit into a :class:`~repro.core.sequence.Sequence` at
-    ``ctx.grid_epsilon``, so a unit's cells are computed once per load
-    and the buffer pools hold them beside its points.
+    Both inputs must already be sorted in epsilon grid order; ``units_r``
+    and ``units_s`` are their I/O units.  Result pairs are emitted as
+    ``(r_id, s_id)``.  Each physical load reads a unit into a
+    :class:`~repro.core.sequence.Sequence` through
+    :meth:`~repro.core.units.SortedUnits.load`, so a unit's cells are
+    computed once per load and the buffer pools hold them beside its
+    points.
     """
 
-    def __init__(self, file_r: PointFile, file_s: PointFile,
-                 ctx: JoinContext, unit_bytes: int,
-                 buffer_units: int) -> None:
+    def __init__(self, units_r: SortedUnits, units_s: SortedUnits,
+                 ctx: JoinContext, buffer_units: int) -> None:
         if buffer_units < 2:
             raise ValueError(
                 f"the scheduler needs at least 2 buffer frames, "
                 f"got {buffer_units}")
-        if file_r.dimensions != file_s.dimensions:
-            raise ValueError(
-                f"dimension mismatch: {file_r.dimensions} vs "
-                f"{file_s.dimensions}")
-        self.file_r = file_r
-        self.file_s = file_s
+        dims_r = units_r.point_file.dimensions
+        dims_s = units_s.point_file.dimensions
+        if dims_r != dims_s:
+            raise ValueError(f"dimension mismatch: {dims_r} vs {dims_s}")
+        self.units_r = units_r
+        self.units_s = units_s
         self.ctx = ctx
-        self.unit_bytes = unit_bytes
         self.buffer_units = buffer_units
         self.stats = RSScheduleStats()
-        self.units_r = schedule_units(file_r, unit_bytes)
-        self.units_s = schedule_units(file_s, unit_bytes)
-        self.n_r = len(self.units_r)
-        self.n_s = len(self.units_s)
-        self.meta_r: List[UnitMeta] = []
-        self.meta_s: List[UnitMeta] = []
+        self.n_r = len(units_r)
+        self.n_s = len(units_s)
         metrics = ensure_metrics(getattr(ctx, "metrics", None))
         self._tracer = ensure_tracer(getattr(ctx, "trace", None))
         reads = metrics.counter(
@@ -109,47 +103,27 @@ class TwoFileScheduler:
             labelnames=("outcome",))
         self._m_pair_joined = pairs.labels("joined")
         self._m_pair_skipped = pairs.labels("skipped")
-        self._pool_r: BufferPool[int, Sequence] = BufferPool(
-            1, self._load_r)
-        self._pool_s: BufferPool[int, Sequence] = BufferPool(
-            max(1, buffer_units - 1), self._load_s)
+        self._pool_r = self._pool("r", 1)
+        self._pool_s = self._pool("s", max(1, buffer_units - 1))
 
     # -- loading -----------------------------------------------------------
 
-    def _load_r(self, ordinal: int) -> Sequence:
-        self.stats.r_loads += 1
-        self._m_read_r.inc()
-        span_args = ({"side": "r", "unit": ordinal}
+    def _pool(self, side: str, capacity: int) -> BufferPool[int, Sequence]:
+        return BufferPool(capacity, partial(self._load, side))
+
+    def _load(self, side: str, ordinal: int) -> Sequence:
+        if side == "r":
+            units = self.units_r
+            self.stats.r_loads += 1
+            self._m_read_r.inc()
+        else:
+            units = self.units_s
+            self.stats.s_loads += 1
+            self._m_read_s.inc()
+        span_args = ({"side": side, "unit": ordinal}
                      if self._tracer.enabled else None)
         with self._tracer.span("load", cat="io", args=span_args):
-            return Sequence(*self.file_r.read_unit(
-                int(self.units_r[ordinal]), self.unit_bytes),
-                self.ctx.grid_epsilon)
-
-    def _load_s(self, ordinal: int) -> Sequence:
-        self.stats.s_loads += 1
-        self._m_read_s.inc()
-        span_args = ({"side": "s", "unit": ordinal}
-                     if self._tracer.enabled else None)
-        with self._tracer.span("load", cat="io", args=span_args):
-            return Sequence(*self.file_s.read_unit(
-                int(self.units_s[ordinal]), self.unit_bytes),
-                self.ctx.grid_epsilon)
-
-    def _collect_meta(self, point_file: PointFile,
-                      unit_ids: np.ndarray) -> List[UnitMeta]:
-        metas = []
-        eps = self.ctx.grid_epsilon
-        for unit in unit_ids:
-            first, last = point_file.unit_record_range(int(unit),
-                                                       self.unit_bytes)
-            _i, first_pt = point_file.read_range(first, 1)
-            _i, last_pt = point_file.read_range(last - 1, 1)
-            self.stats.meta_reads += 2
-            self._m_meta_reads.inc(2)
-            metas.append(UnitMeta(first_cells=grid_cells(first_pt[0], eps),
-                                  last_cells=grid_cells(last_pt[0], eps)))
-        return metas
+            return units.load(ordinal)
 
     # -- window geometry ----------------------------------------------------
 
@@ -159,22 +133,20 @@ class TwoFileScheduler:
         Monotone in the R range, so callers advance ``lo`` with a
         resumable pointer; here it is computed directly.
         """
-        r_first = self.meta_r[r_lo].first_cells
-        r_last_plus = self.meta_r[r_hi].last_plus_eps_cells
+        meta_s = self.units_s.meta
+        r_first = self.units_r.meta[r_lo].first_cells
+        r_last = self.units_r.meta[r_hi]
         lo = 0
-        while lo < self.n_s and lex_less(
-                self.meta_s[lo].last_plus_eps_cells, r_first):
+        while lo < self.n_s and meta_s[lo].below(r_first):
             lo += 1
         hi = lo
-        while hi < self.n_s and not lex_less(
-                r_last_plus, self.meta_s[hi].first_cells):
+        while hi < self.n_s and not r_last.below(meta_s[hi].first_cells):
             hi += 1
         return lo, hi
 
     def _join_units(self, r_unit: int, s_unit: int) -> None:
-        mr, ms = self.meta_r[r_unit], self.meta_s[s_unit]
-        if lex_less(mr.last_plus_eps_cells, ms.first_cells) or \
-                lex_less(ms.last_plus_eps_cells, mr.first_cells):
+        if not self.units_r.meta[r_unit].may_join(
+                self.units_s.meta[s_unit]):
             self.stats.unit_pairs_skipped += 1
             self._m_pair_skipped.inc()
             if self._tracer.enabled:
@@ -196,8 +168,10 @@ class TwoFileScheduler:
         """Execute the schedule; returns the accounting."""
         if self.n_r == 0 or self.n_s == 0:
             return self.stats
-        self.meta_r = self._collect_meta(self.file_r, self.units_r)
-        self.meta_s = self._collect_meta(self.file_s, self.units_s)
+        for units in (self.units_r, self.units_s):
+            reads = units.read_boundaries()
+            self.stats.meta_reads += reads
+            self._m_meta_reads.inc(reads)
         s_pool_size = self._pool_s.capacity
         i = 0
         while i < self.n_r:
@@ -216,14 +190,14 @@ class TwoFileScheduler:
             group_size = max(1, self.buffer_units - 1)
             group_hi = min(self.n_r - 1, i + group_size - 1)
             g_lo, g_hi = self._window_of(i, group_hi)
-            self._pool_r = BufferPool(group_size, self._load_r)
-            self._pool_s = BufferPool(1, self._load_s)
+            self._pool_r = self._pool("r", group_size)
+            self._pool_s = self._pool("s", 1)
             for r in range(i, group_hi + 1):
                 self._pool_r.get(r, pin=True)
             for s in range(g_lo, g_hi):
                 for r in range(i, group_hi + 1):
                     self._join_units(r, s)
-            self._pool_r = BufferPool(1, self._load_r)
-            self._pool_s = BufferPool(s_pool_size, self._load_s)
+            self._pool_r = self._pool("r", 1)
+            self._pool_s = self._pool("s", s_pool_size)
             i = group_hi + 1
         return self.stats

@@ -32,43 +32,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional
-
-import numpy as np
+from typing import Callable, List, Optional
 
 from ..obs.metrics import ensure_metrics
 from ..obs.trace import ensure_tracer
 from ..storage.buffer import BufferPool
-from ..storage.pagefile import PointFile
-from .ego_order import lex_less
 # Imported for its name only: the layer-attribution benchmark
 # (``e2ebench/layers.py``) wraps the cell functions where each module
 # looks them up.
 from .ego_order import grid_cells  # noqa: F401
 from .sequence import Sequence
 from .sequence_join import JoinContext
-
-
-@dataclass
-class UnitMeta:
-    """Grid-cell bounds of one I/O unit (recorded on first load)."""
-
-    first_cells: np.ndarray
-    last_cells: np.ndarray
-
-    @classmethod
-    def of(cls, seq: Sequence) -> "UnitMeta":
-        """Bounds of a loaded unit, read from its first and last cell rows.
-
-        The two rows are copied, so the metadata does not keep the
-        unit's cell array alive after the buffer drops the unit.
-        """
-        return cls(*seq.cells[[0, -1]])
-
-    @property
-    def last_plus_eps_cells(self) -> np.ndarray:
-        """Cells of ``last_point + [ε,…,ε]``: every coordinate shifts by one."""
-        return self.last_cells + 1
+from .units import SortedUnits
 
 
 @dataclass
@@ -89,21 +64,6 @@ class ScheduleStats:
     def total_unit_loads(self) -> int:
         """Physical unit loads issued by the schedule (buffer hits excluded)."""
         return self.gallop_loads + self.crabstep_pins + self.crabstep_reloads
-
-
-def schedule_units(point_file: PointFile, unit_bytes: int) -> np.ndarray:
-    """Ids of the I/O units the schedule runs over, indexed by ordinal.
-
-    Only units in which at least one record starts take part in the
-    schedule: fragmentation can leave units holding nothing but
-    fragments (always the trailing unit; with units smaller than a
-    record also interior ones).
-    """
-    if point_file.count == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = (np.arange(point_file.count, dtype=np.int64)
-              * point_file.record_bytes)
-    return np.unique(starts // unit_bytes)
 
 
 class _BufferObs:
@@ -134,15 +94,13 @@ class EGOScheduler:
 
     Parameters
     ----------
-    point_file:
-        The EGO-sorted input file.
+    units:
+        The I/O units of the EGO-sorted input file; each physical load
+        reads one through :meth:`~repro.core.units.SortedUnits.load`,
+        which computes its cells and records its bounds.
     ctx:
-        Join parameters; each unit is read into a
-        :class:`~repro.core.sequence.Sequence` at ``ctx.grid_epsilon``
-        once per physical load, and unit pairs are joined with
+        Join parameters; unit pairs are joined with
         :func:`~repro.core.sequence_join.join_sequences`.
-    unit_bytes:
-        I/O unit size in bytes.
     buffer_units:
         Number of unit frames available (must be at least 2).
     allow_crabstep:
@@ -171,8 +129,8 @@ class EGOScheduler:
     gallop into crabstep mode — and grown back once the pressure clears.
     """
 
-    def __init__(self, point_file: PointFile, ctx: JoinContext,
-                 unit_bytes: int, buffer_units: int,
+    def __init__(self, units: SortedUnits, ctx: JoinContext,
+                 buffer_units: int,
                  allow_crabstep: bool = True,
                  pair_done: Optional[Callable[[int, int], bool]] = None,
                  pair_complete: Optional[Callable[[int, int], None]] = None,
@@ -181,9 +139,9 @@ class EGOScheduler:
             raise ValueError(
                 f"the scheduler needs at least 2 buffer frames, "
                 f"got {buffer_units}")
-        self.point_file = point_file
+        self.units = units
+        self.num_units = len(units)
         self.ctx = ctx
-        self.unit_bytes = unit_bytes
         self.allow_crabstep = allow_crabstep
         self.pair_done = pair_done
         self.pair_complete = pair_complete
@@ -192,7 +150,6 @@ class EGOScheduler:
             unit_joiner = SerialUnitJoiner(ctx)
         self.unit_joiner = unit_joiner
         self.stats = ScheduleStats()
-        self.meta: Dict[int, UnitMeta] = {}
         # The invariant monitor (ctx.invariants) watches gallop loads,
         # joined unit pairs and buffer pins.  The thrashing variant
         # (allow_crabstep=False) deliberately violates read-once, so the
@@ -238,8 +195,6 @@ class EGOScheduler:
             observer=(self.monitor.buffer_observer()
                       if self.monitor is not None else None),
             metrics=_BufferObs(metrics) if metrics.enabled else None)
-        self.unit_ids = schedule_units(point_file, unit_bytes)
-        self.num_units = len(self.unit_ids)
 
     # -- unit loading and metadata ------------------------------------------
 
@@ -247,12 +202,7 @@ class EGOScheduler:
         span_args = ({"unit": ordinal, "mode": self._mode}
                      if self._tracer.enabled else None)
         with self._tracer.span("load", cat="io", args=span_args):
-            seq = Sequence(*self.point_file.read_unit(
-                int(self.unit_ids[ordinal]), self.unit_bytes),
-                self.ctx.grid_epsilon)
-        if ordinal not in self.meta:
-            self.meta[ordinal] = UnitMeta.of(seq)
-        return seq
+            return self.units.load(ordinal)
 
     def _needed(self, unit: int, frontier: int) -> bool:
         """Lemma-2 test: can ``unit`` contain mates of ``frontier`` or later?
@@ -261,22 +211,8 @@ class EGOScheduler:
         frontier.last`` — then no point of ``unit`` can join any point of
         ``frontier`` or of any unit after it.
         """
-        m = self.meta.get(unit)
-        f = self.meta.get(frontier)
-        if m is None or f is None:
-            return True
-        return not lex_less(m.last_plus_eps_cells, f.last_cells)
-
-    def _units_may_join(self, a: int, b: int) -> bool:
-        """Interval test for a unit pair (the canceled region of Figure 2)."""
-        ma, mb = self.meta.get(a), self.meta.get(b)
-        if ma is None or mb is None:
-            return True
-        if lex_less(ma.last_plus_eps_cells, mb.first_cells):
-            return False
-        if lex_less(mb.last_plus_eps_cells, ma.first_cells):
-            return False
-        return True
+        meta = self.units.meta
+        return not meta[unit].below(meta[frontier].last_cells)
 
     def _join_units(self, a: int, b: int) -> None:
         """Join the resident units ``a`` and ``b`` (``a == b`` is a self-join)."""
@@ -288,7 +224,8 @@ class EGOScheduler:
             if self.monitor is not None:
                 self.monitor.note_unit_pair(a, b)
             return
-        if a != b and not self._units_may_join(a, b):
+        meta = self.units.meta
+        if a != b and not meta[a].may_join(meta[b]):
             self.stats.unit_pairs_skipped += 1
             self._m_pair_skipped.inc()
             if self._tracer.enabled:
@@ -341,7 +278,8 @@ class EGOScheduler:
         # it recorded (inline joiners have nothing queued).
         self.unit_joiner.drain()
         if self.monitor is not None:
-            self.monitor.check_interval_coverage(self.meta, self.num_units)
+            self.monitor.check_interval_coverage(self.units.meta,
+                                                 self.num_units)
             self.monitor.assert_pin_balance()
         return self.stats
 
@@ -368,7 +306,7 @@ class EGOScheduler:
         minimum the schedule needs, so the join completes — more slowly,
         in crabstep mode — rather than aborting.
         """
-        under_pressure = bool(getattr(self.point_file.disk,
+        under_pressure = bool(getattr(self.units.point_file.disk,
                                       "under_pressure", False))
         if under_pressure and self.pool.capacity > 2:
             # Never evict here: after cleanup every resident frame is one
@@ -437,12 +375,10 @@ class EGOScheduler:
         EGO-sorted units are non-decreasing, so the needed units form a
         contiguous range ending at ``unit``.
         """
-        target_first = self.meta[unit].first_cells
+        meta = self.units.meta
+        target_first = meta[unit].first_cells
         low = unit
-        while low > 0:
-            prev = self.meta[low - 1]
-            if lex_less(prev.last_plus_eps_cells, target_first):
-                break
+        while low > 0 and not meta[low - 1].below(target_first):
             low -= 1
         return low
 

@@ -17,10 +17,10 @@ How the decomposition stays exact
    and resumed pairs (``pair_done``) never become events.
 2. **Unidirectional ownership.**  Every event ``(a, b)`` with
    ``a ≤ b`` is owned by the shard containing unit ``b`` (the higher
-   ordinal).  Lemma 2/3 bound ``a`` to ``b``'s ε-interval, so a shard
-   needs only its own units plus a contiguous *fringe* of earlier
-   units — and because ownership is a function of ``b`` alone, no pair
-   is computed by two shards.
+   ordinal).  Because ownership is a function of ``b`` alone, no pair
+   is computed by two shards.  Lemma 2/3 bound ``a`` to ``b``'s
+   ε-interval, so the partners a shard's consecutive events share are
+   few: a worker serves them from a small LRU of unit frames.
 3. **Deterministic merge.**  Event results are merged strictly in
    sequence order: crabstep windows that straddle a shard boundary
    interleave events of adjacent shards, so concatenating shards would
@@ -71,28 +71,17 @@ class UnitPairEvent:
 
 @dataclass
 class ShardSpec:
-    """One planned shard: an owned ordinal range plus its fringe.
+    """One planned shard: an owned ordinal range and its events.
 
     The shard owns units ``[own_lo, own_hi)`` and every event whose
-    higher ordinal falls in that range; ``fringe_lo`` extends the
-    range downward to the earliest partner unit those events reference
-    (``fringe_lo == own_lo`` when no event crosses the lower boundary).
+    higher ordinal falls in that range.
     """
 
     index: int
     own_lo: int
     own_hi: int
-    fringe_lo: int
     events: List[UnitPairEvent] = field(default_factory=list)
     cost: int = 0
-
-    @property
-    def units(self) -> int:
-        return self.own_hi - self.own_lo
-
-    @property
-    def fringe_units(self) -> int:
-        return self.own_lo - self.fringe_lo
 
 
 def event_cost(event: UnitPairEvent, unit_records: Dict[int, int]) -> int:
@@ -150,8 +139,9 @@ def _split_oversized(bounds: List[int], costs: np.ndarray, target: float,
 
     Cut points are chosen to halve the shard's cost, preferring
     positions on ε-cell boundaries (splitting inside a cell would put
-    the two halves of one heavy cell in different shards and every
-    cross pair on the fringe); when the whole shard sits inside one
+    the two halves of one heavy cell in different shards, so every
+    cross pair would load a unit of the other shard); when the whole
+    shard sits inside one
     cell, the best interior position is used instead.
     """
     prefix = np.concatenate([[0], np.cumsum(costs)])
@@ -186,7 +176,7 @@ def plan_shards(num_units: int, events: List[UnitPairEvent],
     ordinal — so the union of the shards' pair streams is exactly the
     serial schedule's.  ``meta`` maps unit ordinals to objects with
     ``first_cells`` / ``last_cells`` (the scheduler's
-    :class:`~repro.core.scheduler.UnitMeta`); without it every position
+    :class:`~repro.core.units.UnitMeta`); without it every position
     counts as a cell boundary.
     """
     if shards < 1:
@@ -199,8 +189,7 @@ def plan_shards(num_units: int, events: List[UnitPairEvent],
     target = int(costs.sum()) / shards
     bounds = _split_oversized(bounds, costs, target,
                               min(num_units, 2 * shards), meta)
-    specs = [ShardSpec(index=i, own_lo=bounds[i], own_hi=bounds[i + 1],
-                       fringe_lo=bounds[i])
+    specs = [ShardSpec(index=i, own_lo=bounds[i], own_hi=bounds[i + 1])
              for i in range(len(bounds) - 1)]
     starts = [s.own_lo for s in specs]
     for ev in events:
@@ -208,6 +197,4 @@ def plan_shards(num_units: int, events: List[UnitPairEvent],
         spec = specs[idx]
         spec.events.append(ev)
         spec.cost += event_cost(ev, unit_records)
-        if ev.a < spec.fringe_lo:
-            spec.fringe_lo = ev.a
     return specs

@@ -7,9 +7,10 @@ only *records* each one as an ordered event ``(seq, a, b)``.  When the
 schedule drains, the events are cut into contiguous unit-range shards
 (:func:`~repro.core.shard.plan_shards`, one cost-balanced target per
 worker), each shard runs as one task on a process pool, and the workers
-read their units straight from the sorted file into
-:class:`~repro.core.sequence.Sequence` objects at the run's grid ε — no
-arrays are shipped.
+reopen the sorted file from its picklable form
+(:class:`~repro.core.units.UnitFileRef`) and load their units through
+it, as :class:`~repro.core.sequence.Sequence` objects at the run's grid
+ε — no arrays are shipped.
 Results are merged strictly in schedule order, so the pair stream,
 durable pair file, journal and metrics are byte-identical to the serial
 join.
@@ -79,17 +80,13 @@ from ..obs.metrics import MetricsRegistry
 from ..storage.buffer import BufferPool
 from ..storage.faults import (InjectedTaskError, WorkerFaultPlan,
                               stable_fraction)
-from ..storage.integrity import (ChecksummedDisk, CorruptPageError,
-                                 page_checksums)
-from ..storage.pagefile import PointFile
-from ..storage.records import RecordCodec
-from ..storage.disk import SimulatedDisk
+from ..storage.integrity import CorruptPageError
 from ..storage.stats import CPUCounters
 from .parallel import UnitJoinSpec
-from .scheduler import UnitMeta, schedule_units
 from .sequence import Sequence
 from .sequence_join import JoinContext
 from .shard import ShardSpec, UnitPairEvent, plan_shards
+from .units import SortedUnits, UnitFileRef, require_file_backed
 
 
 class SupervisorError(RuntimeError):
@@ -243,20 +240,6 @@ def replay_stats(
     return stats
 
 
-def require_file_backed(disk) -> str:
-    """Path of the OS file behind ``disk``, which parallel workers read.
-
-    Raises :class:`ValueError` for a disk with no backing file (a
-    :class:`~repro.storage.disk.MemoryDisk`), so a run can refuse
-    ``workers > 1`` before it sorts or schedules anything.
-    """
-    path = disk.path
-    if not os.path.isfile(path):
-        raise ValueError(f"workers > 1 needs the sorted file on an OS "
-                         f"file; {path!r} is not a file")
-    return path
-
-
 # -- worker side ------------------------------------------------------------
 
 
@@ -272,49 +255,12 @@ def _result_digest(batch: Optional[tuple]) -> int:
     return h
 
 
-class _UnitReader:
-    """Schedule units read straight from the sorted file.
-
-    Each physical read builds the unit's
-    :class:`~repro.core.sequence.Sequence` at ``source["grid_epsilon"]``,
-    so its cells are computed once per load, as in the parent.
-
-    Reads go to the backing file directly, bypassing the parent's disk
-    stack (and its simulated accounting, which stays the serial run's)
-    but not its integrity: when the parent keeps page CRCs, every page
-    is verified against them.  A small LRU of ``buffer_units`` frames —
-    the schedule's own budget — serves the ε-interval partners a
-    shard's consecutive unit pairs share.
-    """
-
-    def __init__(self, source: dict) -> None:
-        disk = SimulatedDisk(path=source["path"])
-        if source["pages"] is not None:
-            page_bytes, table = source["pages"]
-            disk = ChecksummedDisk(disk, page_bytes, sidecar=False,
-                                   pages=table)
-        self._file = PointFile(disk, RecordCodec(source["dimensions"]),
-                               source["count"], source["data_start"])
-        self._unit_ids = source["unit_ids"]
-        self._unit_bytes = source["unit_bytes"]
-        self._grid_epsilon = source["grid_epsilon"]
-        self._pool: BufferPool[int, Sequence] = BufferPool(
-            source["buffer_units"], self._load)
-
-    def _load(self, ordinal: int) -> Sequence:
-        return Sequence(*self._file.read_unit(int(self._unit_ids[ordinal]),
-                                              self._unit_bytes),
-                        self._grid_epsilon)
-
-    def pair(self, a: int, b: int) -> Tuple[Sequence, Sequence]:
-        """The loaded units ``(seq_a, seq_b)``; one object twice for a
-        self pair, as :meth:`~repro.core.parallel.UnitJoinSpec.run`
-        expects."""
-        seq_a = self._pool.get(a)
-        return seq_a, seq_a if a == b else self._pool.get(b)
-
-    def close(self) -> None:
-        self._file.disk.close()
+def _load_pair(pool: BufferPool, a: int, b: int
+               ) -> Tuple[Sequence, Sequence]:
+    """Units ``(a, b)`` through ``pool``; one object twice for a self
+    pair, as :meth:`~repro.core.parallel.UnitJoinSpec.run` expects."""
+    seq_a = pool.get(a)
+    return seq_a, seq_a if a == b else pool.get(b)
 
 
 #: Per-process state of a pool worker, set by its initialiser.
@@ -323,9 +269,13 @@ _UNIT_STATE: dict = {}
 
 def _init_supervised_worker(spec: UnitJoinSpec,
                             worker_plan: Optional[WorkerFaultPlan],
-                            progress, source: dict) -> None:
+                            progress, ref: UnitFileRef,
+                            buffer_units: int) -> None:
+    # An LRU of the schedule's own frame budget serves the ε-interval
+    # partners a shard's consecutive unit pairs share.
     _UNIT_STATE.update(spec=spec, worker_plan=worker_plan,
-                       progress=progress, reader=_UnitReader(source))
+                       progress=progress,
+                       pool=BufferPool(buffer_units, ref.open().load))
 
 
 def _run_shard(slot: int, events: List[Tuple[int, int, int, int]]):
@@ -343,7 +293,7 @@ def _run_shard(slot: int, events: List[Tuple[int, int, int, int]]):
     """
     spec: UnitJoinSpec = _UNIT_STATE["spec"]
     plan: Optional[WorkerFaultPlan] = _UNIT_STATE["worker_plan"]
-    reader: _UnitReader = _UNIT_STATE["reader"]
+    pool: BufferPool = _UNIT_STATE["pool"]
     progress = _UNIT_STATE["progress"]
     outcomes = []
     for seq, a, b, attempt in events:
@@ -357,7 +307,7 @@ def _run_shard(slot: int, events: List[Tuple[int, int, int, int]]):
             time.sleep(plan.stall_seconds)
         # Storage errors (CorruptPageError) escape the task: they are
         # data faults, raised by the join exactly as in the serial run.
-        pair = reader.pair(a, b)
+        pair = _load_pair(pool, a, b)
         try:
             if fault == "error":
                 raise InjectedTaskError(
@@ -447,10 +397,10 @@ class SupervisedUnitJoiner:
         The parent join context results are merged into.
     workers:
         Pool size, and the number of shards the plan targets.
-    point_file, unit_bytes, buffer_units:
-        The EGO-sorted file the scheduler runs over and its geometry;
-        workers read their units from ``point_file``'s backing file,
-        which must be an OS file (:func:`require_file_backed`).
+    units, buffer_units:
+        The I/O units the scheduler runs over and its frame budget;
+        workers reopen the units' file, which must be an OS file
+        (:func:`~repro.core.units.require_file_backed`).
     policy:
         :class:`SupervisorPolicy` (defaults are production-safe).
     worker_plan:
@@ -469,7 +419,7 @@ class SupervisedUnitJoiner:
     """
 
     def __init__(self, ctx: JoinContext, workers: int,
-                 point_file: PointFile, unit_bytes: int, buffer_units: int,
+                 units: SortedUnits, buffer_units: int,
                  policy: Optional[SupervisorPolicy] = None,
                  worker_plan: Optional[WorkerFaultPlan] = None,
                  decision_hook: Optional[
@@ -480,9 +430,8 @@ class SupervisedUnitJoiner:
             raise ValueError("workers must be at least 1")
         self.ctx = ctx
         self.workers = workers
-        self._path = require_file_backed(point_file.disk)
-        self.point_file = point_file
-        self.unit_bytes = unit_bytes
+        require_file_backed(units.point_file.disk)
+        self.units = units
         self.buffer_units = buffer_units
         self.policy = policy if policy is not None else SupervisorPolicy()
         self.worker_plan = worker_plan
@@ -493,14 +442,12 @@ class SupervisedUnitJoiner:
         self._m_degraded = None  # metrics dump must match the serial one
         self._spec = UnitJoinSpec.of(ctx)
         self._tasks: List[_Task] = []
-        # Record count and cell bounds of every submitted unit: the
-        # shard planner's cost model and ε-cell boundaries.
-        self._records: Dict[int, int] = {}
-        self._meta: Dict[int, UnitMeta] = {}
         self._next_emit = 0
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._source: Optional[dict] = None
-        self._reader: Optional[_UnitReader] = None
+        self._ref: Optional[UnitFileRef] = None
+        # The parent's copy of the file for inline joins, and its LRU.
+        self._inline_units: Optional[SortedUnits] = None
+        self._inline_pool: Optional[BufferPool] = None
         self._progress = None
         self._queue: deque = deque()
         self._inflight: Dict[int, _Flight] = {}
@@ -523,7 +470,7 @@ class SupervisedUnitJoiner:
                 max_workers=self.workers,
                 initializer=_init_supervised_worker,
                 initargs=(self._spec, self.worker_plan, self._progress,
-                          self._source))
+                          self._ref, self.buffer_units))
         return self._pool
 
     def _kill_pool(self) -> None:
@@ -556,9 +503,9 @@ class SupervisedUnitJoiner:
         # and then tasks may still be in flight: kill, don't wait — a
         # hung worker must not turn an error into a deadlock.
         self._kill_pool()
-        if self._reader is not None:
-            self._reader.close()
-            self._reader = None
+        if self._inline_units is not None:
+            self._inline_units.close()
+            self._inline_units = self._inline_pool = None
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -615,16 +562,11 @@ class SupervisedUnitJoiner:
         ``key`` is the pair's unit ordinals ``(a, b)`` with ``a ≤ b``
         (the scheduler passes the lower ordinal's sequence first); it
         keys the worker's reads, fault decisions, backoff jitter and the
-        journal's decision log.  The sequences are not kept: only each
-        unit's record count and first/last cell rows, for the shard
-        planner.
+        journal's decision log.  The sequences are not kept: workers load
+        the units again from the file.
         """
-        a, b = int(key[0]), int(key[1])
-        for unit, seq in ((a, seq_a), (b, seq_b)):
-            if unit not in self._meta:
-                self._records[unit] = len(seq)
-                self._meta[unit] = UnitMeta.of(seq)
-        self._tasks.append(_Task(len(self._tasks), (a, b), on_complete))
+        self._tasks.append(_Task(len(self._tasks),
+                                 (int(key[0]), int(key[1])), on_complete))
 
     @property
     def events(self) -> List[UnitPairEvent]:
@@ -653,16 +595,11 @@ class SupervisedUnitJoiner:
 
     def _plan(self) -> List[ShardSpec]:
         """Shard the unmerged unit pairs, one balanced target per worker."""
-        pf = self.point_file
-        unit_ids = schedule_units(pf, self.unit_bytes)
-        self._source = {"path": self._path, "data_start": pf.data_start,
-                        "dimensions": pf.dimensions, "count": pf.count,
-                        "unit_ids": unit_ids, "unit_bytes": self.unit_bytes,
-                        "buffer_units": self.buffer_units,
-                        "grid_epsilon": self.ctx.grid_epsilon,
-                        "pages": page_checksums(pf.disk)}
-        specs = plan_shards(len(unit_ids), self.events[self._next_emit:],
-                            self._records, self.workers, self._meta)
+        units = self.units
+        self._ref = units.ref()
+        specs = plan_shards(len(units), self.events[self._next_emit:],
+                            dict(enumerate(units.records)),
+                            self.workers, units.meta)
         return [s for s in specs if s.events]
 
     def _dispatch(self) -> None:
@@ -830,9 +767,11 @@ class SupervisedUnitJoiner:
         is a :class:`TaskPoisonedError`.  Degraded-mode pairs retry
         through the same blame ladder until they succeed or quarantine.
         """
-        if self._reader is None:
-            self._reader = _UnitReader(self._source)
-        pair = self._reader.pair(*task.key)
+        if self._inline_units is None:
+            self._inline_units = self._ref.open()
+            self._inline_pool = BufferPool(self.buffer_units,
+                                           self._inline_units.load)
+        pair = _load_pair(self._inline_pool, *task.key)
         while True:
             if task.quarantined:
                 try:

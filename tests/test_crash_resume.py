@@ -152,10 +152,11 @@ class TestResumeConfiguration:
         return uniform(3000, 4, seed=0)
 
     @staticmethod
-    def join(points, epsilon, ck, buffer_units=6, **kwargs):
+    def join(points, epsilon, ck, buffer_units=6, unit_bytes=4096,
+             **kwargs):
         with SimulatedDisk() as disk:
             pf = make_file(disk, points)
-            return ego_self_join_file(pf, epsilon, unit_bytes=4096,
+            return ego_self_join_file(pf, epsilon, unit_bytes=unit_bytes,
                                       buffer_units=buffer_units,
                                       checkpoint_dir=ck, **kwargs)
 
@@ -192,7 +193,9 @@ class TestResumeConfiguration:
         ({"minlen": 8}, "kernel"), ({"metric": "manhattan"}, "kernel"),
         ({"split_strategy": "boundary"}, "kernel"),
         ({"buffer_units": 5}, "buffer_units"),
-        ({"sort_memory_records": 500}, "sort_memory_records")],
+        # The sort's memory follows the unit geometry; the journal
+        # names it among the differing keys.
+        ({"unit_bytes": 2048}, "sort_memory_records")],
         ids=["minlen", "metric", "split_strategy", "buffer_units",
              "sort_memory_records"])
     def test_other_parameters_refused(self, points, tmp_path, change, key):

@@ -131,27 +131,15 @@ class TestExternalSelfJoin:
             with pytest.raises(RuntimeError):
                 report.result.pairs()
 
-    def test_explicit_disks_reused(self, rng):
-        pts = rng.random((80, 2))
-        with SimulatedDisk() as disk, SimulatedDisk() as sorted_disk, \
-                SimulatedDisk() as scratch:
-            pf = make_file(disk, pts)
-            report = ego_self_join_file(pf, 0.3, unit_bytes=512,
-                                        buffer_units=4,
-                                        sorted_disk=sorted_disk,
-                                        scratch_disk=scratch)
-            assert report.result.canonical_pair_set() == brute_truth(
-                pts, 0.3)
-            assert sorted_disk.counters.bytes_written > 0
-
     def test_small_sort_memory_forces_multiple_runs(self, rng):
+        # The sort works in the join's budget: two 512-byte units hold
+        # 42 of the 24-byte records, so 150 records make four runs.
         pts = rng.random((150, 2))
         with SimulatedDisk() as disk:
             pf = make_file(disk, pts)
             report = ego_self_join_file(pf, 0.3, unit_bytes=512,
-                                        buffer_units=4,
-                                        sort_memory_records=20)
-            assert report.sort_stats.runs_generated > 1
+                                        buffer_units=2)
+            assert report.sort_stats.runs_generated == 4
             assert (report.result.canonical_pair_set()
                     == brute_truth(pts, 0.3))
 

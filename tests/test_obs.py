@@ -22,6 +22,7 @@ from repro.core.ego_order import ego_sorted, lex_less
 from repro.core.result import JoinResult
 from repro.core.scheduler import EGOScheduler
 from repro.core.sequence_join import JoinContext
+from repro.core.units import SortedUnits
 from repro.obs import (NULL_INSTRUMENT, NULL_METRICS, NULL_SPAN,
                        NULL_TRACER, MetricsRegistry, ensure_metrics,
                        ensure_tracer)
@@ -41,7 +42,8 @@ def run_schedule(points, epsilon, unit_bytes, buffer_units,
         pf = PointFile.open(disk)
         ctx = JoinContext(epsilon=epsilon, result=JoinResult(),
                           metrics=registry, invariants=invariants)
-        scheduler = EGOScheduler(pf, ctx, unit_bytes, buffer_units)
+        scheduler = EGOScheduler(SortedUnits(pf, unit_bytes, epsilon), ctx,
+                                 buffer_units)
         stats = scheduler.run()
     return registry, ctx, scheduler, stats
 
@@ -250,7 +252,7 @@ class TestFigure4WindowModel:
                                                buffer_units)
         # The model consumes the same boundary metadata the scheduler
         # recorded, but replays the schedule independently.
-        metas = [sched.meta[k] for k in range(sched.num_units)]
+        metas = [sched.units.meta[k] for k in range(sched.num_units)]
         gallop, pins, reloads, phases = figure4_model(metas, buffer_units)
         assert stats.crabstep_phases > 0
         assert reads(reg, "gallop") == gallop

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.analysis.optimizer import (backward_fraction, calibrate_cpu,
-                                      choose_unit_size, estimate_ego_join,
-                                      interval_fraction)
+from repro.analysis.optimizer import (backward_fraction, budget_geometry,
+                                      calibrate_cpu, choose_unit_size,
+                                      estimate_ego_join, interval_fraction)
 from repro.analysis.costmodel import DEFAULT_CPU_MODEL
 from repro.core.ego_join import ego_self_join_file
 from repro.data.loader import make_point_file
@@ -107,6 +107,22 @@ class TestCalibrateCpu:
     def test_rejects_tiny_sample(self):
         with pytest.raises(ValueError):
             calibrate_cpu(np.zeros((1, 2)), 0.2, 100)
+
+
+class TestBudgetGeometry:
+    """``(budget_bytes, unit_bytes, buffer_units)``; d = 8 records are
+    72 bytes, so the floors are a 288-byte budget, 1152-byte units and
+    two frames."""
+
+    @pytest.mark.parametrize("n, fraction, expected", [
+        (10_000, 0.1, (72_000, 9_000, 8)),   # no floor binds
+        (1_000, 0.1, (7_200, 1_152, 6)),     # unit floor: 16 records
+        (100, 0.1, (720, 1_152, 2)),         # frame floor: 2 units
+        (1, 0.1, (288, 1_152, 2)),           # budget floor: 4 records
+        (10_000, 0.05, (36_000, 4_500, 8)),
+    ])
+    def test_values(self, n, fraction, expected):
+        assert budget_geometry(n, 8, fraction) == expected
 
 
 class TestChooseUnitSize:

@@ -18,6 +18,7 @@ from repro.core.scheduler import EGOScheduler
 from repro.core.sequence_join import JoinContext
 from repro.core.shard import plan_shards
 from repro.core.supervisor import SupervisedUnitJoiner
+from repro.core.units import SortedUnits
 from repro.storage.disk import SimulatedDisk
 
 from conftest import brute_truth, make_file
@@ -46,10 +47,10 @@ def recorded_schedule(points, eps):
     with SimulatedDisk() as disk:
         pf = make_file(disk, pts, ids)
         ctx = JoinContext(epsilon=eps, result=result)
-        with SupervisedUnitJoiner(ctx, workers=2, point_file=pf,
-                                  unit_bytes=UNIT_BYTES,
+        units = SortedUnits(pf, UNIT_BYTES, eps)
+        with SupervisedUnitJoiner(ctx, workers=2, units=units,
                                   buffer_units=BUFFER_UNITS) as joiner:
-            scheduler = EGOScheduler(pf, ctx, UNIT_BYTES, BUFFER_UNITS,
+            scheduler = EGOScheduler(units, ctx, BUFFER_UNITS,
                                      unit_joiner=joiner)
             scheduler.run()
     assert result.canonical_pair_set() == brute_truth(points, eps)
@@ -80,7 +81,7 @@ class TestChunkBoundaries:
     def test_more_chunks_than_records(self, rng):
         num_units, specs = self.plan(rng, 10 ** 4)
         assert 1 < len(specs) <= num_units
-        assert all(s.units >= 1 for s in specs)
+        assert all(s.own_hi > s.own_lo for s in specs)
 
     def test_zero_records(self):
         joiner, scheduler = recorded_schedule(np.empty((0, 3)), 0.2)
@@ -92,7 +93,8 @@ class TestChunkBoundaries:
         with SimulatedDisk() as disk:
             pf = make_file(disk, np.zeros((2, 3)))
             with pytest.raises(ValueError):
-                SupervisedUnitJoiner(ctx, 0, pf, UNIT_BYTES, BUFFER_UNITS)
+                SupervisedUnitJoiner(ctx, 0, SortedUnits(pf, UNIT_BYTES, 0.2),
+                                     BUFFER_UNITS)
 
 
 class TestBuildTasks:

@@ -162,14 +162,3 @@ class TestSortedFileOnMemory:
                                    buffer_units=BUFFER_UNITS, workers=2,
                                    assume_sorted=True)
             assert disk.counters.bytes_read == before
-
-    def test_memory_sorted_disk_refused(self, dataset):
-        with SimulatedDisk() as disk, MemoryDisk() as sorted_disk:
-            pf = make_file(disk, dataset)
-            before = disk.counters.bytes_read
-            with pytest.raises(ValueError, match="OS file"):
-                ego_self_join_file(pf, EPSILON, unit_bytes=UNIT_BYTES,
-                                   buffer_units=BUFFER_UNITS, workers=2,
-                                   sorted_disk=sorted_disk)
-            assert disk.counters.bytes_read == before
-            assert sorted_disk.counters.bytes_written == 0

@@ -8,8 +8,8 @@ from repro.core.ego_join import ego_join, ego_join_files
 from repro.core.ego_order import ego_sorted
 from repro.core.result import JoinResult
 from repro.core.rs_scheduler import TwoFileScheduler
-from repro.core.scheduler import schedule_units
 from repro.core.sequence_join import JoinContext, KernelConfig
+from repro.core.units import SortedUnits
 from repro.obs.trace import Tracer
 from repro.storage.disk import SimulatedDisk
 from repro.storage.pagefile import PointFile
@@ -39,17 +39,32 @@ def expected_pairs(r, s, epsilon):
     return out
 
 
+def scheduler(fr, fs, ctx, unit_bytes, buffer_units):
+    eps = ctx.grid_epsilon
+    return TwoFileScheduler(SortedUnits(fr, unit_bytes, eps),
+                            SortedUnits(fs, unit_bytes, eps), ctx,
+                            buffer_units)
+
+
 class TestScheduledUnits:
     def test_counts_units_with_record_starts(self, temp_disk, rng):
         pf = make_file(temp_disk, rng.random((20, 1)))  # 16-byte records
-        assert len(schedule_units(pf, 16)) == 20
-        assert len(schedule_units(pf, 64)) == 5
-        assert len(schedule_units(pf, 10_000)) == 1
+        before = pf.disk.counters.bytes_read
+        assert len(SortedUnits(pf, 16, 0.5)) == 20
+        assert len(SortedUnits(pf, 64, 0.5)) == 5
+        assert len(SortedUnits(pf, 10_000, 0.5)) == 1
+        # Record counts come from the file geometry, without I/O:
+        # 64-byte units hold four records each; 8-byte units are smaller
+        # than a record, so every second one holds only a fragment and
+        # is not scheduled.
+        assert SortedUnits(pf, 64, 0.5).records == [4] * 5
+        assert SortedUnits(pf, 8, 0.5).records == [1] * 20
+        assert pf.disk.counters.bytes_read == before
 
     def test_empty_file(self, temp_disk):
         pf = PointFile.create(temp_disk, 2)
         pf.close()
-        assert len(schedule_units(pf, 64)) == 0
+        assert len(SortedUnits(pf, 64, 0.5)) == 0
 
 
 class TestTwoFileScheduler:
@@ -60,8 +75,8 @@ class TestTwoFileScheduler:
         try:
             result = JoinResult()
             ctx = JoinContext(epsilon=eps, result=result, kernel=KernelConfig(minlen=8))
-            sched = TwoFileScheduler(fr, fs, ctx, unit_bytes=8192,
-                                     buffer_units=16)
+            sched = scheduler(fr, fs, ctx, unit_bytes=8192,
+                              buffer_units=16)
             stats = sched.run()
             assert stats.block_phases == 0
             assert result.pair_set() == expected_pairs(r, s, eps)
@@ -76,8 +91,8 @@ class TestTwoFileScheduler:
         try:
             result = JoinResult()
             ctx = JoinContext(epsilon=eps, result=result, kernel=KernelConfig(minlen=8))
-            sched = TwoFileScheduler(fr, fs, ctx, unit_bytes=400,
-                                     buffer_units=2)
+            sched = scheduler(fr, fs, ctx, unit_bytes=400,
+                              buffer_units=2)
             stats = sched.run()
             assert stats.block_phases > 0
             assert result.pair_set() == expected_pairs(r, s, eps)
@@ -96,8 +111,8 @@ class TestTwoFileScheduler:
             tracer = Tracer()
             ctx = JoinContext(epsilon=eps, result=JoinResult(),
                               kernel=KernelConfig(minlen=8), trace=tracer)
-            stats = TwoFileScheduler(fr, fs, ctx, unit_bytes=200,
-                                     buffer_units=4).run()
+            stats = scheduler(fr, fs, ctx, unit_bytes=200,
+                              buffer_units=4).run()
             skips = [e for e in tracer.events
                      if e["ph"] == "i" and e["name"] == "skip"]
             assert stats.unit_pairs_skipped > 0
@@ -116,8 +131,8 @@ class TestTwoFileScheduler:
         disks, (fr, fs) = make_files(r, s, eps)
         try:
             ctx = JoinContext(epsilon=eps, result=JoinResult(), kernel=KernelConfig(minlen=8))
-            sched = TwoFileScheduler(fr, fs, ctx, unit_bytes=512,
-                                     buffer_units=16)
+            sched = scheduler(fr, fs, ctx, unit_bytes=512,
+                              buffer_units=16)
             stats = sched.run()
             assert stats.r_loads == sched.n_r
             assert stats.s_loads <= sched.n_s
@@ -132,7 +147,7 @@ class TestTwoFileScheduler:
         try:
             ctx = JoinContext(epsilon=eps, result=JoinResult())
             with pytest.raises(ValueError):
-                TwoFileScheduler(fr, fs, ctx, 512, 1)
+                scheduler(fr, fs, ctx, 512, 1)
         finally:
             for d in disks:
                 d.close()
@@ -143,7 +158,7 @@ class TestTwoFileScheduler:
             fs = make_file(d2, rng.random((5, 3)))
             ctx = JoinContext(epsilon=0.3, result=JoinResult())
             with pytest.raises(ValueError):
-                TwoFileScheduler(fr, fs, ctx, 512, 4)
+                scheduler(fr, fs, ctx, 512, 4)
 
 
 class TestEgoJoinFiles:

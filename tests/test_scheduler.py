@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.ego_join import ego_key_function
 from repro.core.result import JoinResult
-from repro.core.scheduler import EGOScheduler, lex_less
+from repro.core.ego_order import lex_less
+from repro.core.scheduler import EGOScheduler
 from repro.core.sequence_join import JoinContext, KernelConfig
+from repro.core.units import SortedUnits
 from repro.obs.trace import Tracer
 from repro.sorting.external_sort import external_sort
 from repro.storage.disk import SimulatedDisk
@@ -30,7 +32,8 @@ def run_schedule(points, epsilon, unit_bytes, buffer_units,
         pf = sorted_file(disk, points, epsilon)
         result = JoinResult()
         ctx = JoinContext(epsilon=epsilon, result=result, kernel=KernelConfig(minlen=8))
-        stats = EGOScheduler(pf, ctx, unit_bytes, buffer_units,
+        stats = EGOScheduler(SortedUnits(pf, unit_bytes, epsilon), ctx,
+                             buffer_units,
                              allow_crabstep=allow_crabstep).run()
         pairs = result.canonical_pair_set()
         io = disk.counters.snapshot()
@@ -112,7 +115,7 @@ class TestCorrectness:
             pf = PointFile.create(disk, 2)
             pf.close()
             ctx = JoinContext(epsilon=0.5, result=JoinResult())
-            stats = EGOScheduler(pf, ctx, 256, 4).run()
+            stats = EGOScheduler(SortedUnits(pf, 256, 0.5), ctx, 4).run()
             assert stats.total_unit_loads == 0
 
     def test_single_unit_file(self, rng):
@@ -131,7 +134,8 @@ class TestSchedulingBehaviour:
         with SimulatedDisk() as disk:
             pf = sorted_file(disk, pts, eps)
             ctx = JoinContext(epsilon=eps, result=JoinResult(), kernel=KernelConfig(minlen=8))
-            sched = EGOScheduler(pf, ctx, unit_bytes=400, buffer_units=32)
+            sched = EGOScheduler(SortedUnits(pf, 400, eps), ctx,
+                                 buffer_units=32)
             stats = sched.run()
             assert stats.gallop_loads == sched.num_units
             assert stats.crabstep_phases == 0
@@ -172,7 +176,7 @@ class TestSchedulingBehaviour:
             pf = sorted_file(disk, rng.random((10, 2)), 0.5)
             ctx = JoinContext(epsilon=0.5, result=JoinResult())
             with pytest.raises(ValueError):
-                EGOScheduler(pf, ctx, 256, 1)
+                EGOScheduler(SortedUnits(pf, 256, 0.5), ctx, 1)
 
 
 class TestWithExternalSort:
@@ -187,7 +191,8 @@ class TestWithExternalSort:
                                    ego_key_function(eps),
                                    memory_records=40)
             ctx = JoinContext(epsilon=eps, result=JoinResult(), kernel=KernelConfig(minlen=8))
-            EGOScheduler(out, ctx, unit_bytes=512, buffer_units=4).run()
+            EGOScheduler(SortedUnits(out, 512, eps), ctx,
+                         buffer_units=4).run()
             assert ctx.result.canonical_pair_set() == brute_truth(pts, eps)
 
 
@@ -198,7 +203,8 @@ def traced_schedule(points, epsilon, unit_bytes, buffer_units):
         pf = sorted_file(disk, points, epsilon)
         ctx = JoinContext(epsilon=epsilon, result=JoinResult(),
                           kernel=KernelConfig(minlen=8), trace=tracer)
-        stats = EGOScheduler(pf, ctx, unit_bytes, buffer_units).run()
+        stats = EGOScheduler(SortedUnits(pf, unit_bytes, epsilon), ctx,
+                             buffer_units).run()
     return tracer, stats
 
 

@@ -181,8 +181,8 @@ class TestCellComputationCalls:
 
     #: Every name the join phase looks a cell function up by.  The sort
     #: (``repro.core.ego_join``) and the R join S metadata pass
-    #: (``repro.core.rs_scheduler``) compute their own cells and are
-    #: not counted.
+    #: (``repro.core.units``) compute their own cells and are not
+    #: counted.
     PATCHED = (("repro.core.sequence", "floor_cells"),
                ("repro.core.sequence", "grid_cells"),
                ("repro.core.kernels", "floor_cells"),

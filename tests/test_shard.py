@@ -21,6 +21,7 @@ from repro.core.shard import (OVERSIZE_FACTOR, UnitPairEvent, event_cost,
                               plan_shards)
 from repro.core.supervisor import (PoolFailureError, SupervisedUnitJoiner,
                                    SupervisorPolicy)
+from repro.core.units import SortedUnits
 from repro.joins.lsh_join import BUCKET_DISKS
 from repro.storage.disk import SimulatedDisk
 from repro.storage.faults import (FaultPlan, SimulatedCrash,
@@ -103,17 +104,6 @@ class TestPlanner:
         for s in specs:
             for ev in s.events:
                 assert s.own_lo <= ev.b < s.own_hi
-                assert ev.a >= s.fringe_lo
-
-    def test_fringe_covers_lowest_partner(self):
-        events = chain_events(8, span=3)
-        records = {u: 10 for u in range(8)}
-        specs = plan_shards(8, events, records, 2)
-        # The second shard's events reach back across its lower bound.
-        assert specs[1].fringe_lo == min(
-            ev.a for ev in specs[1].events)
-        assert specs[1].fringe_units == specs[1].own_lo - specs[1].fringe_lo
-        assert specs[1].fringe_units > 0
 
     def test_adaptive_beats_uniform_on_heavy_cluster(self):
         # One unit holds 100x the records of the rest: an equal-width
@@ -148,7 +138,7 @@ class TestPlanner:
         # near-uniform plan without loops or zero-width shards.
         records = {u: 50 for u in range(12)}
         specs = plan_shards(12, chain_events(12), records, 4)
-        assert all(s.units >= 1 for s in specs)
+        assert all(s.own_hi > s.own_lo for s in specs)
         total = sum(s.cost for s in specs)
         assert max(s.cost for s in specs) <= OVERSIZE_FACTOR * total / 4 \
             + max(event_cost(ev, records) for ev in chain_events(12))
@@ -166,7 +156,8 @@ class TestPlanner:
         ids, pts = np.arange(2), np.zeros((2, 4))
         seq, other = Sequence(ids, pts, EPS), Sequence(ids, pts, EPS)
         with SimulatedDisk() as disk, SupervisedUnitJoiner(
-                ctx, 2, make_file(disk, pts), 4096, 2) as joiner:
+                ctx, 2, SortedUnits(make_file(disk, pts), 4096, EPS),
+                2) as joiner:
             joiner.submit(seq, seq, key=(3, 3))
             joiner.submit(seq, other, key=(2, 5))
             assert [(ev.seq, ev.a, ev.b) for ev in joiner.events] == \

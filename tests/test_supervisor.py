@@ -376,12 +376,14 @@ class TestJoinerLifecycle:
         from repro.core.result import JoinResult
         from repro.core.sequence_join import JoinContext
         from repro.core.supervisor import SupervisedUnitJoiner
+        from repro.core.units import SortedUnits
         ctx = JoinContext(epsilon=EPSILON, result=JoinResult())
         with SerialUnitJoiner(ctx) as joiner:
             joiner.drain()
         with SimulatedDisk() as disk:
             pf = make_file(disk, dataset)
-            with SupervisedUnitJoiner(ctx, 2, pf, 4096, 2) as joiner:
+            with SupervisedUnitJoiner(
+                    ctx, 2, SortedUnits(pf, 4096, EPSILON), 2) as joiner:
                 joiner.drain()
 
     def test_pool_released_when_schedule_crashes(self, dataset, tmp_path):

@@ -19,7 +19,7 @@ from repro.core import sequence_join
 from repro.core.ego_join import ego_self_join
 from repro.core.ego_order import lex_less
 from repro.core.result import JoinResult
-from repro.core.scheduler import EGOScheduler, UnitMeta
+from repro.core.units import UnitMeta
 from repro.core.sequence_join import JoinContext
 from repro.verify import (
     DEFAULT_CONFIGS,
@@ -277,19 +277,12 @@ class TestMutationSmoke:
             ego_self_join(wl.points, 0.3, invariants=True)
 
     def test_scheduler_bound_caught_by_coverage(self, monkeypatch):
-        def broken_units_may_join(self, a, b):
-            ma, mb = self.meta.get(a), self.meta.get(b)
-            if ma is None or mb is None:
-                return True
+        def broken_may_join(self, other):
             # Mutation: compare raw last cells, without the ε widening.
-            if lex_less(ma.last_cells, mb.first_cells):
-                return False
-            if lex_less(mb.last_cells, ma.first_cells):
-                return False
-            return True
+            return not (lex_less(self.last_cells, other.first_cells)
+                        or lex_less(other.last_cells, self.first_cells))
 
-        monkeypatch.setattr(EGOScheduler, "_units_may_join",
-                            broken_units_may_join)
+        monkeypatch.setattr(UnitMeta, "may_join", broken_may_join)
         wl = generate_workload("uniform", 120, 3, EPS, seed=3)
         with pytest.raises(InvariantViolation, match="never joined"):
             run_impl("ego_external", wl.points, EPS, storage="plain",
