@@ -13,8 +13,8 @@ and reports wall-clock seconds per call:
 Also measures the external self-join wall clock at ``workers`` 1 vs 4
 on a Figure-9-style workload, so the parallel unit-pair join's benefit
 (or, on a single-core machine, its overhead) is recorded honestly, and
-whole in-memory self-joins per engine, where ``auto``'s one gather pass
-per flush competes with the per-leaf ``vector`` engine.
+whole in-memory self-joins per engine, where ``auto``'s GEMM tile
+leaves compete with the per-leaf ``vector`` engine.
 
 Run as a script for the committed tables, ``--tiny`` for the CI smoke
 configuration; results land in ``results/bench_kernels.txt`` and are
@@ -51,9 +51,9 @@ TINY_DIMENSIONS = [4, 8]
 EPSILON = 0.25
 
 #: Figure-9-style end-to-end points for the auto-vs-vector comparison:
-#: ``(n, d, eps, minlen)``.  Small ``minlen`` is the regime the gather
-#: pass targets — many small leaves whose per-leaf dispatch it replaces
-#: with one gather pass per flush.
+#: ``(n, d, eps, minlen)``.  Small ``minlen`` is the regime the tile
+#: leaves target — many small ``vector`` leaves whose per-leaf dispatch
+#: ``auto`` replaces with one GEMM per tile.
 BATCHED_POINTS = [(3000, 8, 0.3, 16), (3000, 8, 0.3, 32),
                   (2000, 16, 0.5, 16)]
 TINY_BATCHED_POINTS = [(800, 8, 0.3, 16)]
@@ -139,7 +139,7 @@ def measure_workers(n=6000, worker_counts=(1, 4), repeats=1, seed=777):
 
 def measure_batched_e2e(points_list, repeats=2, seed=99):
     """End-to-end in-memory self-join: the per-leaf ``vector`` engine vs
-    ``auto``'s gather pass, one row per Figure-9-style point."""
+    ``auto``'s GEMM tile leaves, one row per Figure-9-style point."""
     from repro.core.ego_join import ego_self_join
     rows = []
     for n, d, eps, minlen in points_list:
@@ -180,7 +180,7 @@ def run_suite(tiny=False):
          worker_rows)
     emit("bench_kernels_batched",
          "End-to-end self-join wall clock: the per-leaf vector engine "
-         "vs auto's gather pass",
+         "vs auto's GEMM tile leaves",
          batched_rows,
          time_columns=["vector", "auto"],
          reference="auto")
@@ -190,7 +190,7 @@ def run_suite(tiny=False):
 def test_kernel_sweep(benchmark):
     tiny = TINY
     kernel_rows, _, batched_rows = run_suite(tiny=tiny)
-    # Acceptance bar for the gather pass: auto beats the per-leaf
+    # Acceptance bar for the tile leaves: auto beats the per-leaf
     # vector engine end-to-end on at least one Figure-9-style point.
     assert any(r["auto"] < r["vector"] for r in batched_rows), \
         batched_rows

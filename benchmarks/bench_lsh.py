@@ -18,12 +18,14 @@ merely charted: on the high-d/large-ε uniform workload the LSH join is
 * precision exactly 1.0 (zero pairs outside the exact result).
 
 The claim has a lower size limit.  At d = 16 and ε = 0.7 the crossover
-is near n = 2000: below it the LSH join's fixed costs (hashing, bucket
-files, per-table passes) outweigh what it saves, and the two joins run
-about level (0.6–1.1× at n = 1500 and 2000 over repeated runs); by
-n = 3000 LSH is clearly ahead (about 1.7×).  So the tiny run measures
-n = 3000 against a 1.2× floor, and the full run n = 3000 and 6000
-against 2.0×.
+is between n = 6000 and 10⁴: below it the LSH join's fixed costs
+(hashing, bucket files, per-table passes) outweigh what it saves
+against an exact join that decides each leaf as one GEMM tile (0.35–
+0.53× at n = 3000 and 0.65–0.79× at 6000 over three runs), at 10⁴ the
+two are near level (1.19–1.24×), and by n = 1.5·10⁴ LSH is clearly
+ahead (1.35–1.57×; 2.28–2.35× at 3·10⁴; table in ``docs/LSH.md``).
+So the tiny run measures n = 1.5·10⁴ against a 1.2× floor, and the
+full run n = 1.5·10⁴ and 3·10⁴ against 2.0×.
 
 Usage: ``python benchmarks/bench_lsh.py [--tiny]`` appends one record
 to ``results/BENCH_lsh.json`` (record_kernels.py style).
@@ -98,7 +100,7 @@ def run_point(n: int) -> dict:
 
 
 def run_suite(tiny: bool = False):
-    sizes = [3000] if tiny else [3000, 6000]
+    sizes = [15000] if tiny else [15000, 30000]
     return [run_point(n) for n in sizes]
 
 

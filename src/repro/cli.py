@@ -636,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="euclidean | manhattan | chebyshev")
     j.add_argument("--engine", default="auto",
                    choices=["auto", "vector", "scalar"],
-                   help="leaf distance kernel (auto: the gather pass on "
+                   help="leaf distance kernel (auto: GEMM tile leaves on "
                         "euclidean data, vector otherwise)")
     j.add_argument("--impl", default="ego",
                    choices=["ego", "lsh", "auto"],

@@ -13,15 +13,17 @@ sequences: a node reads the first and last cell rows of its ranges
 builds no sub-sequence object, so the join needs no search structure
 at all.  Its memory is one cell row per point, the recursion stack (as
 the paper emphasises in Section 4.1), and — for the ``auto`` engine
-on Euclidean data — a leaf buffer bounded at ``DEFAULT_BATCH_VOLUME``
-candidate pairs (see :class:`~repro.core.kernels.LeafBatch`).
+on Euclidean data — one GEMM tile of scratch per context
+(:class:`~repro.core.kernels.ScratchBuffers`).
 
-There is one Euclidean leaf path: under ``auto`` every leaf is recorded
-in the batch and decided by the gather pass of
-:func:`~repro.core.kernels.pairs_within_batched`.  ``vector`` and
-``scalar`` evaluate each leaf on its own, and ``auto`` runs ``vector``
-for any other metric.  A join resolves its engine once, so it records
-all of its leaves or none.
+Section 4.1 leaves the best leaf size to the implementation.  Under
+``auto`` on Euclidean data a leaf is one GEMM tile: every pruning test
+runs above tile size, and a node pair of at most ``DEFAULT_BLOCK²``
+candidate pairs is decided by one
+:func:`~repro.core.kernels.pairs_within_matmul` call instead of being
+split further.  ``vector`` and ``scalar`` recurse down to ``minlen``
+and evaluate each leaf with the early-abort test of Figure 7, and
+``auto`` runs ``vector`` for any other metric.
 """
 
 from __future__ import annotations
@@ -37,16 +39,21 @@ from ..storage.stats import CPUCounters
 from .distance import (dimension_ordering, natural_ordering,
                        pairs_within_scalar, pairs_within_vector)
 from .ego_order import validate_epsilon
-from .kernels import LeafBatch, pairs_within_batched
-# Unused here: e2ebench/layers.py wraps these two names in this module.
-from .kernels import candidate_windows, pairs_within_matmul  # noqa: F401
+from .kernels import DEFAULT_BLOCK, ScratchBuffers, pairs_within_matmul
+# Unused here: e2ebench/layers.py wraps this name in this module.
+from .kernels import candidate_windows  # noqa: F401
 from .metrics import Metric, get_metric
 from .result import JoinResult
 from .sequence import Sequence
 
-#: Default leaf size.  The paper reports CPU-optimal sequence sizes below
-#: ten points for its C implementation; in this numpy-based reproduction
-#: larger leaves amortise per-call overhead, so the default is higher.
+# Name only, called by nothing: e2ebench/layers.py wraps a kernel by
+# this name in this module.
+pairs_within_batched = pairs_within_matmul
+
+#: Default leaf size of the Figure-7 engines (``scalar``/``vector``).
+#: The paper reports CPU-optimal sequence sizes below ten points for its
+#: C implementation; in this numpy-based reproduction larger leaves
+#: amortise per-call overhead, so the default is higher.
 #: ``benchmarks/bench_ablation_minlen.py`` sweeps this parameter.
 DEFAULT_MINLEN = 32
 
@@ -82,11 +89,13 @@ class KernelConfig:
 
     ``engine`` picks the leaf distance kernel: ``"scalar"`` (the
     literal Figure-7 loop, the oracle's reference), ``"vector"``
-    (difference-cube numpy, one leaf at a time) or ``"auto"`` (every
-    Euclidean leaf recorded as index ranges in a
-    :class:`~repro.core.kernels.LeafBatch` and decided by one gather
-    pass per flush; ``vector`` for any other metric).  ``minlen`` is
-    the leaf threshold of Section 4.1.  ``metric`` selects the distance
+    (difference-cube numpy, one leaf at a time) or ``"auto"`` (on
+    Euclidean data the recursion stops at GEMM tiles of at most
+    ``DEFAULT_BLOCK²`` pairs, each decided by
+    :func:`~repro.core.kernels.pairs_within_matmul`; ``vector`` for any
+    other metric).  ``minlen`` is the leaf threshold of Section 4.1: a
+    node whose two sides both have at most ``minlen`` points is a
+    leaf.  ``metric`` selects the distance
     (Euclidean by default; any Minkowski L_p or L_∞ name/power/
     :class:`Metric` is accepted and resolved here — the paper's pruning
     rules hold for the whole family, see :mod:`repro.core.metrics`).
@@ -119,12 +128,12 @@ class KernelConfig:
 
     @property
     def leaf_kernel(self) -> str:
-        """The kernel every leaf of a join runs: ``"batched"`` (the
-        gather pass, ``auto`` on Euclidean data), ``"vector"`` or
+        """The kernel every leaf of a join runs: ``"gemm"`` (tile
+        leaves, ``auto`` on Euclidean data), ``"vector"`` or
         ``"scalar"``."""
         if self.engine != "auto":
             return self.engine
-        return "vector" if self.engine_metric is not None else "batched"
+        return "vector" if self.engine_metric is not None else "gemm"
 
 
 @dataclass
@@ -133,10 +142,8 @@ class JoinContext:
 
     ``kernel`` holds the kernel knobs (:class:`KernelConfig`).
     ``threshold`` is the combined-value comparison bound the engines use
-    (ε² for Euclidean).  Gather-pass leaves are recorded in one
-    :class:`~repro.core.kernels.LeafBatch` with the default bounds
-    (``DEFAULT_BATCH_VOLUME`` candidate pairs per flush,
-    ``DEFAULT_GATHER_CHUNK`` candidates per gather step).
+    (ε² for Euclidean).  GEMM tile leaves share one
+    :class:`~repro.core.kernels.ScratchBuffers`, created on first use.
 
     ``invariants`` enables the runtime invariant hooks of
     :mod:`repro.verify.invariants`: pruning-soundness and leaf-exactness
@@ -184,14 +191,14 @@ class JoinContext:
         self.trace = ensure_tracer(self.trace)
         self.metrics = ensure_metrics(self.metrics)
         self.obs = _SequenceObs(self.metrics)
-        self._batch = None
+        self._scratch = None
 
     @property
-    def batch(self) -> LeafBatch:
-        """Per-run leaf recorder of the gather pass (created on first use)."""
-        if self._batch is None:
-            self._batch = LeafBatch()
-        return self._batch
+    def scratch(self) -> ScratchBuffers:
+        """Per-run GEMM scratch of the tile leaves (created on first use)."""
+        if self._scratch is None:
+            self._scratch = ScratchBuffers()
+        return self._scratch
 
 
 class _SequenceObs:
@@ -309,11 +316,9 @@ class _RangeJoin:
     ``s`` or ``t``, and nothing else: a node reads the first and last
     cell rows of its two ranges from a :class:`_RowCache` and derives
     the active dimensions (:func:`_active`), the pruning, the boundary
-    split and the Section 4.2 dimension order from them.  A
-    ``vector``/``scalar`` leaf is evaluated on the ranges' rows of the
-    root arrays; under the gather pass every leaf is recorded in the
-    context's :class:`LeafBatch` and decided one flush at a time.  The
-    join is a self-join exactly when ``t is s``.
+    split and the Section 4.2 dimension order from them.  Every leaf is
+    evaluated on the ranges' rows of the root arrays.  The join is a
+    self-join exactly when ``t is s``.
     """
 
     def __init__(self, s: Sequence, t: Sequence, ctx: JoinContext) -> None:
@@ -328,10 +333,10 @@ class _RangeJoin:
         self.minlen = ctx.kernel.minlen
         self.boundary = ctx.kernel.split_strategy == "boundary"
         self.engine = ctx.kernel.leaf_kernel
-        self.batch = None
-        if self.engine == "batched":
-            self.batch = ctx.batch
-            self.batch.bind(s.points, s.cells, t.points, t.cells)
+        # A GEMM leaf is any node pair of at most one tile; the
+        # Figure-7 engines have only the minlen leaves.
+        self.tile = DEFAULT_BLOCK * DEFAULT_BLOCK if self.engine == "gemm" \
+            else 0
 
     def node(self, a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> None:
         """The Figure 6 recursion body for ``s[a_lo:a_hi] × t[b_lo:b_hi]``."""
@@ -354,7 +359,8 @@ class _RangeJoin:
         self_pair = self.same and a_lo == b_lo and a_hi == b_hi
         s_splittable = a_hi - a_lo > self.minlen
         t_splittable = b_hi - b_lo > self.minlen
-        if not s_splittable and not t_splittable:
+        if (not s_splittable and not t_splittable
+                or (a_hi - a_lo) * (b_hi - b_lo) <= self.tile):
             self.leaf(a_lo, a_hi, b_lo, b_hi, self_pair, act_s, act_t)
             return
         if self_pair:
@@ -410,44 +416,41 @@ class _RangeJoin:
 
     def leaf(self, a_lo: int, a_hi: int, b_lo: int, b_hi: int,
              upper_triangle: bool, act_s: int, act_t: int) -> None:
-        """Leaf case (Figure 7): record it in the batch or evaluate it.
+        """Leaf case: decide ``s[a_lo:a_hi] × t[b_lo:b_hi]`` with the
+        leaf kernel (Figure 7, or one GEMM tile) and report its pairs.
 
         ``act_s``/``act_t`` are the ranges' active dimensions (``d``
         when none), as the node computed them.
         """
-        self.obs.leaf_joins.labels(self.engine).inc()
-        self.obs.leaf_volume.observe((a_hi - a_lo) * (b_hi - b_lo))
-        if self.batch is None:
-            self.evaluate(a_lo, a_hi, b_lo, b_hi, upper_triangle,
-                          act_s, act_t)
-            return
-        self.batch.add(a_lo, a_hi, b_lo, b_hi, upper_triangle,
-                       None if act_t == self.dims else act_t)
-        if self.batch.full:
-            self.flush()
-
-    def evaluate(self, a_lo: int, a_hi: int, b_lo: int, b_hi: int,
-                 upper_triangle: bool, act_s: int, act_t: int) -> None:
-        """Evaluate one leaf with ``vector`` or ``scalar`` on the ranges'
-        rows of the root arrays and report its pairs."""
         ctx = self.ctx
         kernel = ctx.kernel
-        if kernel.order_dimensions:
-            order = dimension_ordering(self.rows_s[a_lo], self.rows_t[b_lo],
-                                       act_s, act_t)
-        else:
-            order = natural_ordering(self.dims)
-        finder = (pairs_within_vector if self.engine == "vector"
-                  else pairs_within_scalar)
+        self.obs.leaf_joins.labels(self.engine).inc()
+        self.obs.leaf_volume.observe((a_hi - a_lo) * (b_hi - b_lo))
         a, b = self.s.points[a_lo:a_hi], self.t.points[b_lo:b_hi]
         span_args = ({"engine": self.engine, "ns": len(a), "nt": len(b)}
                      if ctx.trace.enabled else None)
         collect = ctx.result.collect_distances
         with ctx.trace.span("leaf", cat="kernel", args=span_args):
-            found = finder(a, b, ctx.threshold, order, counters=ctx.cpu,
-                           upper_triangle=upper_triangle,
-                           return_sq_distances=collect,
-                           metric=kernel.engine_metric)
+            if self.engine == "gemm":
+                # A dense tile has no abort position to order for.
+                found = pairs_within_matmul(
+                    a, b, ctx.threshold, None, counters=self.cpu,
+                    upper_triangle=upper_triangle,
+                    return_sq_distances=collect, scratch=ctx.scratch,
+                    metrics=ctx.metrics if self.obs.enabled else None)
+            else:
+                if kernel.order_dimensions:
+                    order = dimension_ordering(self.rows_s[a_lo],
+                                               self.rows_t[b_lo],
+                                               act_s, act_t)
+                else:
+                    order = natural_ordering(self.dims)
+                finder = (pairs_within_vector if self.engine == "vector"
+                          else pairs_within_scalar)
+                found = finder(a, b, ctx.threshold, order, counters=self.cpu,
+                               upper_triangle=upper_triangle,
+                               return_sq_distances=collect,
+                               metric=kernel.engine_metric)
         ia, ib = found[0], found[1]
         combined = found[2] if collect else None
         if self.monitor is not None:
@@ -455,29 +458,6 @@ class _RangeJoin:
                                     ia, ib, ctx, upper_triangle)
         _emit(self.s.ids[a_lo:a_hi], self.t.ids[b_lo:b_hi], ia, ib,
               combined, ctx)
-
-    def flush(self) -> None:
-        """Decide the recorded leaves and report their pairs in order."""
-        batch = self.batch
-        if batch is None or not len(batch):
-            return
-        ctx = self.ctx
-        span_args = ({"leaves": len(batch), "volume": batch.volume}
-                     if ctx.trace.enabled else None)
-        with ctx.trace.span("leaf_batch", cat="kernel", args=span_args):
-            ia, ib, sq, offsets = pairs_within_batched(
-                batch, ctx.threshold, counters=ctx.cpu,
-                metrics=ctx.metrics if ctx.metrics.enabled else None)
-        if self.monitor is not None:
-            for k, (a_lo, a_hi, b_lo, b_hi, upper) in enumerate(
-                    batch.leaves):
-                o0, o1 = offsets[k], offsets[k + 1]
-                self.monitor.check_leaf(
-                    self.s, a_lo, a_hi, self.t, b_lo, b_hi,
-                    ia[o0:o1] - a_lo, ib[o0:o1] - b_lo, ctx, bool(upper))
-        batch.clear()
-        _emit(self.s.ids, self.t.ids, ia, ib,
-              sq if ctx.result.collect_distances else None, ctx)
 
 
 def simple_join(s: Sequence, t: Sequence, ctx: JoinContext,
@@ -491,7 +471,6 @@ def simple_join(s: Sequence, t: Sequence, ctx: JoinContext,
     join.leaf(0, len(s), 0, len(t), upper_triangle,
               _active(join.rows_s[0], join.rows_s[len(s) - 1]),
               _active(join.rows_t[0], join.rows_t[len(t) - 1]))
-    join.flush()
 
 
 def join_sequences(s: Sequence, t: Sequence, ctx: JoinContext) -> None:
@@ -503,10 +482,6 @@ def join_sequences(s: Sequence, t: Sequence, ctx: JoinContext) -> None:
     Two distinct ``Sequence`` objects are joined as two sets, even over
     the same arrays: each point then pairs with itself, and every pair
     is reported in both orders.
-
-    Any leaf pairs the gather pass recorded are flushed before
-    returning, so callers always observe a complete result.
     """
     join = _RangeJoin(s, t, ctx)
     join.node(0, len(s), 0, len(t))
-    join.flush()

@@ -56,8 +56,8 @@ BUCKET_CHUNK_RECORDS = 4096
 #: Engines the verification pass accepts.  ``matmul`` decides every
 #: bucket with the GEMM kernel; ``auto`` picks GEMM or ``vector`` per
 #: bucket by :data:`GEMM_BUCKET_VOLUME`.  A bucket is a whole block
-#: with no EGO order inside it, so the recursion's gather pass (the EGO
-#: ``auto`` engine) does not apply here.
+#: with no EGO order inside it, so there is no recursion to stop at a
+#: tile, as the EGO ``auto`` engine does.
 LSH_ENGINES = ("scalar", "vector", "matmul", "auto")
 
 #: ``size·size·d`` volume from which ``auto`` verifies a bucket with
@@ -124,16 +124,21 @@ def bucket_engine(engine: str, size: int, dimensions: int) -> str:
 
 def _verify_bucket(engine: str, pts: np.ndarray, eps_sq: float,
                    order: np.ndarray, cpu: CPUCounters,
-                   scratch: ScratchBuffers
+                   scratch: ScratchBuffers, metrics=None
                    ) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact upper-triangle pairs of one bucket block."""
+    """Exact upper-triangle pairs of one bucket block.
+
+    ``metrics`` (a registry, or None) receives the GEMM kernel's
+    re-verified count.
+    """
     resolved = bucket_engine(engine, len(pts), pts.shape[1])
     if resolved == "scalar":
         return pairs_within_scalar(pts, pts, eps_sq, order, counters=cpu,
                                    upper_triangle=True)
     if resolved == "matmul":
         return pairs_within_matmul(pts, pts, eps_sq, order, counters=cpu,
-                                   upper_triangle=True, scratch=scratch)
+                                   upper_triangle=True, scratch=scratch,
+                                   metrics=metrics)
     return pairs_within_vector(pts, pts, eps_sq, order, counters=cpu,
                                upper_triangle=True)
 
@@ -252,7 +257,9 @@ def lsh_self_join_file(point_file: PointFile, epsilon: float, *,
                     with tracer.span("lsh_bucket_join"):
                         _join_buckets(bucket_file, starts, eps_sq,
                                       engine, order_dims, cpu, scratch,
-                                      seen, result, stats)
+                                      seen, result, stats,
+                                      registry if registry.enabled
+                                      else None)
                     bucket_io = bucket_io + disk.counters
                     bucket_time += disk.simulated_time_s
 
@@ -283,7 +290,7 @@ def _join_buckets(bucket_file: PointFile, starts: np.ndarray,
                   eps_sq: float, engine: str, order_dims: np.ndarray,
                   cpu: CPUCounters, scratch: ScratchBuffers,
                   seen: Set[Tuple[int, int]], result: JoinResult,
-                  stats: LSHStats) -> None:
+                  stats: LSHStats, metrics=None) -> None:
     """Scan one table's bucket file and verify its candidates exactly.
 
     Buckets are consecutive record runs of the file, so the scan is one
@@ -300,7 +307,7 @@ def _join_buckets(bucket_file: PointFile, starts: np.ndarray,
         stats.candidates += size * (size - 1) // 2
         bucket_ids, bucket_pts = bucket_file.read_range(lo, size)
         ia, ib = _verify_bucket(engine, bucket_pts, eps_sq, order_dims,
-                                cpu, scratch)
+                                cpu, scratch, metrics)
         if not len(ia):
             continue
         stats.verified += len(ia)

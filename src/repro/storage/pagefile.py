@@ -171,17 +171,6 @@ class PointFile:
         last = min(last, self.count)
         return first, last
 
-    def read_unit(self, unit: int, unit_bytes: int
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-        """Read the records belonging to I/O unit ``unit``.
-
-        Issues one contiguous read that covers the unit's whole records
-        plus the tail fragment of its final record (which spills into the
-        next unit), mirroring the fragment handling of Section 3.2.
-        """
-        first, last = self.unit_record_range(unit, unit_bytes)
-        return self.read_range(first, last - first)
-
 
 class SequentialWriter:
     """Buffered append-only writer used by run generation and merging.

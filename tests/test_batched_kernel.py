@@ -1,5 +1,5 @@
-"""Tests for the gather pass (the ``auto`` engine's Euclidean leaf path)
-and the precision bugfixes that shipped with the GEMM kernels.
+"""Tests for the ``auto`` engine's Euclidean leaf path (GEMM tile
+leaves) and the precision bugfixes that shipped with the GEMM kernels.
 
 Three areas:
 
@@ -13,11 +13,9 @@ Three areas:
   ε² and forces every windowed candidate through exact
   re-verification; the centered kernel keeps the re-verified count
   proportional to the accepts.
-* the gather pass — :class:`LeafBatch` (leaves recorded as index
-  ranges) and :func:`pairs_within_batched` (one gather pass per flush)
-  units, pair-stream identity with the per-leaf engines
-  (including across flush and chunk boundaries), oracle/metamorphic
-  sweeps and the batch metrics.
+* the tile leaves — engine resolution, pair and distance identity
+  with the Figure-7 engines, oracle/metamorphic sweeps and the tile
+  metrics.
 """
 
 from __future__ import annotations
@@ -26,20 +24,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core.distance import natural_ordering, pairs_within_scalar
 from repro.core.ego_join import ego_join, ego_self_join
 from repro.core.ego_order import floor_cells, grid_cells
-from repro.core.kernels import (DEFAULT_BATCH_VOLUME, DEFAULT_GATHER_CHUNK,
-                                LeafBatch, ScratchBuffers, candidate_windows,
-                                pairs_within_batched, pairs_within_matmul)
+from repro.core.kernels import (DEFAULT_BLOCK, ScratchBuffers,
+                                candidate_windows, pairs_within_matmul)
 from repro.core.result import JoinResult
 from repro.core.sequence import Sequence
 from repro.core.sequence_join import (JoinContext, KernelConfig,
                                       join_sequences)
 from repro.obs.metrics import MetricsRegistry
-from repro.storage.stats import CPUCounters
 from repro.verify import run_impl, run_relations
 
 from conftest import brute_truth
@@ -71,6 +66,24 @@ def stream_pairs(result: JoinResult):
     """The raw (uncanonicalised) pair stream as a list of tuples."""
     ia, ib = result.pairs()
     return list(zip(ia.tolist(), ib.tolist()))
+
+
+def sorted_pairs(result: JoinResult):
+    """The pairs in sorted order."""
+    ia, ib = result.pairs()
+    return sorted(zip(ia.tolist(), ib.tolist()))
+
+
+def assert_same_join(got: JoinResult, want: JoinResult) -> None:
+    """Equal pair sets and, when collected, the same distance for each
+    pair up to the two kernels' summation order."""
+    assert sorted_pairs(got) == sorted_pairs(want)
+    if got.collect_distances:
+        order_got, order_want = (np.lexsort(r.pairs()[::-1])
+                                 for r in (got, want))
+        np.testing.assert_allclose(got.distances()[order_got],
+                                   want.distances()[order_want],
+                                   rtol=1e-12, atol=0)
 
 
 class TestFloorCellsRegression:
@@ -229,186 +242,9 @@ class TestScratchBuffers:
         np.testing.assert_array_equal(view, kept)
 
 
-def _bound(a, b, eps):
-    """A batch indexing blocks ``a`` and ``b`` (cells at width ``eps``)."""
-    batch = LeafBatch()
-    batch.bind(a, floor_cells(a, eps), b, floor_cells(b, eps))
-    return batch
-
-
-class TestLeafBatch:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LeafBatch(max_volume=0)
-        with pytest.raises(ValueError):
-            LeafBatch(chunk=0)
-
-    def test_fills_by_volume(self):
-        blk = np.zeros((6, 2))
-        batch = LeafBatch(max_volume=20)
-        batch.bind(blk, floor_cells(blk, 0.1), blk, floor_cells(blk, 0.1))
-        assert not batch.full
-        batch.add(0, 3, 0, 3)
-        assert not batch.full and len(batch) == 1 and batch.volume == 9
-        batch.add(0, 3, 3, 6)
-        assert not batch.full  # 18 candidate pairs < 20
-        batch.add(3, 6, 3, 6, True)
-        assert batch.full and batch.volume == 27
-
-    def test_clear_resets(self):
-        blk = np.zeros((2, 2))
-        batch = _bound(blk, blk, 0.1)
-        batch.add(0, 2, 0, 2, False, 0)
-        batch.clear()
-        assert len(batch) == 0 and batch.volume == 0 and not batch.leaves
-
-    def test_bind_drops_recorded_leaves(self):
-        blk = np.zeros((2, 2))
-        batch = _bound(blk, blk, 0.1)
-        batch.add(0, 2, 0, 2)
-        batch.bind(blk, floor_cells(blk, 0.1), blk, floor_cells(blk, 0.1))
-        assert len(batch) == 0
-
-    def test_empty_batch_evaluates_to_nothing(self):
-        ia, ib, sq, offsets = pairs_within_batched(LeafBatch(), 0.1)
-        assert len(ia) == len(ib) == len(sq) == 0
-        assert offsets.tolist() == [0]
-
-    def test_huge_cell_span_drops_the_window(self):
-        """A window dimension spanning more cells than the key room
-        allows (only possible beyond float64's exact range) is recorded
-        without a window instead of overflowing the packed keys."""
-        pts = np.zeros((3, 1))
-        cells = np.array([[-(1 << 61)], [0], [1 << 61]], dtype=np.int64)
-        batch = LeafBatch()
-        batch.bind(pts, cells, pts, cells)
-        batch.add(0, 3, 0, 3, False, 0)
-        c = CPUCounters()
-        ia, ib, _sq, _off = pairs_within_batched(batch, 1.0, counters=c)
-        # Every row is a candidate (with a window each row would be its
-        # own only candidate), and all are at distance 0.
-        assert c.distance_calculations == 9 and len(ia) == 9
-
-    def test_keys_stay_in_room(self):
-        """Adding past the key room raises instead of overflowing."""
-        pts = np.zeros((2, 1))
-        cells = np.array([[0], [1 << 59]], dtype=np.int64)
-        batch = LeafBatch()
-        batch.bind(pts, cells, pts, cells)
-        while not batch.full:
-            batch.add(0, 2, 0, 2, False, 0)
-        with pytest.raises(ValueError, match="overflow"):
-            for _ in range(8):
-                batch.add(0, 2, 0, 2, False, 0)
-
-
-class TestBatchedKernel:
-    def _random_batch(self, rng, entries, d, eps, chunk=DEFAULT_GATHER_CHUNK):
-        """A batch of self and cross leaves over two EGO-sorted blocks,
-        plus the matmul reference of each leaf."""
-        from repro.core.ego_order import ego_sorted
-        _ids, a = ego_sorted(rng.random((200, d)), eps)
-        _ids, b = ego_sorted(rng.random((150, d)), eps)
-        cells_a, cells_b = floor_cells(a, eps), floor_cells(b, eps)
-        selfs = LeafBatch(chunk=chunk)
-        selfs.bind(a, cells_a, a, cells_a)
-        cross = LeafBatch(chunk=chunk)
-        cross.bind(a, cells_a, b, cells_b)
-        refs = {id(selfs): [], id(cross): []}
-        for e in range(entries):
-            batch, other, cells_o = ((selfs, a, cells_a) if e % 2 == 0
-                                     else (cross, b, cells_b))
-            upper = batch is selfs
-            a_lo = int(rng.integers(0, len(a)))
-            a_hi = min(len(a), a_lo + int(rng.integers(0, 40)))
-            if upper:
-                b_lo, b_hi = a_lo, a_hi
-            else:
-                b_lo = int(rng.integers(0, len(other)))
-                b_hi = min(len(other), b_lo + int(rng.integers(0, 40)))
-            wdim = windows = None
-            if e % 3 == 0 and b_hi > b_lo and a_hi > a_lo:
-                first, last = cells_o[b_lo], cells_o[b_hi - 1]
-                diff = first != last
-                if diff.any():
-                    wdim = int(np.argmax(diff))
-                    windows = candidate_windows(
-                        a[a_lo:a_hi], other[b_lo:b_hi], wdim, eps,
-                        cells_a=cells_a[a_lo:a_hi, wdim],
-                        cells_b=cells_o[b_lo:b_hi, wdim])
-            batch.add(a_lo, a_hi, b_lo, b_hi, upper, wdim)
-            refs[id(batch)].append(pairs_within_matmul(
-                a[a_lo:a_hi], other[b_lo:b_hi], eps * eps,
-                natural_ordering(d), upper_triangle=upper,
-                return_sq_distances=True, windows=windows))
-        return [(selfs, refs[id(selfs)]), (cross, refs[id(cross)])]
-
-    @staticmethod
-    def _per_leaf(batch, result):
-        ia, ib, sq, offsets = result
-        for k, leaf in enumerate(batch.leaves):
-            o0, o1 = offsets[k], offsets[k + 1]
-            yield ia[o0:o1] - leaf[0], ib[o0:o1] - leaf[2], sq[o0:o1]
-
-    @given(st.integers(min_value=1, max_value=12),
-           st.integers(min_value=1, max_value=6),
-           st.floats(min_value=0.05, max_value=0.8),
-           st.integers(0, 10**6))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_matmul_per_entry(self, entries, d, eps, seed):
-        rng = np.random.default_rng(seed)
-        for batch, refs in self._random_batch(rng, entries, d, eps):
-            result = pairs_within_batched(batch, eps * eps)
-            got = list(self._per_leaf(batch, result))
-            assert len(got) == len(refs) == len(batch)
-            for (ia, ib, dist), (ra, rb, rd) in zip(got, refs):
-                np.testing.assert_array_equal(ia, ra)
-                np.testing.assert_array_equal(ib, rb)
-                np.testing.assert_array_equal(dist, rd)
-
-    def test_chunking_invariance(self, rng):
-        """Gather chunks (even one candidate at a time) change nothing."""
-        state = rng.bit_generator.state
-        ref = None
-        for chunk in (1, 7, 64, 2048):
-            rng.bit_generator.state = state
-            batches = self._random_batch(rng, 8, 4, 0.4, chunk=chunk)
-            got = [pairs_within_batched(batch, 0.16) for batch, _ in batches]
-            if ref is None:
-                ref = got
-            for g, r in zip(got, ref):
-                for x, y in zip(g, r):
-                    np.testing.assert_array_equal(x, y)
-
-    def test_counters_charge_windowed_candidates(self, rng):
-        a = rng.random((10, 3))
-        b = rng.random((6, 3))
-        both = np.concatenate([a, b])
-        batch = _bound(both, both, 0.1)
-        batch.add(0, 10, 0, 10, True)
-        batch.add(0, 10, 10, 16, False)
-        c = CPUCounters()
-        pairs_within_batched(batch, 0.1, counters=c)
-        expected = 10 * 9 // 2 + 10 * 6
-        assert c.distance_calculations == expected
-        assert c.dimension_evaluations == expected * 3
-
-    def test_entries_with_empty_blocks(self):
-        a = np.zeros((2, 2))
-        b = np.zeros((2, 2)) + 1e-9
-        batch = _bound(a, b, 0.5)
-        batch.add(0, 0, 0, 2, False)
-        batch.add(0, 2, 1, 1, False, 0)
-        batch.add(0, 2, 0, 2, False)
-        ia, ib, _sq, offsets = pairs_within_batched(batch, 0.5)
-        assert offsets.tolist() == [0, 0, 0, 4]
-        assert list(zip(ia.tolist(), ib.tolist())) == [(0, 0), (0, 1),
-                                                        (1, 0), (1, 1)]
-
-
 def leaf_kernels(pts, eps, **kernel):
     """Labels of ``ego_leaf_joins_total`` after one self-join, and the
-    context (to see whether it ever built a leaf batch)."""
+    context (to see whether it ever built GEMM scratch)."""
     from repro.core.ego_order import ego_sorted
     reg = MetricsRegistry()
     ctx = JoinContext(epsilon=eps, result=JoinResult(),
@@ -423,30 +259,30 @@ def leaf_kernels(pts, eps, **kernel):
 class TestBatchedEngineSelection:
     def test_auto_small_leaf_batches_when_batching(self, rng):
         """``auto`` resolves once per join: every Euclidean leaf, of any
-        size (200×200 at d = 5 is past the old per-leaf GEMM volume),
-        goes to the gather pass."""
+        ``minlen``, is a GEMM tile."""
         pts = rng.random((400, 5))
         for minlen in (1, 200):
             labels, _ctx = leaf_kernels(pts, 0.2, engine="auto",
                                         minlen=minlen)
-            assert labels == [["batched"]]
+            assert labels == [["gemm"]]
 
     def test_batched_non_euclidean_falls_back(self, rng):
         """On another metric ``auto`` runs ``vector`` for every leaf and
-        never builds a leaf batch."""
+        never builds GEMM scratch."""
         labels, ctx = leaf_kernels(rng.random((300, 3)), 0.2,
                                    engine="auto", metric="manhattan")
         assert labels == [["vector"]]
-        assert ctx._batch is None
+        assert ctx._scratch is None
 
     def test_context_accepts_batched_and_knobs(self):
-        """``auto`` on Euclidean data runs every leaf through the
-        context's batch, built with the default bounds."""
+        """``auto`` on Euclidean data decides every leaf as a GEMM tile
+        with the context's scratch, built on first use at one tile."""
         ctx = JoinContext(epsilon=0.1, result=JoinResult(),
                           kernel=KernelConfig(engine="auto"))
-        assert ctx.kernel.leaf_kernel == "batched"
-        assert ctx.batch.max_volume == DEFAULT_BATCH_VOLUME
-        assert ctx.batch.chunk == DEFAULT_GATHER_CHUNK
+        assert ctx.kernel.leaf_kernel == "gemm"
+        assert ctx._scratch is None
+        assert ctx.scratch.block == DEFAULT_BLOCK
+        assert ctx.scratch is ctx.scratch
 
     @pytest.mark.parametrize("bad", [{"metric": "cosine"},
                                      {"split_strategy": "thirds"}])
@@ -458,34 +294,24 @@ class TestBatchedEngineSelection:
 class TestBatchedEngineEndToEnd:
     @pytest.mark.parametrize("offset", [0.0, -5e6, 1e8])
     def test_stream_identical_to_vector(self, rng, offset):
+        """The same pairs in the same orientation, with the same
+        distances up to summation order; only the order within a tile
+        differs."""
         pts = rng.random((300, 4)) + offset
         eps = 0.15
-        ref = ego_self_join(pts, eps, engine="vector")
-        got = ego_self_join(pts, eps, engine="auto")
-        assert stream_pairs(got) == stream_pairs(ref)
-
-    def test_stream_identical_with_tiny_batches(self, rng):
-        """Flush and gather-chunk boundaries don't reorder or drop
-        pairs."""
-        pts = rng.random((250, 3))
-        eps = 0.2
-        ref = stream_pairs(ego_self_join(pts, eps, engine="vector"))
-        from repro.core.ego_order import ego_sorted
-        ids, spts = ego_sorted(pts, eps)
-        for volume, chunk in ((64, 3), (1, 1), (10**6, 10**6)):
-            ctx = JoinContext(epsilon=eps, result=JoinResult(),
-                              kernel=KernelConfig(engine="auto"))
-            ctx._batch = LeafBatch(max_volume=volume, chunk=chunk)
-            seq = Sequence(ids, spts, eps)
-            join_sequences(seq, seq, ctx)
-            assert stream_pairs(ctx.result) == ref
+        ref = ego_self_join(pts, eps, engine="vector",
+                            result=JoinResult(collect_distances=True))
+        got = ego_self_join(pts, eps, engine="auto",
+                            result=JoinResult(collect_distances=True))
+        assert_same_join(got, ref)
+        assert len(stream_pairs(got)) == len(stream_pairs(ref)) > 0
 
     def test_rs_join_matches_vector(self, rng):
         r = rng.random((180, 3))
         s = rng.random((150, 3))
         ref = ego_join(r, s, 0.2, engine="vector")
         got = ego_join(r, s, 0.2, engine="auto")
-        assert stream_pairs(got) == stream_pairs(ref)
+        assert_same_join(got, ref)
 
     def test_collect_distances_matches_matmul(self, rng):
         pts = rng.random((200, 4))
@@ -516,23 +342,9 @@ class TestBatchedEngineEndToEnd:
                             invariants=True).canonical_pair_set()
         assert got == ref
 
-    def test_flush_on_return_covers_partial_batches(self, rng):
-        """A batch below its volume bound is still flushed by
-        join_sequences before it returns."""
-        pts = rng.random((40, 2))
-        eps = 0.3
-        ctx = JoinContext(epsilon=eps, result=JoinResult(),
-                          kernel=KernelConfig(engine="auto"))
-        from repro.core.ego_order import ego_sorted
-        ids, spts = ego_sorted(pts, eps)
-        seq = Sequence(ids, spts, eps)
-        join_sequences(seq, seq, ctx)
-        assert len(ctx.batch) == 0
-        got = {(min(i, j), max(i, j))
-               for i, j in stream_pairs(ctx.result)}
-        assert got == brute_truth(pts, eps)
-
     def test_batch_metrics_recorded(self, rng):
+        """Each tile is one leaf of the ``gemm`` kernel, and its Gram
+        accepts are counted as re-verified."""
         pts = rng.random((300, 3))
         reg = MetricsRegistry()
         res = JoinResult()
@@ -542,13 +354,10 @@ class TestBatchedEngineEndToEnd:
         ids, spts = ego_sorted(pts, 0.15)
         seq = Sequence(ids, spts, 0.15)
         join_sequences(seq, seq, ctx)
-        assert reg.get("ego_kernel_batches_total").value > 0
-        assert reg.get("ego_kernel_batch_leaves").count > 0
-        assert reg.get("ego_kernel_batch_points").count > 0
-        assert reg.get("ego_candidate_window_rows").count > 0
-        assert reg.get("ego_leaf_joins_total").value_of("batched") > 0
-        # The gather pass decides every candidate exactly: no GEMM.
-        assert reg.get("ego_gemm_tiles_total") is None
+        tiles = reg.get("ego_leaf_joins_total").value_of("gemm")
+        assert tiles == reg.get("ego_leaf_volume").count > 0
+        assert reg.get("ego_leaf_volume").sum <= tiles * DEFAULT_BLOCK ** 2
+        assert reg.get("ego_gemm_reverified_total").value >= res.count > 0
 
 
 class TestBatchedVerification:

@@ -177,8 +177,8 @@ class TestEngineSelection:
 
     def test_auto_small_leaf_uses_vector(self):
         assert bucket_engine("auto", 8, 4) == "vector"
-        # A join's leaves all take the gather pass, whatever their size.
-        assert KernelConfig(engine="auto", minlen=8).leaf_kernel == "batched"
+        # A join's leaves are all GEMM tiles, whatever their size.
+        assert KernelConfig(engine="auto", minlen=8).leaf_kernel == "gemm"
 
     def test_auto_large_leaf_uses_matmul(self):
         assert bucket_engine("auto", 256, 16) == "matmul"

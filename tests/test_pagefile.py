@@ -82,7 +82,8 @@ class TestIOUnits:
         unit_bytes = 100  # deliberately not a record multiple
         collected = []
         for u in range(pf.num_units(unit_bytes)):
-            ids, _pts = pf.read_unit(u, unit_bytes)
+            first, last = pf.unit_record_range(u, unit_bytes)
+            ids, _pts = pf.read_range(first, last - first)
             collected.extend(ids.tolist())
         assert sorted(collected) == list(range(40))
         assert len(collected) == len(set(collected))
@@ -109,8 +110,9 @@ class TestIOUnits:
     def test_unit_read_is_one_access(self, temp_disk, rng):
         pts = rng.random((50, 3))
         pf = make_file(temp_disk, pts)
+        first, last = pf.unit_record_range(2, 300)
         temp_disk.reset_accounting()
-        pf.read_unit(2, 300)
+        pf.read_range(first, last - first)
         assert temp_disk.counters.total_reads == 1
 
     @given(st.integers(min_value=1, max_value=5),

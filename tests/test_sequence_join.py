@@ -212,7 +212,7 @@ class TestCellComputationCalls:
                 make_file(disk, cad_like(800, 8, seed=4))
                 return ego_self_join_file(PointFile.open(disk), 0.15,
                                           unit_bytes=4096, buffer_units=4,
-                                          minlen=minlen, engine="auto",
+                                          minlen=minlen, engine="vector",
                                           materialize=False)
         return self._count(monkeypatch, join)
 
