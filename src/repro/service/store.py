@@ -15,8 +15,9 @@ and the ROADMAP's service north-star requires:
   join delta×delta and delta×main-slice with the ordinary sequence
   join, so results never lag the last write;
 * **compaction** — once the delta exceeds a threshold it is EGO-sorted
-  and folded into the main run with the external sort's k-way heap
-  merge (:func:`repro.sorting.external_sort.merge_sorted_arrays`); the
+  and folded into the main run with the external sort's block merge
+  (:func:`repro.sorting.external_sort.merge_sorted_arrays`), which over
+  in-memory runs is one sort in the sort's ``(key, id)`` order; the
   main run itself is never re-sorted;
 * **epsilon changes** — ``set_epsilon`` never re-sorts the resident
   order: a run sorted at grid width ``w`` serves any join at ε ≤ w
@@ -508,7 +509,8 @@ class EGOStore:
         """Fold the delta buffer into the main run; purge dead rows.
 
         The delta is EGO-sorted at the grid epsilon and merged with the
-        live main rows through the external sort's k-way heap merge —
+        live main rows through the external sort's block merge
+        (:func:`~repro.sorting.external_sort.merge_sorted_arrays`) —
         the main run is consumed in order, never re-sorted.
         """
         if not self._delta_rowids and not self._main_dead:

@@ -9,10 +9,16 @@ or by Hilbert value.
 Phases:
 
 1. **Run generation** — read the input in memory-sized chunks, sort each
-   chunk with ``np.lexsort`` on its key columns (ties broken by point id)
-   and write it as a sorted run to the scratch disk.
-2. **Merging** — k-way merge with a heap, repeated in passes while more
-   runs remain than the merge fan-in allows.
+   chunk by its ``(key columns, id)`` order and write it as a sorted run
+   to the scratch disk.
+2. **Merging** — a block merge, repeated in passes while more runs
+   remain than the merge fan-in allows.  Each round emits, with one
+   sort, every buffered record that no unread record can precede, then
+   refills the one run whose buffer ran dry.
+
+One helper, :func:`_order_keys`, defines the ``(key columns, id)`` order
+for run generation, the merge rounds and :func:`merge_sorted_arrays`,
+the same merge over in-memory runs that the store's compaction uses.
 
 All reads and writes go through the simulated disks, so the sort's I/O
 cost appears in the experiment accounting exactly like the paper's.
@@ -20,9 +26,8 @@ cost appears in the experiment accounting exactly like the paper's.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,7 +39,9 @@ from ..storage.pagefile import (PointFile, SequentialReader, SequentialWriter)
 from ..storage.records import RecordCodec
 
 #: Maps a ``(n, d)`` point batch to ``(n, k)`` integer key columns whose
-#: lexicographic row order defines the sort order.
+#: lexicographic row order defines the sort order.  Columns must be of an
+#: integer dtype with values in the int64 range; others raise
+#: :class:`TypeError`.
 KeyFunction = Callable[[np.ndarray], np.ndarray]
 
 
@@ -65,16 +72,42 @@ class _Run:
         return self.file.data_start + self.file.data_bytes
 
 
+def _order_keys(keys: np.ndarray, ids: np.ndarray,
+                run: Optional[int] = None) -> np.ndarray:
+    """The sort order of records as one array of comparable byte strings.
+
+    Row ``i`` encodes ``(keys[i]…, ids[i])``, and ``run`` after them when
+    given, as big-endian int64 values with the sign bit flipped.  Byte
+    order then equals the lexicographic order of those integers, which
+    is what ``np.lexsort`` over the same columns gives, and
+    ``np.argsort(kind="stable")`` and ``np.searchsorted`` apply it
+    directly.  Run generation, every merge round and the in-memory merge
+    take the sort order from here.
+
+    ``keys`` is the key function's output.  A column that is not integer
+    would be silently truncated, so it raises :class:`TypeError`.
+    """
+    keys = np.asarray(keys)
+    if keys.ndim == 1:
+        keys = keys[:, None]
+    if not np.issubdtype(keys.dtype, np.integer):
+        raise TypeError(f"key function returned {keys.dtype} columns; "
+                        "sort keys must be integers")
+    k = keys.shape[1]
+    rows = np.empty((len(ids), k + 1 + (run is not None)), dtype=np.int64)
+    rows[:, :k] = keys
+    rows[:, k] = ids
+    if run is not None:
+        rows[:, -1] = run
+    rows ^= np.iinfo(np.int64).min
+    return rows.astype(">i8").view(f"S{8 * rows.shape[1]}").ravel()
+
+
 def _sort_batch(ids: np.ndarray, points: np.ndarray,
                 key_of_batch: KeyFunction
                 ) -> Tuple[np.ndarray, np.ndarray]:
     """Sort one in-memory batch by its keys (id as final tie-break)."""
-    keys = key_of_batch(points)
-    if keys.ndim == 1:
-        keys = keys[:, None]
-    columns = [keys[:, j] for j in range(keys.shape[1] - 1, -1, -1)]
-    columns.insert(0, ids)
-    order = np.lexsort(columns)
+    order = np.argsort(_order_keys(key_of_batch(points), ids), kind="stable")
     return ids[order], points[order]
 
 
@@ -115,152 +148,100 @@ def _generate_runs(input_file: PointFile, scratch: SimulatedDisk,
     return runs
 
 
-class _MergeSource:
-    """Buffered reader over one run with vectorised key computation."""
+def _merge(sources: List[Tuple[np.ndarray, np.ndarray,
+                             Optional[SequentialReader]]],
+           key_of_batch: KeyFunction
+           ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Yield the records of sorted runs in order, one block per round.
 
-    def __init__(self, run_file: PointFile, key_of_batch: KeyFunction,
-                 buffer_records: int) -> None:
-        self.reader = SequentialReader(run_file,
-                                       buffer_records=buffer_records)
-        self.key_of_batch = key_of_batch
-        self._ids = np.empty(0, dtype=np.int64)
-        self._points = np.empty((0, run_file.dimensions))
-        self._keys: List[Tuple[int, ...]] = []
-        self._cursor = 0
+    ``sources`` holds one ``(ids, points, reader)`` per run: its first
+    buffer and the reader of its unread records, or ``None`` for a run
+    held whole in memory.  The merge keeps every buffered record in one
+    sorted pool.  No unread record sorts before the smallest last
+    buffered order key among the runs with unread data, so each round
+    yields the pool up to that key and then refills the run it came
+    from.  The pool never holds more than one buffer per run.  Once no
+    run has unread data the pool is the last block: in-memory runs
+    merge in one round.
 
-    def _refill(self) -> bool:
-        ids, points = self.reader.next_batch()
-        if len(ids) == 0:
-            return False
-        self._ids, self._points = ids, points
-        keys = self.key_of_batch(points)
-        if keys.ndim == 1:
-            keys = keys[:, None]
-        self._keys = [tuple(row) for row in keys.tolist()]
-        self._cursor = 0
-        return True
-
-    def pop(self):
-        """Return ``(key, id, point)`` for the next record, or ``None``."""
-        if self._cursor >= len(self._ids):
-            if not self._refill():
-                return None
-        c = self._cursor
-        self._cursor += 1
-        return self._keys[c], int(self._ids[c]), self._points[c]
-
-
-def _merge_runs(sources: List[_MergeSource], out: SequentialWriter,
-                dimensions: int, batch_records: int) -> None:
-    heap = []
-    for idx, src in enumerate(sources):
-        item = src.pop()
-        if item is not None:
-            key, rec_id, point = item
-            heapq.heappush(heap, (key, rec_id, idx, point))
-    ids_buf: List[int] = []
-    pts_buf: List[np.ndarray] = []
-
-    def flush() -> None:
-        if ids_buf:
-            out.write(np.array(ids_buf, dtype=np.int64), np.array(pts_buf))
-            ids_buf.clear()
-            pts_buf.clear()
-
-    while heap:
-        _key, rec_id, idx, point = heapq.heappop(heap)
-        ids_buf.append(rec_id)
-        pts_buf.append(point)
-        if len(ids_buf) >= batch_records:
-            flush()
-        item = sources[idx].pop()
-        if item is not None:
-            nkey, nid, npoint = item
-            heapq.heappush(heap, (nkey, nid, idx, npoint))
-    flush()
+    The run index is the order keys' last column, so equal ``(key, id)``
+    rows leave in run order and the rounds read and yield exactly what a
+    record-at-a-time merge of the same buffers would.
+    """
+    readers = [reader for _, _, reader in sources]
+    live = [run for run, reader in enumerate(readers)
+            if reader is not None and not reader.exhausted()]
+    tails: List[bytes] = []
+    parts = []
+    for run, (ids, points, _) in enumerate(sources):
+        keys = _order_keys(key_of_batch(points), ids, run)
+        tails.append(keys[-1] if run in live else b"")
+        parts.append((keys, ids, points))
+    keys, ids, points = _sorted_pool(parts)
+    while live:
+        dry = min(live, key=tails.__getitem__)
+        n = int(np.searchsorted(keys, tails[dry], side="right"))
+        yield ids[:n], points[:n]
+        new_ids, new_points = readers[dry].next_batch()
+        if readers[dry].exhausted():
+            live.remove(dry)
+        new_keys = _order_keys(key_of_batch(new_points), new_ids, dry)
+        tails[dry] = new_keys[-1]
+        keys, ids, points = _sorted_pool([(keys[n:], ids[n:], points[n:]),
+                                          (new_keys, new_ids, new_points)])
+    yield ids, points
 
 
-class _ArraySource:
-    """In-memory run speaking the :class:`_MergeSource` ``pop`` protocol."""
-
-    def __init__(self, ids: np.ndarray, points: np.ndarray,
-                 key_of_batch: KeyFunction) -> None:
-        self._ids = np.asarray(ids, dtype=np.int64)
-        self._points = np.asarray(points, dtype=np.float64)
-        keys = key_of_batch(self._points)
-        if keys.ndim == 1:
-            keys = keys[:, None]
-        self._keys = [tuple(row) for row in keys.tolist()]
-        self._cursor = 0
-
-    def pop(self):
-        """Return ``(key, id, point)`` for the next record, or ``None``."""
-        if self._cursor >= len(self._ids):
-            return None
-        c = self._cursor
-        self._cursor += 1
-        return self._keys[c], int(self._ids[c]), self._points[c]
+def _sorted_pool(parts):
+    """Concatenate ``(keys, ids, points)`` parts and sort them by key."""
+    keys, ids, points = (np.concatenate(part) for part in zip(*parts))
+    order = np.argsort(keys, kind="stable")
+    return keys[order], ids[order], points[order]
 
 
-class _ArraySink:
-    """Writer-shaped collector for :func:`_merge_runs` output batches."""
+def _merge_runs(runs: List[_Run], writer: SequentialWriter,
+                key_of_batch: KeyFunction, memory_records: int) -> None:
+    """Merge sorted on-disk runs into ``writer``.
 
-    def __init__(self) -> None:
-        self.id_chunks: List[np.ndarray] = []
-        self.point_chunks: List[np.ndarray] = []
-
-    def write(self, ids: np.ndarray, points: np.ndarray) -> None:
-        self.id_chunks.append(ids)
-        self.point_chunks.append(points)
+    Memory is split into one read buffer per run plus one output chunk,
+    and the writer gets the merged records in chunk-sized slices.
+    """
+    chunk = max(2, memory_records // (len(runs) + 1))
+    readers = [SequentialReader(r.file, buffer_records=chunk) for r in runs]
+    held_ids = np.empty(0, dtype=np.int64)
+    held_points = np.empty((0, writer.point_file.dimensions))
+    for ids, points in _merge([(*reader.next_batch(), reader)
+                               for reader in readers], key_of_batch):
+        ids = np.concatenate((held_ids, ids))
+        points = np.concatenate((held_points, points))
+        full = len(ids) - len(ids) % chunk
+        for lo in range(0, full, chunk):
+            writer.write(ids[lo:lo + chunk], points[lo:lo + chunk])
+        held_ids, held_points = ids[full:], points[full:]
+    writer.write(held_ids, held_points)
 
 
 def merge_sorted_arrays(runs: List[Tuple[np.ndarray, np.ndarray]],
-                        key_of_batch: KeyFunction,
-                        batch_records: int = 1024,
-                        via_heap: bool = False
+                        key_of_batch: KeyFunction
                         ) -> Tuple[np.ndarray, np.ndarray]:
-    """K-way merge of in-memory sorted ``(ids, points)`` runs.
+    """Merge in-memory sorted ``(ids, points)`` runs.
 
-    Each run must already be sorted by ``(key_of_batch(points), id)`` —
-    the same invariant the disk-based merge relies on — and the output
-    is one ``(ids, points)`` pair in that global order, identical to the
-    external sort's heap merge (:func:`_merge_runs`) applied to the same
-    runs.  :class:`repro.service.store.EGOStore` uses it to fold its
-    delta buffer back into the resident EGO order during compaction
-    without re-sorting the main run file.
-
-    Records here are already resident arrays, so the merge permutation
-    is computed with one vectorized lexsort over the concatenated runs
-    instead of the per-record Python heap — on a 5 000-row main run that
-    is ~20× cheaper per compaction, which dominates the store's
-    amortized update cost.  ``via_heap=True`` forces the record-at-a-
-    time path; the equivalence of the two is under test.
+    Each run must already be sorted by ``(key_of_batch(points), id)``,
+    the invariant the external sort's runs keep, and the output is one
+    ``(ids, points)`` pair in that global order.  It is the external
+    sort's merge (:func:`_merge`) over runs with no unread data, so it
+    finishes in one round: one sort of the concatenated runs.
+    :class:`repro.service.store.EGOStore` uses it to fold its delta
+    buffer into the resident EGO order during compaction without
+    re-sorting the main run file.
     """
-    runs = [(ids, pts) for ids, pts in runs if len(ids)]
-    if not runs:
+    sources = [(np.asarray(ids, dtype=np.int64),
+                np.asarray(points, dtype=np.float64), None)
+               for ids, points in runs if len(ids)]
+    if not sources:
         return (np.empty(0, dtype=np.int64), np.empty((0, 0)))
-    if via_heap:
-        dimensions = runs[0][1].shape[1]
-        sources = [_ArraySource(ids, pts, key_of_batch)
-                   for ids, pts in runs]
-        sink = _ArraySink()
-        _merge_runs(sources, sink, dimensions, batch_records)
-        ids = np.concatenate(sink.id_chunks).astype(np.int64)
-        points = np.ascontiguousarray(np.concatenate(sink.point_chunks))
-        return ids, points
-    ids = np.concatenate([r[0] for r in runs]).astype(np.int64)
-    points = np.ascontiguousarray(
-        np.concatenate([np.asarray(r[1], dtype=np.float64)
-                        for r in runs]))
-    keys = key_of_batch(points)
-    if keys.ndim == 1:
-        keys = keys[:, None]
-    # np.lexsort sorts by the LAST key first; ids break key ties just
-    # like the (key, rec_id, ...) heap entries do.
-    columns = (ids,) + tuple(keys[:, c]
-                             for c in range(keys.shape[1] - 1, -1, -1))
-    order = np.lexsort(columns)
-    return ids[order], np.ascontiguousarray(points[order])
+    (ids, points), = _merge(sources, key_of_batch)
+    return ids, points
 
 
 def external_sort(input_file: PointFile, output_disk: SimulatedDisk,
@@ -356,10 +337,7 @@ def external_sort(input_file: PointFile, output_disk: SimulatedDisk,
                 target = _Run(scratch_disk, codec, next_byte)
                 writer = SequentialWriter(target.file,
                                           buffer_records=memory_records)
-                buf = max(2, memory_records // (len(group) + 1))
-                sources = [_MergeSource(r.file, key_of_batch, buf)
-                           for r in group]
-                _merge_runs(sources, writer, codec.dimensions, buf)
+                _merge_runs(group, writer, key_of_batch, memory_records)
                 writer.flush()
                 next_byte = target.end_byte
                 merged.append(target)
@@ -375,9 +353,7 @@ def external_sort(input_file: PointFile, output_disk: SimulatedDisk,
         span_args = ({"pass": stats.merge_passes, "runs": len(runs),
                       "final": True} if tracer.enabled else None)
         with tracer.span("merge_pass", cat="sort", args=span_args):
-            buf = max(2, memory_records // (len(runs) + 1))
-            sources = [_MergeSource(r.file, key_of_batch, buf) for r in runs]
-            _merge_runs(sources, writer, codec.dimensions, buf)
+            _merge_runs(runs, writer, key_of_batch, memory_records)
     writer.flush()
     output.close()
     if journal is not None:

@@ -7,10 +7,12 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.ego_join import ego_self_join_file
+from repro.core.ego_join import ego_key_function, ego_self_join_file
+from repro.sorting.external_sort import external_sort
 from repro.storage.disk import SimulatedDisk
-from repro.storage.faults import FaultPlan, SimulatedCrash
+from repro.storage.faults import FaultPlan, FaultyDisk, SimulatedCrash
 from repro.storage.integrity import RetryPolicy
+from repro.storage.journal import Journal
 from repro.storage.pairfile import PairFile
 
 from conftest import make_file
@@ -210,3 +212,72 @@ class TestResumeConfiguration:
         report = self.join(points, 0.05, ck, resume=True,
                            engine="vector")
         assert report.total_pairs == self.truth(points, 0.05)
+
+
+class _MarkingJournal(Journal):
+    """A journal that notes the fault plan's operation index at each
+    completed run and merge pass of the sort."""
+
+    def __init__(self, path, plan):
+        super().__init__(path)
+        self.plan = plan
+        self.run_ends = []
+        self.pass_ends = []
+
+    def record_sort_run(self, *args):
+        self.run_ends.append(self.plan.op_index)
+        super().record_sort_run(*args)
+
+    def record_merge_pass(self, *args):
+        self.pass_ends.append(self.plan.op_index)
+        super().record_merge_pass(*args)
+
+
+class TestSortCrashResume:
+    """A crash inside a non-final merge pass of a journaled external sort
+    resumes to the uninterrupted sort's output bytes.  ``fanin=2`` over 8
+    runs gives three passes; the join tests above sort in one."""
+
+    @staticmethod
+    def sort(directory, plan=None, journal=None):
+        """Sort the fixed input with the output, scratch disk and journal
+        kept in ``directory``; returns the output file's bytes."""
+        points = np.random.default_rng(11).random((300, 3))
+        out_path = os.path.join(directory, "sorted.pts")
+        if journal is None:
+            journal = Journal(os.path.join(directory, "sort.journal"))
+        with SimulatedDisk() as src, SimulatedDisk(path=out_path) as out, \
+                SimulatedDisk(path=os.path.join(directory,
+                                                "scratch.bin")) as scratch:
+            pf = make_file(src, points)
+            if plan is not None:
+                out, scratch = FaultyDisk(out, plan), FaultyDisk(scratch, plan)
+            _, stats = external_sort(pf, out, scratch, ego_key_function(0.2),
+                                     memory_records=40, fanin=2,
+                                     journal=journal)
+            assert stats.merge_passes == 3
+        with open(out_path, "rb") as fh:
+            return fh.read()
+
+    def test_crash_in_first_merge_pass_resumes_exactly(self, tmp_path):
+        directories = [tmp_path / name for name in ("base", "marks", "ck")]
+        for directory in directories:
+            directory.mkdir()
+        base, marks, ck = (str(d) for d in directories)
+        want = self.sort(base)
+
+        # Where pass 1 starts and ends in the plan's operation count.
+        plan = FaultPlan()
+        journal = _MarkingJournal(os.path.join(marks, "sort.journal"), plan)
+        assert self.sort(marks, plan, journal) == want
+        first, last = journal.run_ends[-1], journal.pass_ends[0]
+        crash_op = (first + last) // 2
+        assert first < crash_op < last
+
+        plan = FaultPlan(seed=3, crash_ops=[crash_op])
+        with pytest.raises(SimulatedCrash):
+            self.sort(ck, plan)
+        journal = Journal(os.path.join(ck, "sort.journal"))
+        assert len(journal.state["sort_runs"]) == 8
+        assert journal.latest_merge_pass() is None
+        assert self.sort(ck, plan.without_crashes(), journal) == want
