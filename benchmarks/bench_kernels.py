@@ -6,9 +6,7 @@ and reports wall-clock seconds per call:
 * ``scalar``  — the Figure-7 reference loop (small leaves only; it is
   three orders of magnitude off the pace at 256+ points),
 * ``vector``  — the ``na × nb × d`` difference-cube engine,
-* ``matmul``  — the tiled GEMM kernel of :mod:`repro.core.kernels`,
-* ``matmul+w`` — the GEMM kernel behind the EGO-sorted candidate-window
-  prefilter.
+* ``matmul``  — the tiled GEMM kernel of :mod:`repro.core.kernels`.
 
 Also measures the external self-join wall clock at ``workers`` 1 vs 4
 on a Figure-9-style workload, so the parallel unit-pair join's benefit
@@ -31,8 +29,7 @@ from repro.core.distance import (natural_ordering, pairs_within_scalar,
                                  pairs_within_vector)
 from repro.core.ego_join import ego_self_join_file
 from repro.core.ego_order import ego_sorted
-from repro.core.kernels import (ScratchBuffers, candidate_windows,
-                                pairs_within_matmul)
+from repro.core.kernels import ScratchBuffers, pairs_within_matmul
 from repro.data.loader import make_point_file
 from repro.data.synthetic import cad_like, uniform
 
@@ -78,7 +75,6 @@ def sweep(leaf_sizes, dimensions, repeats=5, seed=1234):
             order = natural_ordering(d)
             eps_sq = EPSILON * EPSILON
             scratch = ScratchBuffers()
-            windows = candidate_windows(pts, pts, 0, EPSILON)
 
             ref = pairs_within_vector(pts, pts, eps_sq, order,
                                       upper_triangle=True)
@@ -99,15 +95,8 @@ def sweep(leaf_sizes, dimensions, repeats=5, seed=1234):
                                             upper_triangle=True,
                                             scratch=scratch),
                 repeats)
-            row["matmul+w"] = _best_of(
-                lambda: pairs_within_matmul(pts, pts, eps_sq, order,
-                                            upper_triangle=True,
-                                            scratch=scratch,
-                                            windows=windows),
-                repeats)
             got = pairs_within_matmul(pts, pts, eps_sq, order,
-                                      upper_triangle=True,
-                                      windows=windows)
+                                      upper_triangle=True)
             assert len(got[0]) == pairs, "engines disagree on pair count"
             rows.append(row)
     return rows
@@ -172,7 +161,7 @@ def run_suite(tiny=False):
          "Leaf kernel sweep: seconds per self-join leaf "
          f"(eps={EPSILON}, upper triangle)",
          kernel_rows,
-         time_columns=["scalar", "vector", "matmul", "matmul+w"],
+         time_columns=["scalar", "vector", "matmul"],
          reference="matmul")
     emit("bench_kernels_workers",
          "External self-join wall clock vs worker count "

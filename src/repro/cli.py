@@ -466,10 +466,11 @@ def cmd_serve(args) -> int:
 
     The stand-in for a network daemon: one long-lived store, a scripted
     driver.  A seeded mixed op sequence (inserts, deletes, epsilon
-    changes, range/knn queries) runs against the store; every join the
+    changes, range queries) runs against the store; every join the
     script issues — plus one final join — is differentially checked
-    against the batch EGO join of the store's live point set.  Exit
-    code ``1`` flags any divergence, ``0`` a fully-verified session.
+    against the batch EGO join of the store's live point set, and every
+    range answer against a brute-force scan of it.  Exit code ``1``
+    flags any divergence, ``0`` a fully-verified session.
     """
     from .core.ego_join import ego_self_join
     from .service import EGOStore
@@ -507,10 +508,27 @@ def cmd_serve(args) -> int:
                   f"{diff.summary()}", file=sys.stderr)
         return diff.ok
 
+    def check_range(step: str, q: np.ndarray) -> bool:
+        got_ids, got_dists = store.range(q)
+        ids, pts = store.live_points()
+        diffs = pts - q
+        d2 = np.einsum("ij,ij->i", diffs, diffs)
+        hit = d2 <= store.epsilon * store.epsilon
+        ids, dists = ids[hit], np.sqrt(d2[hit])
+        order = np.lexsort((ids, dists))
+        ok = (np.array_equal(got_ids, ids[order])
+              and got_dists.tobytes() == dists[order].tobytes())
+        if not ok:
+            print(f"{step}: RANGE DIVERGED from brute force — "
+                  f"{len(got_ids)} ids, want {len(ids)}", file=sys.stderr)
+        return ok
+
     rng = np.random.default_rng(args.seed)
     dims = args.dims
     failures = 0
     checks = 0
+    range_failures = 0
+    range_checks = 0
     for step in range(args.selftest_ops):
         kind = int(rng.integers(0, 6))
         if store.dimensions is not None:
@@ -525,7 +543,9 @@ def cmd_serve(args) -> int:
             store.set_epsilon(
                 float(rng.uniform(0.5, 1.5)) * store.epsilon)
         elif kind == 4:
-            store.range(rng.random(dims))
+            range_checks += 1
+            if not check_range(f"step {step}", rng.random(dims)):
+                range_failures += 1
         else:
             checks += 1
             if not check_join(f"step {step}"):
@@ -547,7 +567,9 @@ def cmd_serve(args) -> int:
     print(f"digest: {store.state_digest()}")
     print(f"selftest: {checks - failures}/{checks} join checks "
           f"identical to the batch pipeline")
-    return 1 if failures else 0
+    print(f"selftest: {range_checks - range_failures}/{range_checks} "
+          f"range checks identical to a brute-force scan")
+    return 1 if failures or range_failures else 0
 
 
 def cmd_verify(args) -> int:

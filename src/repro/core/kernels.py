@@ -28,8 +28,8 @@ same pairs with the same exact distances by dense linear algebra:
 
 Counter semantics: the kernel has no early abort, so with ``counters``
 it charges one distance calculation and ``d`` dimension evaluations per
-candidate it evaluates (candidates excluded by a window or by the upper
-triangle are never charged).  The scalar/vector engines reconstruct the
+candidate it evaluates (candidates excluded by the upper triangle are
+never charged).  The scalar/vector engines reconstruct the
 Figure-7 abort position instead; benchmarks that rely on abort
 accounting should keep using those.
 """
@@ -161,8 +161,6 @@ def pairs_within_matmul(a: np.ndarray, b: np.ndarray, eps_sq: float,
                         upper_triangle: bool = False,
                         return_sq_distances: bool = False,
                         metric: Optional[Metric] = None,
-                        windows: Optional[Tuple[np.ndarray,
-                                                np.ndarray]] = None,
                         scratch: Optional[ScratchBuffers] = None,
                         block: int = DEFAULT_BLOCK,
                         metrics=None):
@@ -172,11 +170,9 @@ def pairs_within_matmul(a: np.ndarray, b: np.ndarray, eps_sq: float,
     :func:`~repro.core.distance.pairs_within_vector` returning the same
     pair set (and, with ``return_sq_distances``, the same exact squared
     distances — every accept within the rounding slack of the threshold
-    is re-verified from exact differences).  ``windows`` is an optional
-    ``(lo, hi)`` pair from :func:`candidate_windows` restricting each
-    ``a`` row's candidates; ``order`` is accepted for interface parity
-    (a dense kernel has no abort position, so the evaluation order is
-    irrelevant).
+    is re-verified from exact differences).  ``order`` is accepted for
+    interface parity (a dense kernel has no abort position, so the
+    evaluation order is irrelevant).
 
     ``metrics`` is a metrics registry: it is charged the Gram-filter
     accepts re-checked from exact differences
@@ -216,30 +212,15 @@ def pairs_within_matmul(a: np.ndarray, b: np.ndarray, eps_sq: float,
     norms_a = scratch.norms(a, "a")
     norms_b = scratch.norms(b, "b")
     slack = _euclidean_slack(norms_a, norms_b, a.shape[1])
-    lo = hi = None
-    if windows is not None:
-        lo, hi = windows
 
     out_a, out_b, out_d = [], [], []
     candidates_evaluated = reverified = 0
     for i0 in range(0, na, block):
         i1 = min(i0 + block, na)
-        # The union of this row block's windows: windows are contiguous
-        # in b, so the block only needs the covering range.  (The rows'
-        # cells in the window dimension need not be monotone when a and
-        # b are different slices, hence min/max over the block.)
-        if lo is not None:
-            j_start = int(lo[i0:i1].min())
-            j_end = int(hi[i0:i1].max())
-        else:
-            j_start, j_end = 0, nb
-        if upper_triangle:
-            j_start = max(j_start, i0 + 1)
-        if j_start >= j_end:
-            continue
+        j_start = i0 + 1 if upper_triangle else 0
         a_blk = a[i0:i1]
-        for j0 in range(j_start, j_end, block):
-            j1 = min(j0 + block, j_end)
+        for j0 in range(j_start, nb, block):
+            j1 = min(j0 + block, nb)
             gram = scratch.gram_tile(i1 - i0, j1 - j0)
             np.matmul(a_blk, b[j0:j1].T, out=gram)
             # ‖p‖² + ‖q‖² − 2·p·q in place; the slack absorbs the order.
@@ -250,22 +231,15 @@ def pairs_within_matmul(a: np.ndarray, b: np.ndarray, eps_sq: float,
                                j1 - j0)
             ci += i0
             cj += j0
-            # Each row's candidates are the columns [start, end): its
-            # window band and, on a tile that reaches the diagonal, the
-            # strict upper triangle.  Accepts outside them are dropped.
-            if lo is not None or (upper_triangle and j0 < i1):
-                start = np.full(i1 - i0, j0, dtype=np.intp)
-                end = np.full(i1 - i0, j1, dtype=np.intp)
-                if lo is not None:
-                    np.maximum(start, lo[i0:i1], out=start)
-                    np.minimum(end, hi[i0:i1], out=end)
-                if upper_triangle:
-                    np.maximum(start, np.arange(i0 + 1, i1 + 1), out=start)
+            # On a tile that reaches the diagonal each row's candidates
+            # are the columns of the strict upper triangle, [start, j1).
+            # Accepts outside them are dropped.
+            if upper_triangle and j0 < i1:
+                start = np.maximum(np.arange(i0 + 1, i1 + 1), j0)
                 if counters is not None:
                     candidates_evaluated += int(
-                        np.maximum(end - start, 0).sum())
-                r = ci - i0
-                keep = (cj >= start[r]) & (cj < end[r])
+                        np.maximum(j1 - start, 0).sum())
+                keep = cj >= start[ci - i0]
                 ci, cj = ci[keep], cj[keep]
             elif counters is not None:
                 candidates_evaluated += (i1 - i0) * (j1 - j0)

@@ -11,9 +11,13 @@ and the ROADMAP's service north-star requires:
   per-unit ε-interval metadata (first-cell keys every ``unit_records``
   rows) so any query box maps to a contiguous main slice by bisection
   (Lemmata 2/3 of the paper applied to the stored order);
-* **delta buffer** — updates land in a small unsorted buffer; queries
-  join delta×delta and delta×main-slice with the ordinary sequence
+* **delta buffer** — updates land in a small unsorted buffer; joins
+  add delta×delta and delta×main-slice with the ordinary sequence
   join, so results never lag the last write;
+* **point queries** — ``range`` (and ``knn``, by doubling its radius)
+  makes one exact distance pass over the main run's ε-interval and the
+  delta, at any ε: the cell mapping is monotone, so the cells of
+  ``q ± ε`` bound every mate's cells at any grid width;
 * **compaction** — once the delta exceeds a threshold it is EGO-sorted
   and folded into the main run with the external sort's block merge
   (:func:`repro.sorting.external_sort.merge_sorted_arrays`), which over
@@ -22,11 +26,11 @@ and the ROADMAP's service north-star requires:
 * **epsilon changes** — ``set_epsilon`` never re-sorts the resident
   order: a run sorted at grid width ``w`` serves any join at ε ≤ w
   directly (the pruning grid simply stays at ``w``, the
-  ``grid_epsilon`` contract of ``JoinContext``).  A *larger* ε cannot
-  reuse the stored order — no coarser grid preserves lexicographic
-  order, integer multiples of ``w`` included — so such queries run on
-  a lazily-built re-ordered *view* of the main run, cached per width
-  until the next compaction;
+  ``grid_epsilon`` contract of ``JoinContext``).  A join at a *larger*
+  ε cannot reuse the stored order — no coarser grid preserves
+  lexicographic order, integer multiples of ``w`` included — so it
+  runs on a lazily-built re-ordered *view* of the main run, cached per
+  width until the next compaction;
 * **durability** — every mutating op is journaled through
   :class:`repro.storage.journal.Journal`; replaying the journal rebuilds
   the store byte-identically (:meth:`EGOStore.state_digest`), which the
@@ -49,7 +53,7 @@ import bisect
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence as SequenceT, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -73,7 +77,7 @@ DEFAULT_UNIT_RECORDS = 64
 #: Join-result LRU entries kept.
 DEFAULT_CACHE_SIZE = 32
 
-#: Coarse main-run views (ε above the grid ε) kept per compaction.
+#: Coarse main-run views (joins above the grid ε) kept per compaction.
 MAX_COARSE_VIEWS = 4
 
 
@@ -82,7 +86,7 @@ class _MainView:
     """One ordering of the main run at a given grid width.
 
     The resident view (width = the store's grid ε) is maintained by
-    compaction; coarser views are built on demand for queries at a
+    compaction; coarser views are built on demand for joins at a
     larger ε and cached until the main run changes.
     """
 
@@ -141,8 +145,9 @@ class EGOStore:
         Point dimensionality; may be left ``None`` and is then fixed by
         the first insert.
     engine, minlen:
-        Leaf kernel and leaf size for every sequence join the store
-        runs (see :class:`repro.core.sequence_join.KernelConfig`).
+        Leaf kernel and leaf size of the store's joins (see
+        :class:`repro.core.sequence_join.KernelConfig`); ``range`` and
+        ``knn`` run no join and use neither.
     compact_threshold:
         Delta-buffer row count at which a mutating op triggers
         compaction into the main run.
@@ -191,9 +196,12 @@ class EGOStore:
         self._main_pts = np.empty((0, d))
         self._main_cells = np.empty((0, d), dtype=np.int64)
         self._unit_keys: List[Tuple[int, ...]] = []
+        # The main run's bounding box; every main-run mate lies inside.
+        self._main_min = self._main_max = np.empty(d)
         self._main_dead = 0
-        # Lazily-built re-orderings of the main run for ε > grid ε,
-        # LRU-capped at MAX_COARSE_VIEWS, dropped on every compaction.
+        # Lazily-built re-orderings of the main run for joins at
+        # ε > grid ε, LRU-capped at MAX_COARSE_VIEWS, dropped on every
+        # compaction.
         self._coarse_views: "OrderedDict[float, _MainView]" = OrderedDict()
 
         # Delta buffer (unsorted) + per-rowid tables.
@@ -491,10 +499,11 @@ class EGOStore:
     def set_epsilon(self, epsilon: float) -> None:
         """Change the default join distance.
 
-        ε ≤ grid epsilon is served by the resident order directly
-        (pruning keeps using the grid width); a larger ε is served by a
-        cached re-ordered view of the main run (see :meth:`_main_view`)
-        — the resident order itself is never re-sorted.
+        A join at ε ≤ grid epsilon is served by the resident order
+        directly (pruning keeps using the grid width); a join at a
+        larger ε by a cached re-ordered view of the main run (see
+        :meth:`_main_view`) — the resident order itself is never
+        re-sorted.
         """
         eps = validate_epsilon(epsilon)
         self._log_op(["set_epsilon", float(eps)])
@@ -598,46 +607,42 @@ class EGOStore:
               ) -> Tuple[np.ndarray, np.ndarray]:
         """Live points within ε of ``query``: ``(ids, distances)``.
 
-        Sorted by (distance, id); includes exact matches at distance 0.
-        """
-        return self.range_batch(np.asarray(query)[None, :], epsilon)[0]
-
-    def range_batch(self, queries: np.ndarray,
-                    epsilon: Optional[float] = None
-                    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Batched range queries: one store pass for many queries.
-
-        All queries are EGO-sorted into one sequence and joined against
-        the (interval-sliced) main run and the delta in a single
-        context — the request-batching path ``batch`` uses per epsilon
-        group.
+        One exact pass over the main run's ε-interval (Lemmata 2/3: every
+        mate lies between the cells of ``q − ε`` and ``q + ε``, at any ε,
+        because the cell mapping is monotone) and every delta row.  A row
+        is a mate when ``Σ (p − q)² ≤ ε²`` — the GEMM leaf's exact
+        re-verify, so distances are its bytes.  Sorted by (distance, id);
+        includes exact matches at distance 0.
         """
         eps = self._epsilon if epsilon is None \
             else validate_epsilon(epsilon)
-        qs = ensure_finite(np.asarray(queries, dtype=np.float64))
-        if qs.ndim != 2:
-            raise ValueError(f"queries must be (m, d), got {qs.shape}")
-        m = len(qs)
-        empty = (np.empty(0, dtype=np.int64), np.empty(0))
-        if m == 0:
-            return []
+        q = ensure_finite(np.asarray(query, dtype=np.float64))
+        if q.ndim != 1:
+            raise ValueError(f"query must be (d,), got {q.shape}")
         if self._dims is None or not len(self._id_rowid):
             self._count_query("range")
-            return [empty] * m
-        if qs.shape[1] != self._dims:
+            return np.empty(0, dtype=np.int64), np.empty(0)
+        if len(q) != self._dims:
             raise ValueError(f"expected {self._dims}-dimensional queries, "
-                             f"got {qs.shape[1]}")
+                             f"got {len(q)}")
         with self._trace.span("store_range", cat="store",
-                              args={"queries": m, "epsilon": eps}):
-            rows = self._range_rows(qs, eps)
-        self._count_query("range")
-        out = []
-        for qi in range(m):
-            rowids, dists = rows[qi]
-            uids = self._row_user[rowids]
+                              args={"epsilon": eps}):
+            lo, hi = self._main_interval(self._main_view(self.grid_epsilon),
+                                         q - eps, q + eps)
+            rowids = self._main_rowids[lo:hi]
+            pts = self._main_pts[lo:hi]
+            if self._delta_rowids:
+                rowids = np.concatenate(
+                    [rowids, np.asarray(self._delta_rowids, dtype=np.int64)])
+                pts = np.concatenate([pts, np.asarray(self._delta_pts)])
+            diffs = pts - q
+            d2 = np.einsum("ij,ij->i", diffs, diffs)
+            hit = (d2 <= eps * eps) & ~self._row_dead[rowids]
+            uids = self._row_user[rowids[hit]]
+            dists = np.sqrt(d2[hit])
             order = np.lexsort((uids, dists))
-            out.append((uids[order], dists[order]))
-        return out
+        self._count_query("range")
+        return uids[order], dists[order]
 
     def knn(self, query: np.ndarray, k: int
             ) -> Tuple[np.ndarray, np.ndarray]:
@@ -645,7 +650,9 @@ class EGOStore:
 
         Iterated doubling-radius range queries starting from the store
         ε (the paper's join-based kNN recipe); ties broken by id.
-        Returns ``(ids, distances)`` of ``min(k, len(store))`` rows.
+        Returns ``(ids, distances)`` of ``min(k, len(store))`` rows.  The
+        radius grows until it holds them: once ``ε²`` overflows, every
+        finite distance passes.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -654,44 +661,11 @@ class EGOStore:
             return (np.empty(0, dtype=np.int64), np.empty(0))
         with self._trace.span("store_knn", cat="store", args={"k": k}):
             eps = self._epsilon
-            for _ in range(64):
-                ids, dists = self.range(query, eps)
-                if len(ids) >= want:
-                    break
+            ids, dists = self.range(query, eps)
+            while len(ids) < want:
                 eps *= 2.0
+                ids, dists = self.range(query, eps)
         return ids[:want], dists[:want]
-
-    def batch(self, requests: SequenceT[Dict]) -> List[object]:
-        """Serve a mixed request batch, grouping range queries.
-
-        Each request is a dict: ``{"kind": "join", "epsilon": ...?}``,
-        ``{"kind": "range", "query": point, "epsilon": ...?}`` or
-        ``{"kind": "knn", "query": point, "k": ...}``.  Range requests
-        sharing an epsilon are answered by one
-        :meth:`range_batch` pass; results come back in request order.
-        """
-        results: List[object] = [None] * len(requests)
-        range_groups: Dict[float, List[int]] = {}
-        for i, req in enumerate(requests):
-            kind = req.get("kind")
-            if kind == "join":
-                results[i] = self.join(req.get("epsilon"))
-            elif kind == "knn":
-                results[i] = self.knn(np.asarray(req["query"]),
-                                      int(req["k"]))
-            elif kind == "range":
-                eps = req.get("epsilon")
-                eps = self._epsilon if eps is None \
-                    else validate_epsilon(eps)
-                range_groups.setdefault(float(eps), []).append(i)
-            else:
-                raise ValueError(f"unknown request kind {kind!r}")
-        for eps, idxs in range_groups.items():
-            qs = np.stack([np.asarray(requests[i]["query"],
-                                      dtype=np.float64) for i in idxs])
-            for i, res in zip(idxs, self.range_batch(qs, eps)):
-                results[i] = res
-        return results
 
     # -- internals -----------------------------------------------------------
 
@@ -727,6 +701,9 @@ class EGOStore:
             if len(self._main_pts) else \
             np.empty((0, self._dims or 0), dtype=np.int64)
         self._unit_keys = self._unit_keys_of(self._main_cells)
+        if len(self._main_pts):
+            self._main_min = self._main_pts.min(axis=0)
+            self._main_max = self._main_pts.max(axis=0)
         self._coarse_views.clear()
 
     def _main_view(self, width: float) -> _MainView:
@@ -823,7 +800,7 @@ class EGOStore:
 
     # -- join machinery ------------------------------------------------------
 
-    def _query_grid(self, eps: float) -> float:
+    def _join_grid(self, eps: float) -> float:
         """Grid width a join at ``eps`` runs on.
 
         ε up to the grid ε rides the resident order (the pruning grid
@@ -836,7 +813,7 @@ class EGOStore:
 
     def _make_context(self, eps: float, result: JoinResult) -> JoinContext:
         return JoinContext(epsilon=eps, result=result, kernel=self._kernel,
-                           grid_epsilon=self._query_grid(eps),
+                           grid_epsilon=self._join_grid(eps),
                            metrics=self._metrics, trace=self._trace)
 
     def _delta_sequence(self, width: float) -> Optional[Sequence]:
@@ -858,14 +835,18 @@ class EGOStore:
         cell already separates the coordinates by more than the box
         allows (``floor_cells`` guarantees ``c·w ≤ x < (c+1)·w``).  The
         bounds are widened one ulp so float rounding of ``p ± ε`` can
-        never exclude an exact-boundary mate.
+        never exclude an exact-boundary mate, then clipped to the main
+        run's bounding box, which holds every mate, so a box far from
+        the data never maps to cells beyond the int64 range.
         """
         if len(view.rowids) == 0:
             return 0, 0
-        lo_key = tuple(grid_cells(np.nextafter(lo_pt, -np.inf),
-                                  view.width).tolist())
-        hi_key = tuple(grid_cells(np.nextafter(hi_pt, np.inf),
-                                  view.width).tolist())
+        lo_pt = np.clip(np.nextafter(lo_pt, -np.inf), self._main_min,
+                        self._main_max)
+        hi_pt = np.clip(np.nextafter(hi_pt, np.inf), self._main_min,
+                        self._main_max)
+        lo_key = tuple(grid_cells(lo_pt, view.width).tolist())
+        hi_key = tuple(grid_cells(hi_pt, view.width).tolist())
         lo = self._bisect_view(view, lo_key, "left")
         hi = self._bisect_view(view, hi_key, "right")
         return lo, hi
@@ -915,49 +896,6 @@ class EGOStore:
                                          view.cells[lo:hi])
                     join_sequences(seq_slice, seq_delta, ctx)
         return result
-
-    def _range_rows(self, qs: np.ndarray, eps: float
-                    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Per-query ``(rowids, distances)`` for a stacked query batch."""
-        m = len(qs)
-        result = JoinResult(collect_distances=True)
-        ctx = self._make_context(eps, result)
-        width = ctx.grid_epsilon
-        # Queries get negative pseudo-ids, disjoint from rowids, so
-        # each result pair identifies its query by sign.
-        qids = -np.arange(1, m + 1, dtype=np.int64)
-        order = ego_sort_order(qs, width, qids)
-        seq_q = Sequence(qids[order], np.ascontiguousarray(qs[order]),
-                         width)
-        view = self._main_view(width)
-        if len(view.rowids):
-            lo, hi = self._main_interval(view, qs.min(axis=0) - eps,
-                                         qs.max(axis=0) + eps)
-            if hi > lo:
-                seq_slice = Sequence(view.rowids[lo:hi],
-                                     view.points[lo:hi], width,
-                                     view.cells[lo:hi])
-                join_sequences(seq_slice, seq_q, ctx)
-        seq_delta = self._delta_sequence(width)
-        if seq_delta is not None:
-            join_sequences(seq_delta, seq_q, ctx)
-        a, b = result.pairs()
-        dists = result.distances()
-        rows: List[Tuple[List[int], List[float]]] = \
-            [([], []) for _ in range(m)]
-        if len(a):
-            q_side = np.where(a < 0, a, b)
-            r_side = np.where(a < 0, b, a)
-            live = ~self._row_dead[r_side]
-            q_side, r_side, dists = (q_side[live], r_side[live],
-                                     dists[live])
-            for qid, rowid, dist in zip(q_side.tolist(), r_side.tolist(),
-                                        dists.tolist()):
-                qi = -qid - 1
-                rows[qi][0].append(rowid)
-                rows[qi][1].append(dist)
-        return [(np.asarray(r, dtype=np.int64), np.asarray(d))
-                for r, d in rows]
 
     def _canonical_user_pairs(self, result: JoinResult) -> np.ndarray:
         a, b = result.pairs()

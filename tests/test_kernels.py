@@ -140,30 +140,6 @@ class TestCandidateWindows:
             assert lo[i] <= j < hi[i], "window dropped a true mate"
             assert lo[j] <= i < hi[j]
 
-    def test_windowed_kernel_matches_unwindowed(self, rng):
-        eps = 0.2
-        _ids, pts = ego_sorted(rng.random((150, 3)), eps)
-        order = natural_ordering(3)
-        lo, hi = candidate_windows(pts, pts, 0, eps)
-        ref = pairs_within_matmul(pts, pts, eps * eps, order,
-                                  upper_triangle=True)
-        win = pairs_within_matmul(pts, pts, eps * eps, order,
-                                  upper_triangle=True, windows=(lo, hi))
-        assert pair_set(*ref) == pair_set(*win)
-
-    def test_window_reduces_counter_charges(self, rng):
-        eps = 0.05
-        _ids, pts = ego_sorted(rng.random((300, 2)), eps)
-        order = natural_ordering(2)
-        dense, windowed = CPUCounters(), CPUCounters()
-        pairs_within_matmul(pts, pts, eps * eps, order, counters=dense,
-                            upper_triangle=True)
-        lo, hi = candidate_windows(pts, pts, 0, eps)
-        pairs_within_matmul(pts, pts, eps * eps, order, counters=windowed,
-                            upper_triangle=True, windows=(lo, hi))
-        assert windowed.distance_calculations \
-            < dense.distance_calculations
-
 
 class TestEngineSelection:
     """The two engine resolutions left: a join's leaf kernel (once per

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.service import EGOStore, StaleCacheError
@@ -211,27 +212,18 @@ class TestQueries:
         ids, _dists = store.knn(rng.random(2), 50)
         assert len(ids) == 5
 
-    def test_batch_mixed_requests(self, seeded_store, rng):
-        store, pts = seeded_store
-        q1, q2 = rng.random(3), rng.random(3)
-        res = store.batch([
-            {"kind": "range", "query": q1, "epsilon": 0.3},
-            {"kind": "join"},
-            {"kind": "range", "query": q2, "epsilon": 0.3},
-            {"kind": "knn", "query": q1, "k": 4},
-        ])
-        assert len(res) == 4
-        for q, (ids, _d) in ((q1, res[0]), (q2, res[2])):
-            d = np.linalg.norm(pts - q, axis=1)
-            assert set(ids.tolist()) == \
-                set(np.nonzero(d <= 0.3)[0].tolist())
-        assert pair_set(res[1]) == brute_truth(pts, EPS)
-        assert len(res[3][0]) == 4
-
-    def test_batch_unknown_kind_rejected(self, seeded_store):
-        store, _ = seeded_store
-        with pytest.raises(ValueError, match="unknown request kind"):
-            store.batch([{"kind": "nope"}])
+    def test_knn_far_query_finds_k(self, rng):
+        """Regression: a query box far from the data mapped to cells
+        beyond the int64 range, its slice came back empty, and kNN
+        returned no ids after 64 doublings of its radius."""
+        pts = np.random.default_rng(1).random((50, 3))
+        store = EGOStore.from_points(pts, 1e-9)
+        q = np.array([1e11, 0.0, 0.0])
+        ids, dists = store.knn(q, 3)
+        d = np.linalg.norm(pts - q, axis=1)
+        assert ids.tolist() == np.lexsort((np.arange(50), d))[:3].tolist()
+        assert np.allclose(dists, 1e11)
+        assert len(store.range(q, 2e11)[0]) == 50
 
     def test_join_result_distances(self, rng):
         pts = rng.random((40, 2))
@@ -254,6 +246,54 @@ class TestQueries:
         ids, live = store.live_points()
         batch = canonical_pairs(ego_self_join(live, EPS, ids=ids))
         assert pair_digest(store.join()) == pair_digest(batch)
+
+
+def brute_range(store: EGOStore, q: np.ndarray, epsilon: float):
+    """``(ids, distances)`` of a brute-force scan of the live points."""
+    ids, pts = store.live_points()
+    diffs = pts - q
+    d2 = np.einsum("ij,ij->i", diffs, diffs)
+    hit = d2 <= epsilon * epsilon
+    ids, dists = ids[hit], np.sqrt(d2[hit])
+    order = np.lexsort((ids, dists))
+    return ids[order], dists[order]
+
+
+class TestQueriesUnderChurn:
+    """range and kNN equal a brute-force scan of the live points, with
+    dead main rows and live delta rows, at ε on both sides of the grid
+    ε.  Coordinates sit on a 0.1 grid, so exact-ε ties occur."""
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5),
+           n=st.integers(1, 120), threshold=st.integers(1, 40),
+           steps=st.integers(1, 4), k=st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_range_and_knn_match_brute_force(self, seed, d, n, threshold,
+                                             steps, k):
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(0, 11, size=(n, d)) / 10
+        eps = steps / 10
+        store = EGOStore.from_points(pts[:n // 2], eps,
+                                     compact_threshold=threshold)
+        start = n // 2
+        while start < n:
+            stop = min(n, start + int(rng.integers(1, 8)))
+            store.insert(pts[start:stop],
+                         ids=np.arange(start, stop, dtype=np.int64))
+            start = stop
+            live = store.ids()
+            store.delete(rng.choice(live, size=min(len(live) - 1, int(
+                rng.integers(0, 4))), replace=False))
+        for q in rng.integers(0, 11, size=(3, d)) / 10:
+            for query_eps in (eps / 2, eps, 3.7 * eps, 1.0):
+                got = store.range(q, query_eps)
+                want = brute_range(store, q, query_eps)
+                assert got[0].tolist() == want[0].tolist()
+                assert got[1].tobytes() == want[1].tobytes()
+            ids, dists = store.knn(q, k)
+            want = brute_range(store, q, np.inf)
+            assert ids.tolist() == want[0][:k].tolist()
+            assert dists.tobytes() == want[1][:k].tobytes()
 
 
 class TestCacheStaleness:
@@ -411,6 +451,20 @@ class TestServeCli:
         out = capsys.readouterr().out
         assert "digest:" in out
         assert "identical to the batch pipeline" in out
+        assert "range checks identical to a brute-force scan" in out
+
+    def test_serve_selftest_fails_on_wrong_range(self, monkeypatch,
+                                                 capsys):
+        right = EGOStore.range
+
+        def drop_farthest(store, query, epsilon=None):
+            ids, dists = right(store, query, epsilon)
+            return ids[:-1], dists[:-1]
+
+        monkeypatch.setattr(EGOStore, "range", drop_farthest)
+        assert main(["serve", "--selftest-ops", "25", "--seed", "5",
+                     "--compact-threshold", "16", "--epsilon", "0.5"]) == 1
+        assert "RANGE DIVERGED" in capsys.readouterr().err
 
     def test_serve_journal_then_recover(self, tmp_path, capsys):
         jpath = str(tmp_path / "serve.journal")
